@@ -3,14 +3,20 @@
 // economy of the templated core), thread counts, and shapes — square GEMMs
 // plus the MTTKRP-shaped ones the paper's figures are bounded by
 // (tall-skinny external-mode products and the batched small-block sweep of
-// the internal mode). Writes the BENCH_*.json perf-trajectory record
+// the internal mode) and the exact shapes a 282^3 rank-R MTTKRP issues:
+// C = op(A) * B^T with B^T the p-major transposed KRP, A the tensor in
+// column-major (mode 0, 2-step right) or row-major (last mode) layout —
+// the rank-panel path's shapes. Writes the BENCH_*.json perf-trajectory record
 // consumed by tools/run_benches.sh, and doubles as the CI equivalence
 // smoke check (--check: every kernel, in both precisions, must agree with
 // its scalar reference).
 //
 // usage: bench_gemm_roofline [--sizes csv] [--threads csv] [--trials n]
-//                            [--json path] [--check] [--tiny]
+//                            [--cases csv] [--json path] [--check] [--tiny]
+//   --cases keeps the shapes whose tag starts with one of the listed
+//   prefixes (square, skinny, batched, mttkrp).
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -30,9 +36,11 @@ using dmtk::index_t;
 using dmtk::Rng;
 
 struct Shape {
-  const char* tag;   // "square" | "skinny" | "batched"
+  const char* tag;   // "square" | "skinny" | "batched" | "mttkrp-*"
   index_t m, n, k;
   index_t batch;     // 1 = plain gemm, > 1 = gemm_batched sweep
+  dmtk::blas::Trans ta = dmtk::blas::Trans::NoTrans;
+  dmtk::blas::Trans tb = dmtk::blas::Trans::NoTrans;
 };
 
 struct Result {
@@ -83,10 +91,12 @@ double run_case(const Shape& s, int threads, int trials,
                 const std::vector<T>& A, const std::vector<T>& B,
                 std::vector<T>& C) {
   using namespace dmtk::blas;
+  const index_t lda = s.ta == Trans::NoTrans ? s.m : s.k;
+  const index_t ldb = s.tb == Trans::NoTrans ? s.k : s.n;
   if (s.batch <= 1) {
     return dmtk::time_median(trials, [&] {
-      gemm(Layout::ColMajor, Trans::NoTrans, Trans::NoTrans, s.m, s.n, s.k,
-           T{1}, A.data(), s.m, B.data(), s.k, T{0}, C.data(), s.m, threads);
+      gemm(Layout::ColMajor, s.ta, s.tb, s.m, s.n, s.k, T{1}, A.data(), lda,
+           B.data(), ldb, T{0}, C.data(), s.m, threads);
     });
   }
   std::vector<const T*> ap(static_cast<std::size_t>(s.batch));
@@ -99,46 +109,62 @@ double run_case(const Shape& s, int threads, int trials,
     cp[si] = C.data() + si * static_cast<std::size_t>(s.m * s.n);
   }
   return dmtk::time_median(trials, [&] {
-    gemm_batched(Layout::ColMajor, Trans::NoTrans, Trans::NoTrans, s.m, s.n,
-                 s.k, T{1}, ap.data(), s.m, bp.data(), s.k, T{0}, cp.data(),
-                 s.m, s.batch, threads);
+    gemm_batched(Layout::ColMajor, s.ta, s.tb, s.m, s.n, s.k, T{1},
+                 ap.data(), lda, bp.data(), ldb, T{0}, cp.data(), s.m,
+                 s.batch, threads);
   });
 }
 
 /// --check, one precision: every dispatchable kernel must reproduce the
 /// scalar kernel's result to rounding in T (FMA changes the last ulps,
-/// nothing more).
+/// nothing more) on a packed-path shape and on the rank-panel shape in
+/// both tensor layouts.
 template <typename T>
 bool check_equivalence_t(const char* prec, double ulp) {
   using namespace dmtk::blas;
-  const index_t m = 129, n = 67, k = 173;
-  Rng rng(7);
-  std::vector<T> A(static_cast<std::size_t>(m * k));
-  std::vector<T> B(static_cast<std::size_t>(k * n));
-  dmtk::fill_uniform(A, rng, -1.0, 1.0);
-  dmtk::fill_uniform(B, rng, -1.0, 1.0);
-  std::vector<T> Cref(static_cast<std::size_t>(m * n), T{0});
-  set_simd_level(SimdLevel::Scalar);
-  gemm(Layout::ColMajor, Trans::NoTrans, Trans::NoTrans, m, n, k, T{1},
-       A.data(), m, B.data(), k, T{0}, Cref.data(), m, 2);
+  struct Case {
+    const char* path;
+    Trans ta, tb;
+    index_t n;
+  };
+  const index_t m = 129, k = 173;
+  const Case cases[] = {{"packed", Trans::NoTrans, Trans::NoTrans, 67},
+                        {"rank-panel colA", Trans::NoTrans, Trans::Trans, 25},
+                        {"rank-panel rowA", Trans::Trans, Trans::Trans, 25}};
   bool ok = true;
-  for (SimdLevel lvl : supported_simd_levels()) {
-    if (lvl == SimdLevel::Scalar) continue;  // the reference itself
-    if (set_simd_level(lvl) != lvl) continue;  // not on this hardware
-    std::vector<T> C(static_cast<std::size_t>(m * n), T{0});
-    gemm(Layout::ColMajor, Trans::NoTrans, Trans::NoTrans, m, n, k, T{1},
-         A.data(), m, B.data(), k, T{0}, C.data(), m, 2);
-    double max_diff = 0.0;
-    for (std::size_t i = 0; i < C.size(); ++i) {
-      max_diff = std::max(max_diff,
-                          std::abs(static_cast<double>(C[i]) -
-                                   static_cast<double>(Cref[i])));
+  for (const Case& c : cases) {
+    const index_t lda = c.ta == Trans::NoTrans ? m : k;
+    const index_t ldb = c.tb == Trans::NoTrans ? k : c.n;
+    Rng rng(7);
+    std::vector<T> A(static_cast<std::size_t>(m * k));
+    std::vector<T> B(static_cast<std::size_t>(k * c.n));
+    dmtk::fill_uniform(A, rng, -1.0, 1.0);
+    dmtk::fill_uniform(B, rng, -1.0, 1.0);
+    auto run = [&](std::vector<T>& C) {
+      gemm(Layout::ColMajor, c.ta, c.tb, m, c.n, k, T{1}, A.data(), lda,
+           B.data(), ldb, T{0}, C.data(), m, 2);
+    };
+    std::vector<T> Cref(static_cast<std::size_t>(m * c.n), T{0});
+    set_simd_level(SimdLevel::Scalar);
+    run(Cref);
+    for (SimdLevel lvl : supported_simd_levels()) {
+      if (lvl == SimdLevel::Scalar) continue;  // the reference itself
+      if (set_simd_level(lvl) != lvl) continue;  // not on this hardware
+      std::vector<T> C(Cref.size(), T{0});
+      run(C);
+      double max_diff = 0.0;
+      for (std::size_t i = 0; i < C.size(); ++i) {
+        max_diff = std::max(max_diff,
+                            std::abs(static_cast<double>(C[i]) -
+                                     static_cast<double>(Cref[i])));
+      }
+      const double tol = ulp * static_cast<double>(k);
+      std::printf(
+          "check %-8s %s vs scalar [%s]: max|diff| = %.3e (tol %.3e) %s\n",
+          std::string(to_string(lvl)).c_str(), prec, c.path, max_diff, tol,
+          max_diff <= tol ? "OK" : "FAIL");
+      if (max_diff > tol) ok = false;
     }
-    const double tol = ulp * static_cast<double>(k);
-    std::printf("check %-8s %s vs scalar: max|diff| = %.3e (tol %.3e) %s\n",
-                std::string(to_string(lvl)).c_str(), prec, max_diff, tol,
-                max_diff <= tol ? "OK" : "FAIL");
-    if (max_diff > tol) ok = false;
   }
   return ok;
 }
@@ -163,6 +189,7 @@ int main(int argc, char** argv) {
   const char* json_path = nullptr;
   bool do_check = false;
   bool tiny = false;
+  std::vector<std::string> cases;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* { return (i + 1 < argc) ? argv[++i] : ""; };
@@ -172,6 +199,14 @@ int main(int argc, char** argv) {
       threads = parse_csv_ints(next());
     } else if (arg == "--trials") {
       trials = std::max(1, std::atoi(next()));
+    } else if (arg == "--cases") {
+      const std::string csv = next();
+      for (std::size_t pos = 0; pos <= csv.size();) {
+        std::size_t comma = csv.find(',', pos);
+        if (comma == std::string::npos) comma = csv.size();
+        cases.push_back(csv.substr(pos, comma - pos));
+        pos = comma + 1;
+      }
     } else if (arg == "--json") {
       json_path = next();
     } else if (arg == "--check") {
@@ -184,7 +219,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "usage: %s [--sizes csv] [--threads csv] [--trials n] "
-          "[--json path] [--check] [--tiny]\n",
+          "[--cases csv] [--json path] [--check] [--tiny]\n",
           argv[0]);
       return 0;
     }
@@ -220,6 +255,24 @@ int main(int argc, char** argv) {
     shapes.push_back({"skinny", 16384, 32, 1024, 1});
     shapes.push_back({"batched", 512, 16, 64, 128});
   }
+  // MTTKRP shapes of a 282^3 tensor (k = 282^2): the rank sweep in both
+  // tensor layouts, and the 2-step tall product.
+  const index_t ext = tiny ? 40 : 282;
+  for (index_t rank : {8, 16, 24, 25, 32, 64}) {
+    shapes.push_back({"mttkrp-colA", ext, rank, ext * ext, 1, Trans::NoTrans,
+                      Trans::Trans});
+    shapes.push_back({"mttkrp-rowA", ext, rank, ext * ext, 1, Trans::Trans,
+                      Trans::Trans});
+  }
+  shapes.push_back({"mttkrp-tall", ext * ext, 25, ext, 1, Trans::NoTrans,
+                    Trans::Trans});
+  if (!cases.empty()) {
+    std::erase_if(shapes, [&](const Shape& s) {
+      return std::none_of(cases.begin(), cases.end(), [&](const auto& c) {
+        return std::string(s.tag).rfind(c, 0) == 0;
+      });
+    });
+  }
 
   // Under a DMTK_SIMD override, measure ONLY the level the env installed —
   // the run then genuinely exercises the override path instead of
@@ -235,7 +288,7 @@ int main(int argc, char** argv) {
 
   const SimdLevel entry_level = simd_level();
   std::vector<Result> results;
-  std::printf("%-8s %22s %9s %5s %8s %10s %12s\n", "case",
+  std::printf("%-11s %22s %12s %5s %8s %10s %12s\n", "case",
               "m x n x k (xbatch)", "kernel", "prec", "threads", "seconds",
               "GFLOP/s");
   for (const Shape& s : shapes) {
@@ -277,7 +330,7 @@ int main(int argc, char** argv) {
                         static_cast<long long>(s.n),
                         static_cast<long long>(s.k),
                         s.batch > 1 ? " xB" : "");
-          std::printf("%-8s %22s %9s %5s %8d %10.4f %12.2f\n", s.tag,
+          std::printf("%-11s %22s %12s %5s %8d %10.4f %12.2f\n", s.tag,
                       shape_buf, std::string(to_string(lvl)).c_str(),
                       f32 ? "f32" : "f64", t, sec, gf);
         }
@@ -310,11 +363,14 @@ int main(int argc, char** argv) {
       std::fprintf(
           f,
           "    {\"case\": \"%s\", \"m\": %lld, \"n\": %lld, \"k\": %lld, "
-          "\"batch\": %lld, \"kernel\": \"%s\", \"precision\": \"%s\", "
+          "\"batch\": %lld, \"ta\": %d, \"tb\": %d, \"kernel\": \"%s\", "
+          "\"precision\": \"%s\", "
           "\"threads\": %d, \"median_seconds\": %.6f, \"gflops\": %.3f}%s\n",
           r.shape.tag, static_cast<long long>(r.shape.m),
           static_cast<long long>(r.shape.n), static_cast<long long>(r.shape.k),
           static_cast<long long>(r.shape.batch),
+          r.shape.ta == Trans::Trans ? 1 : 0,
+          r.shape.tb == Trans::Trans ? 1 : 0,
           std::string(to_string(r.level)).c_str(), r.precision, r.threads,
           r.seconds, r.gflops, i + 1 < results.size() ? "," : "");
     }

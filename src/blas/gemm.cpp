@@ -10,6 +10,7 @@
 #include "blas/microkernel_avx2.hpp"
 #include "blas/microkernel_avx512.hpp"
 #include "blas/microkernel_scalar.hpp"
+#include "blas/rank_panel.hpp"
 #include "util/aligned_alloc.hpp"
 #include "util/env.hpp"
 #include "util/parallel.hpp"
@@ -20,6 +21,7 @@ namespace {
 
 using detail::packed_a_elems;
 using detail::packed_b_elems;
+using detail::scale_columns;
 
 // ---------------------------------------------------------------------------
 // Micro-kernel dispatch
@@ -223,22 +225,6 @@ void macro_tile(const MicroKernel<T>& uk, index_t mc, index_t nc, index_t kc,
   }
 }
 
-/// Scale the columns [j0, j1) of C by beta (the up-front fold that lets the
-/// pc loop accumulate unconditionally).
-template <typename T>
-void scale_columns(index_t m, index_t j0, index_t j1, T beta, T* C,
-                   index_t ldc) {
-  if (beta == T{1}) return;
-  for (index_t j = j0; j < j1; ++j) {
-    T* col = C + j * ldc;
-    if (beta == T{0}) {
-      std::fill(col, col + m, T{0});
-    } else {
-      for (index_t i = 0; i < m; ++i) col[i] *= beta;
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Sequential blocked kernel
 // ---------------------------------------------------------------------------
@@ -335,6 +321,18 @@ template <typename T>
 void gemm_col(Trans ta, Trans tb, index_t m, index_t n, index_t k, T alpha,
               const T* A, index_t lda, const T* B, index_t ldb, T beta, T* C,
               index_t ldc, int nt, const GemmWorkspace& ws) {
+  if (gemm_uses_rank_panel(tb, n, k)) {
+    // Unpacked, no workspace. A team splits the rows once the product is
+    // worth a fork/join (a quarter million multiply-adds).
+    if (nt > 1 && m * n * k >= (index_t{1} << 18)) {
+      detail::rank_panel_team(ta, m, n, k, alpha, A, lda, B, ldb, beta, C,
+                              ldc, nt);
+    } else {
+      detail::rank_panel_seq(ta, m, n, k, alpha, A, lda, B, ldb, beta, C,
+                             ldc);
+    }
+    return;
+  }
   const MicroKernel<T> uk = select_kernel<T>();
   const GemmBlocking bl = gemm_blocking();
   const std::size_t b_elems = std::max(packed_b_elems<T>(n, k),
@@ -426,7 +424,10 @@ void gemm_batched(Layout layout, Trans ta, Trans tb, index_t m, index_t n,
   const int nt = resolve_threads(threads);
   const MicroKernel<T> uk = select_kernel<T>();
   const GemmBlocking bl = gemm_blocking();
-  const std::size_t per = gemm_workspace_elems<T>(m, n, k, 1);
+  // Zero on the rank-panel path, which packs nothing (and never grows
+  // the fallback arena).
+  const bool panel = gemm_uses_rank_panel(tb, n, k);
+  const std::size_t per = gemm_workspace_elems<T>(tb, m, n, k, 1);
   const std::size_t need =
       static_cast<std::size_t>(nt <= 1 ? 1 : nt) * per;
   T* ws_base = acquire_ws<T>(ws, need);
@@ -443,6 +444,11 @@ void gemm_batched(Layout layout, Trans ta, Trans tb, index_t m, index_t n,
   auto run_item = [&](index_t i, index_t i0, index_t mi, T* slice) {
     const T beta_eff = first_of_group(i) ? beta : T{1};
     const T* Ai = (ta == Trans::NoTrans) ? A[i] + i0 : A[i] + i0 * lda;
+    if (panel) {
+      detail::rank_panel_seq(ta, mi, n, k, alpha, Ai, lda, B[i], ldb,
+                             beta_eff, C[i] + i0, ldc);
+      return;
+    }
     gemm_seq(uk, bl, ta, tb, mi, n, k, alpha, Ai, lda, B[i], ldb, beta_eff,
              C[i] + i0, ldc, slice + b_elems, slice);
   };

@@ -22,7 +22,8 @@
 ///
 /// Sizing is conservative over every micro-kernel tile shape (MR, NR <=
 /// 16), so one reservation is valid whatever DMTK_SIMD selects at run
-/// time.
+/// time. The rank-panel path (gemm.hpp) packs nothing and is sized at
+/// zero.
 ///
 /// The MC/KC/NC blocking is a process-wide runtime setting (the tune
 /// subsystem's wisdom profiles install measured values at startup; the
@@ -37,6 +38,7 @@
 #include <atomic>
 #include <cstddef>
 
+#include "blas/types.hpp"
 #include "util/common.hpp"
 
 namespace dmtk::blas {
@@ -160,16 +162,31 @@ template <typename T>
 
 }  // namespace detail
 
-/// Workspace elements of T one gemm(m, n, k) call needs at `threads`
-/// threads (shared B panel + one A block per thread). Layout-independent:
-/// callers with RowMajor outputs should pass the dimensions they call with
-/// (the internal swap is symmetric in the panel sizes' upper bound).
+/// Widest n (the CP rank) the rank-panel path serves.
+inline constexpr index_t kRankPanelMaxN = 64;
+
+/// True when a column-major gemm/gemm_batched with these operands takes
+/// the rank-panel path (gemm.hpp): C = op(A) * B^T with B^T in its p-major
+/// layout (tb == Trans), 1 <= n <= 64, and a reduction long enough
+/// (k >= 4n) that streaming op(A) is the whole cost. Shape only: no
+/// setting, level or blocking enters, so plans can size for it up front.
+[[nodiscard]] constexpr bool gemm_uses_rank_panel(Trans tb, index_t n,
+                                                  index_t k) {
+  return tb == Trans::Trans && n >= 1 && n <= kRankPanelMaxN && k >= 4 * n;
+}
+
+/// Workspace elements of T one column-major gemm(·, tb, m, n, k) call
+/// needs at `threads` threads: none on the rank-panel path, which packs
+/// nothing; on the BLIS path the shared B panel plus one A block per
+/// thread. A row-major call runs as the column-major one with the operands
+/// swapped, so size it as that: ta in place of tb, m and n exchanged.
 template <typename T>
-[[nodiscard]] inline std::size_t gemm_workspace_elems(index_t m, index_t n,
-                                                      index_t k,
+[[nodiscard]] inline std::size_t gemm_workspace_elems(Trans tb, index_t m,
+                                                      index_t n, index_t k,
                                                       int threads) {
+  if (gemm_uses_rank_panel(tb, n, k)) return 0;
   const std::size_t nt = threads > 0 ? static_cast<std::size_t>(threads) : 1;
-  // RowMajor recursion swaps m and n, so bound both orientations.
+  // Bound both orientations of the panels.
   const std::size_t b = std::max(detail::packed_b_elems<T>(n, k),
                                  detail::packed_b_elems<T>(m, k));
   const std::size_t a = std::max(detail::packed_a_elems<T>(m, k),
@@ -178,28 +195,14 @@ template <typename T>
   return b + nt * a + detail::ws_align<T>(1);
 }
 
-/// Workspace elements of T for a gemm_batched(m, n, k) sweep at `threads`
-/// threads: every thread runs the sequential kernel on its items, so each
-/// needs a private (B panel + A block) pair.
+/// Workspace elements of T for a column-major gemm_batched(·, tb, m, n, k)
+/// sweep at `threads` threads: every thread runs the sequential kernel on
+/// its items, so each needs a private slice.
 template <typename T>
 [[nodiscard]] inline std::size_t gemm_batched_workspace_elems(
-    index_t m, index_t n, index_t k, int threads) {
+    Trans tb, index_t m, index_t n, index_t k, int threads) {
   const std::size_t nt = threads > 0 ? static_cast<std::size_t>(threads) : 1;
-  return nt * gemm_workspace_elems<T>(m, n, k, 1);
-}
-
-/// Byte forms, for callers that hold raw byte budgets.
-template <typename T>
-[[nodiscard]] inline std::size_t gemm_workspace_bytes(index_t m, index_t n,
-                                                      index_t k,
-                                                      int threads) {
-  return gemm_workspace_elems<T>(m, n, k, threads) * sizeof(T);
-}
-
-template <typename T>
-[[nodiscard]] inline std::size_t gemm_batched_workspace_bytes(
-    index_t m, index_t n, index_t k, int threads) {
-  return gemm_batched_workspace_elems<T>(m, n, k, threads) * sizeof(T);
+  return nt * gemm_workspace_elems<T>(tb, m, n, k, 1);
 }
 
 /// Process-wide count of internal fallback-arena growth events: how many

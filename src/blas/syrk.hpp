@@ -22,11 +22,13 @@ namespace dmtk::blas {
 inline constexpr index_t kSyrkNB = 128;
 
 /// Workspace elements of T one syrk(n, k) call needs at `threads` threads
-/// (the blocked-GEMM column sweep of syrk.cpp).
+/// (the blocked-GEMM column sweep of syrk.cpp). Sized for the packed path,
+/// which bounds the block products of both transposes.
 template <typename T>
 [[nodiscard]] inline std::size_t syrk_workspace_elems(index_t n, index_t k,
                                                       int threads) {
-  return gemm_workspace_elems<T>(n, std::min(n, kSyrkNB), k, threads);
+  return gemm_workspace_elems<T>(Trans::NoTrans, n, std::min(n, kSyrkNB), k,
+                                 threads);
 }
 
 /// C <- alpha * op(A)^T op(A) ... specifically, for column-major A:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "util/env.hpp"
 #include "util/parallel.hpp"
@@ -28,14 +29,24 @@ double TensorT<T>::norm(int threads) const {
 
 template <typename T>
 double TensorT<T>::norm_squared(int threads) const {
+  // One contiguous block per planned thread, partials added in thread
+  // order: no combine order is left to the OpenMP runtime.
   const int nt = resolve_threads(threads);
-  const index_t n = numel_;
+  std::vector<double> partial(static_cast<std::size_t>(nt), 0.0);
+  parallel_region(nt, [&](int t, int nteam) {
+    for (int b = t; b < nt; b += nteam) {
+      const Range r = block_range(numel_, nt, b);
+      double sum = 0.0;
+      for (index_t i = r.begin; i < r.end; ++i) {
+        const double v =
+            static_cast<double>(data_[static_cast<std::size_t>(i)]);
+        sum += v * v;
+      }
+      partial[static_cast<std::size_t>(b)] = sum;
+    }
+  });
   double total = 0.0;
-#pragma omp parallel for num_threads(nt) reduction(+ : total) schedule(static)
-  for (index_t i = 0; i < n; ++i) {
-    total += static_cast<double>(data_[static_cast<std::size_t>(i)]) *
-             static_cast<double>(data_[static_cast<std::size_t>(i)]);
-  }
+  for (const double p : partial) total += p;
   return total;
 }
 

@@ -105,12 +105,15 @@ class TensorT {
 
   void set_zero() { std::fill(data_.begin(), data_.end(), T{0}); }
 
-  /// Frobenius norm (OpenMP-parallel reduction; the residual-norm term of
-  /// CP-ALS needs this once per decomposition). Accumulated in double for
-  /// either scalar type.
+  /// Frobenius norm (the residual-norm term of CP-ALS needs this once per
+  /// decomposition); sqrt of norm_squared(), with the same guarantee.
   [[nodiscard]] double norm(int threads = 0) const;
 
-  /// Sum of squares of all entries (double accumulation).
+  /// Sum of squares of all entries, accumulated in double for either
+  /// scalar type. Each of the `threads` threads sums one contiguous block
+  /// and the partial sums are added in thread order, so the result is
+  /// bitwise fixed for a given thread count — run to run, whatever order
+  /// the threads finish in — but not across thread counts.
   [[nodiscard]] double norm_squared(int threads = 0) const;
 
   /// Max absolute entrywise difference; shapes must match.

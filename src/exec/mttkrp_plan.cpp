@@ -147,8 +147,11 @@ void MttkrpPlanT<T>::plan_workspace() {
 
   // BLAS packing workspace for the method's GEMM calls, carved from the
   // same frame so the blocked kernel runs heap-free (gemm_workspace.hpp).
-  auto plan_gemm_ws = [&](index_t gm, index_t gk, int gthreads) {
-    gemm_ws_elems_ = blas::gemm_workspace_elems<T>(gm, C, gk, gthreads);
+  // The MTTKRP products (B^T = the transposed KRP) need none when they take
+  // the rank-panel path; Reorder's NoTrans product always packs.
+  auto plan_gemm_ws = [&](blas::Trans tb, index_t gm, index_t gk,
+                          int gthreads) {
+    gemm_ws_elems_ = blas::gemm_workspace_elems<T>(tb, gm, C, gk, gthreads);
     off_gemm_ws_ = take(gemm_ws_elems_);
   };
 
@@ -161,7 +164,7 @@ void MttkrpPlanT<T>::plan_workspace() {
       // Two ping-pong Kronecker accumulators of up to cosize elements.
       off_acc_ = take(2 * WorkspaceArena::aligned_count<T>(
                               static_cast<std::size_t>(cosize_)));
-      plan_gemm_ws(In_, cosize_, nt_);
+      plan_gemm_ws(blas::Trans::NoTrans, In_, cosize_, nt_);
       break;
     case MttkrpMethod::OneStepSeq:
       plan_packed(full_);
@@ -169,7 +172,7 @@ void MttkrpPlanT<T>::plan_workspace() {
       off_kt_full_ = take(static_cast<std::size_t>(C * cosize_));
       // Mode 0 runs one (In x C x cosize) GEMM; other modes a sequence of
       // (In x C x ILn) block products — all on one thread.
-      plan_gemm_ws(In_, mode_ == 0 ? cosize_ : ILn_, 1);
+      plan_gemm_ws(blas::Trans::Trans, In_, mode_ == 0 ? cosize_ : ILn_, 1);
       break;
     case MttkrpMethod::OneStep:
       if (mode_ == 0 || mode_ == N - 1) {
@@ -178,10 +181,14 @@ void MttkrpPlanT<T>::plan_workspace() {
         stride_thread_kt_ = WorkspaceArena::aligned_count<T>(
             static_cast<std::size_t>(C * ctx_->max_block(cosize_)));
         off_thread_kt_ = take(snt * stride_thread_kt_);
-        // Each worker runs a private sequential GEMM on its column block.
-        stride_gemm_ws_ =
-            WorkspaceArena::aligned_count<T>(blas::gemm_workspace_elems<T>(
-                In_, C, ctx_->max_block(cosize_), 1));
+        // Each worker runs a private sequential GEMM on its column block;
+        // blocks differ by one column, so size for the shortest and the
+        // longest (only one of them may fall short of the rank-panel shape).
+        stride_gemm_ws_ = WorkspaceArena::aligned_count<T>(std::max(
+            blas::gemm_workspace_elems<T>(blas::Trans::Trans, In_, C,
+                                          cosize_ / nt_, 1),
+            blas::gemm_workspace_elems<T>(blas::Trans::Trans, In_, C,
+                                          ctx_->max_block(cosize_), 1)));
         off_gemm_ws_ = take(snt * stride_gemm_ws_);
       } else {
         plan_packed(left_);
@@ -195,8 +202,8 @@ void MttkrpPlanT<T>::plan_workspace() {
         stride_thread_row_ =
             WorkspaceArena::aligned_count<T>(static_cast<std::size_t>(C));
         off_thread_row_ = take(snt * stride_thread_row_);
-        gemm_ws_elems_ =
-            blas::gemm_batched_workspace_elems<T>(In_, C, ILn_, nt_);
+        gemm_ws_elems_ = blas::gemm_batched_workspace_elems<T>(
+            blas::Trans::Trans, In_, C, ILn_, nt_);
         off_gemm_ws_ = take(gemm_ws_elems_);
       }
       stride_partial_ =
@@ -217,10 +224,11 @@ void MttkrpPlanT<T>::plan_workspace() {
       if (twostep_is_defined(N, mode_)) {
         const index_t inter_rows = twostep_left_ ? In_ * IRn_ : ILn_ * In_;
         off_inter_ = take(static_cast<std::size_t>(inter_rows * C));
-        plan_gemm_ws(inter_rows, twostep_left_ ? ILn_ : IRn_, nt_);
+        plan_gemm_ws(blas::Trans::Trans, inter_rows,
+                     twostep_left_ ? ILn_ : IRn_, nt_);
       } else {
         // Degenerate externals: the one partial-MTTKRP GEMM is the answer.
-        plan_gemm_ws(In_, mode_ == 0 ? IRn_ : ILn_, nt_);
+        plan_gemm_ws(blas::Trans::Trans, In_, mode_ == 0 ? IRn_ : ILn_, nt_);
       }
       break;
     case MttkrpMethod::Auto:

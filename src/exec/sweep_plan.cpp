@@ -303,22 +303,24 @@ void CpAlsSweepPlanT<T>::plan_node_layout() {
     }
     if (nd.parent < 0) {
       const TrimSpec& t = nd.right.empty() ? nd.left : nd.right;
-      nd.gws_elems = blas::gemm_workspace_elems<T>(nd.out_rows, C, t.rows,
-                                                   nt_);
+      nd.gws_elems = blas::gemm_workspace_elems<T>(blas::Trans::Trans,
+                                                   nd.out_rows, C, t.rows, nt_);
     } else {
       std::size_t need = 0;
       if (!nd.left.empty() && !nd.right.empty()) {
         const TrimSpec& first = nd.left_first ? nd.left : nd.right;
         const TrimSpec& second = nd.left_first ? nd.right : nd.left;
         need = std::max(
-            blas::gemm_batched_workspace_elems<T>(nd.t_rows, 1, first.rows,
+            blas::gemm_batched_workspace_elems<T>(blas::Trans::Trans,
+                                                  nd.t_rows, 1, first.rows,
                                                   nt_),
-            blas::gemm_batched_workspace_elems<T>(nd.out_rows, 1, second.rows,
+            blas::gemm_batched_workspace_elems<T>(blas::Trans::Trans,
+                                                  nd.out_rows, 1, second.rows,
                                                   nt_));
       } else {
         const TrimSpec& t = nd.right.empty() ? nd.left : nd.right;
-        need = blas::gemm_batched_workspace_elems<T>(nd.out_rows, 1, t.rows,
-                                                     nt_);
+        need = blas::gemm_batched_workspace_elems<T>(
+            blas::Trans::Trans, nd.out_rows, 1, t.rows, nt_);
       }
       nd.gws_elems = need;
     }

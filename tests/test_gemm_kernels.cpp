@@ -3,12 +3,19 @@
 // n % NR, k = 1, strided leading dimensions, all four transpose combos)
 // against a reference triple loop, scalar-vs-AVX2 dispatch equivalence,
 // gemm_batched vs looped gemm (including shared-output accumulation groups
-// and the fewer-groups-than-threads row-split path), and the explicit
-// GemmWorkspace / internal-fallback-allocation contract.
+// and the fewer-groups-than-threads row-split path), the explicit
+// GemmWorkspace / internal-fallback-allocation contract, and the unpacked
+// rank-panel path every MTTKRP takes (every width up to the rank limit in
+// both tensor layouts, team-vs-one-thread bitwise equality, accumulation
+// groups, and plan-sized calls that never touch the fallback arena).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <limits>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include "blas/cpu_features.hpp"
@@ -309,7 +316,8 @@ void run_workspace_contract() {
   fill_uniform(A, rng, -1.0, 1.0);
   fill_uniform(B, rng, -1.0, 1.0);
 
-  const std::size_t need = gemm_workspace_elems<T>(m, n, k, threads);
+  const std::size_t need =
+      gemm_workspace_elems<T>(Trans::NoTrans, m, n, k, threads);
   std::vector<T, AlignedAllocator<T>> buf(need);
   const GemmWorkspace ws = typed_workspace(buf.data(), buf.size());
 
@@ -364,18 +372,26 @@ TEST(GemmWorkspaceContract, UndersizedViewFallsBackSafely) {
 }
 
 TEST(GemmWorkspaceContract, SizingIsMonotoneAndCoversBatched) {
-  EXPECT_LE(gemm_workspace_elems<double>(10, 10, 10, 1),
-            gemm_workspace_elems<double>(100, 100, 100, 1));
-  EXPECT_LE(gemm_workspace_elems<double>(64, 64, 64, 1),
-            gemm_workspace_elems<double>(64, 64, 64, 4));
-  EXPECT_EQ(gemm_batched_workspace_elems<double>(64, 8, 32, 4),
-            4 * gemm_workspace_elems<double>(64, 8, 32, 1));
-  // Byte forms are the element forms scaled by the scalar size; for equal
-  // element budgets the float view costs half the bytes of the double one.
-  EXPECT_EQ(gemm_workspace_bytes<float>(64, 8, 32, 2),
-            gemm_workspace_elems<float>(64, 8, 32, 2) * sizeof(float));
-  EXPECT_LE(gemm_workspace_bytes<float>(64, 64, 300, 2),
-            gemm_workspace_bytes<double>(64, 64, 300, 2));
+  constexpr Trans kPacked = Trans::NoTrans;
+  EXPECT_LE(gemm_workspace_elems<double>(kPacked, 10, 10, 10, 1),
+            gemm_workspace_elems<double>(kPacked, 100, 100, 100, 1));
+  EXPECT_LE(gemm_workspace_elems<double>(kPacked, 64, 64, 64, 1),
+            gemm_workspace_elems<double>(kPacked, 64, 64, 64, 4));
+  EXPECT_EQ(gemm_batched_workspace_elems<double>(kPacked, 64, 8, 32, 4),
+            4 * gemm_workspace_elems<double>(kPacked, 64, 8, 32, 1));
+  // For equal element budgets the float view costs half the bytes.
+  EXPECT_LE(
+      gemm_workspace_elems<float>(kPacked, 64, 64, 300, 2) * sizeof(float),
+      gemm_workspace_elems<double>(kPacked, 64, 64, 300, 2) * sizeof(double));
+  // The rank-panel shape packs nothing; just past it (n = 65, or k < 4n)
+  // the packed sizing applies again.
+  EXPECT_EQ(gemm_workspace_elems<double>(Trans::Trans, 282, 25, 1000, 4), 0u);
+  EXPECT_EQ(gemm_batched_workspace_elems<float>(Trans::Trans, 64, 1, 32, 4),
+            0u);
+  EXPECT_EQ(gemm_workspace_elems<double>(Trans::Trans, 282, 65, 1000, 4),
+            gemm_workspace_elems<double>(kPacked, 282, 65, 1000, 4));
+  EXPECT_EQ(gemm_batched_workspace_elems<double>(Trans::Trans, 64, 25, 99, 4),
+            gemm_batched_workspace_elems<double>(kPacked, 64, 25, 99, 4));
 }
 
 TEST(GemmKernels, FloatMatchesDoubleWithinFp32Rounding) {
@@ -407,6 +423,199 @@ TEST(GemmKernels, FloatMatchesDoubleWithinFp32Rounding) {
           << "level=" << to_string(lvl) << " at " << i;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Rank-panel path: C = alpha * op(A) * B^T + beta * C with B^T p-major
+// (tb == Trans), 1 <= n <= 64, k >= 4n — every MTTKRP's GEMM shape.
+// ---------------------------------------------------------------------------
+
+/// Operands of one rank-panel product with A in either layout and every
+/// leading dimension padded by `slack`.
+template <typename T>
+struct PanelData {
+  index_t m, n, k, lda, ldb, ldc;
+  Trans ta;
+  std::vector<T> A, B, C;
+  PanelData(index_t m_, index_t n_, index_t k_, bool row_major_a,
+            index_t slack, std::uint64_t seed)
+      : m(m_), n(n_), k(k_),
+        lda((row_major_a ? k_ : m_) + slack), ldb(n_ + slack),
+        ldc(m_ + slack), ta(row_major_a ? Trans::Trans : Trans::NoTrans) {
+    Rng rng(seed);
+    A.resize(static_cast<std::size_t>(lda * (row_major_a ? m : k)));
+    B.resize(static_cast<std::size_t>(ldb * k));
+    C.resize(static_cast<std::size_t>(ldc * n));
+    fill_uniform(A, rng, -1.0, 1.0);
+    fill_uniform(B, rng, -1.0, 1.0);
+    fill_uniform(C, rng, -1.0, 1.0);
+  }
+  void run(T alpha, T beta, T* out, int threads,
+           const GemmWorkspace& ws = {}) const {
+    gemm(Layout::ColMajor, ta, Trans::Trans, m, n, k, alpha, A.data(), lda,
+         B.data(), ldb, beta, out, ldc, threads, ws);
+  }
+};
+
+/// One product at the current level against the double oracle; the
+/// padding rows of C must come back untouched.
+template <typename T>
+void expect_panel_matches_oracle(index_t m, index_t n, index_t k,
+                                 bool row_major_a, T alpha, T beta) {
+  PanelData<T> d(m, n, k, row_major_a, 3, 500 + n * 7 + k);
+  const std::vector<double> Ad(d.A.begin(), d.A.end());
+  const std::vector<double> Bd(d.B.begin(), d.B.end());
+  std::vector<double> Cref(d.C.begin(), d.C.end());
+  std::vector<T> C = d.C;
+  d.run(alpha, beta, C.data(), 1);
+  naive_gemm(row_major_a, true, m, n, k, alpha, Ad.data(), d.lda, Bd.data(),
+             d.ldb, beta, Cref.data(), d.ldc);
+  const double tol = (sizeof(T) == 4 ? 2e-6 : 1e-14) * static_cast<double>(k);
+  for (std::size_t i = 0; i < C.size(); ++i) {
+    ASSERT_NEAR(static_cast<double>(C[i]), Cref[i], tol)
+        << "level=" << to_string(simd_level()) << " m=" << m << " n=" << n
+        << " k=" << k << " rowA=" << row_major_a << " beta=" << beta
+        << " at " << i;
+  }
+}
+
+template <typename T>
+void run_panel_widths() {
+  // m = 37 is no multiple of any tile height; k = 263 keeps n <= 64 on the
+  // rank-panel path and sends n = 65 to the packed kernel (the boundary).
+  const index_t m = 37, k = 263;
+  const T betas[] = {T{0}, T{0.5}, T{1}};
+  for (index_t n = 1; n <= 65; ++n) {
+    ASSERT_EQ(gemm_uses_rank_panel(Trans::Trans, n, k), n <= 64);
+    for (bool row_major_a : {false, true}) {
+      const T beta = betas[(n + (row_major_a ? 1 : 0)) % 3];
+      expect_panel_matches_oracle<T>(m, n, k, row_major_a, T{1.5}, beta);
+    }
+  }
+}
+
+TEST(RankPanel, EveryWidthEveryLevelBothLayouts) {
+  SimdLevelGuard guard;
+  for (SimdLevel lvl : dispatchable_levels()) {
+    ASSERT_EQ(set_simd_level(lvl), lvl);
+    run_panel_widths<double>();
+    run_panel_widths<float>();
+  }
+}
+
+template <typename T>
+void run_panel_team_bitwise() {
+  for (auto [m, n, k] : {std::tuple<index_t, index_t, index_t>{282, 25, 2000},
+                         {1001, 10, 300},
+                         {50, 64, 700},
+                         {777, 16, 999}}) {
+    for (bool row_major_a : {false, true}) {
+      PanelData<T> d(m, n, k, row_major_a, 1, 9 + m + n);
+      std::vector<T> Cseq = d.C;
+      d.run(T{0.75}, T{0.5}, Cseq.data(), 1);
+      for (int threads : {2, 3, 8}) {
+        std::vector<T> C = d.C;
+        d.run(T{0.75}, T{0.5}, C.data(), threads);
+        for (std::size_t i = 0; i < C.size(); ++i) {
+          // Rows split only: each element sums over k in the same order.
+          ASSERT_EQ(C[i], Cseq[i])
+              << "level=" << to_string(simd_level()) << " m=" << m
+              << " n=" << n << " rowA=" << row_major_a
+              << " threads=" << threads << " at " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(RankPanel, TeamIsBitwiseEqualToOneThreadOnEveryLevel) {
+  SimdLevelGuard guard;
+  for (SimdLevel lvl : dispatchable_levels()) {
+    ASSERT_EQ(set_simd_level(lvl), lvl);
+    run_panel_team_bitwise<double>();
+    run_panel_team_bitwise<float>();
+  }
+}
+
+TEST(RankPanel, BatchedGroupsAccumulateLikeLoopedGemm) {
+  // 10 items in groups of 3, 3, 2, 2 — the 1-step internal-mode shape. At
+  // 8 threads there are fewer groups than threads, so rows split inside
+  // each group; the result must still equal the looped gemm bitwise.
+  const index_t m = 45, n = 25, k = 120, batch = 10;
+  const index_t group_of[batch] = {0, 0, 0, 1, 1, 1, 2, 2, 3, 3};
+  for (bool row_major_a : {false, true}) {
+    std::vector<PanelData<double>> items;
+    for (index_t i = 0; i < batch; ++i) {
+      items.emplace_back(m, n, k, row_major_a, 2, 70 + i);
+    }
+    const PanelData<double>& d0 = items.front();
+    std::vector<const double*> ap, bp;
+    for (const auto& it : items) {
+      ap.push_back(it.A.data());
+      bp.push_back(it.B.data());
+    }
+    const std::size_t csz = d0.C.size();
+    std::vector<double> Cref(4 * csz);
+    for (index_t g = 0; g < 4; ++g) {
+      std::copy(items[static_cast<std::size_t>(g)].C.begin(),
+                items[static_cast<std::size_t>(g)].C.end(),
+                Cref.begin() + static_cast<std::ptrdiff_t>(g) *
+                                   static_cast<std::ptrdiff_t>(csz));
+    }
+    const std::vector<double> Cinit = Cref;
+    for (index_t i = 0; i < batch; ++i) {
+      const bool first = i == 0 || group_of[i] != group_of[i - 1];
+      items[static_cast<std::size_t>(i)].run(
+          2.0, first ? 0.5 : 1.0,
+          Cref.data() + group_of[i] * static_cast<index_t>(csz), 1);
+    }
+    for (int threads : {1, 3, 8}) {
+      std::vector<double> C = Cinit;
+      std::vector<double*> cp;
+      for (index_t i = 0; i < batch; ++i) {
+        cp.push_back(C.data() + group_of[i] * static_cast<index_t>(csz));
+      }
+      gemm_batched(Layout::ColMajor, d0.ta, Trans::Trans, m, n, k, 2.0,
+                   ap.data(), d0.lda, bp.data(), d0.ldb, 0.5, cp.data(),
+                   d0.ldc, batch, threads);
+      for (std::size_t i = 0; i < C.size(); ++i) {
+        ASSERT_EQ(C[i], Cref[i]) << "rowA=" << row_major_a
+                                 << " threads=" << threads << " at " << i;
+      }
+    }
+  }
+}
+
+TEST(RankPanel, PlanSizedCallsStayOffTheFallbackArena) {
+  // A plan sizes its workspace with the tb-aware helpers, which grant the
+  // rank-panel shape nothing. Run on a fresh thread, whose fallback arena
+  // is empty: any acquisition at all would count as a growth.
+  const index_t m = 300, n = 25, k = 500;
+  const int threads = 4;
+  ASSERT_EQ(gemm_workspace_elems<double>(Trans::Trans, m, n, k, threads), 0u);
+  ASSERT_EQ(gemm_batched_workspace_elems<double>(Trans::Trans, m, n, k,
+                                                 threads),
+            0u);
+  std::size_t grown = 0;
+  std::thread worker([&] {
+    alignas(kDefaultAlignment) double slot[1] = {};
+    const GemmWorkspace none = typed_workspace(slot, 0);
+    const std::size_t before = gemm_internal_allocs();
+    for (bool row_major_a : {false, true}) {
+      PanelData<double> d(m, n, k, row_major_a, 0, 3);
+      std::vector<double> C = d.C;
+      d.run(1.0, 0.0, C.data(), threads, none);
+      d.run(1.0, 1.0, C.data(), 1, none);
+      const double* ap[2] = {d.A.data(), d.A.data()};
+      const double* bp[2] = {d.B.data(), d.B.data()};
+      double* cp[2] = {C.data(), C.data()};
+      gemm_batched(Layout::ColMajor, d.ta, Trans::Trans, m, n, k, 1.0, ap,
+                   d.lda, bp, d.ldb, 0.0, cp, d.ldc, 2, threads, none);
+    }
+    grown = gemm_internal_allocs() - before;
+  });
+  worker.join();
+  EXPECT_EQ(grown, 0u);
 }
 
 // ---------------------------------------------------------------------------

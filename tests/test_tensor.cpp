@@ -98,6 +98,17 @@ TEST(TensorTest, NormThreadInvariant) {
   EXPECT_NEAR(X.norm(1), X.norm(4), 1e-12);
 }
 
+TEST(TensorTest, NormSquaredIsBitwiseRepeatableAtAFixedThreadCount) {
+  // The partial sums are combined in thread order, never in the order the
+  // threads finish: 50 calls on a team of 4 must agree to the last bit.
+  Rng rng(11);
+  Tensor X = Tensor::random_uniform({100, 100, 100}, rng);
+  const double first = X.norm_squared(4);
+  for (int call = 0; call < 50; ++call) {
+    ASSERT_EQ(X.norm_squared(4), first) << "call " << call;
+  }
+}
+
 TEST(TensorTest, MaxAbsDiff) {
   Tensor A({2, 2}), B({2, 2});
   A[3] = 1.0;

@@ -29,6 +29,11 @@ the line directly above it; an empty justification is itself an error):
                       outside io/checked_io.cpp. Binary artifacts go
                       through FileWriter so they get the CRC32 footer
                       and atomic rename.
+  omp-reduction       An OpenMP ``reduction(`` clause in src/. The runtime
+                      combines the partial results in whatever order the
+                      threads arrive, so a floating-point sum changes in
+                      its last bits from run to run; combine per-thread
+                      block_range partials in thread order instead.
 
 Exit status: 0 clean, 1 violations, 2 usage/self-test failure.
 `--self-test` seeds one violation of every rule class in a temp tree and
@@ -49,6 +54,7 @@ HOT_FILES = (
     "src/exec/sweep_plan.cpp",
     "src/exec/sparse_mttkrp_plan.cpp",
     "src/blas/gemm.cpp",
+    "src/blas/rank_panel.cpp",
 )
 
 SCAN_DIRS = ("src", "tools")
@@ -77,6 +83,8 @@ KNOWN_SITES_RE = re.compile(
 INSTANTIATION_RE = re.compile(r"^\s*template\s+[^<=]*\b([A-Za-z_]\w*)<double")
 
 OFSTREAM_RE = re.compile(r"\bstd::ofstream\b|\bfopen\s*\(")
+
+OMP_REDUCTION_RE = re.compile(r"#\s*pragma\s+omp\b.*\breduction\s*\(")
 
 
 class Violation:
@@ -191,6 +199,11 @@ def check_file(root: str, path: str, known_sites: set[str],
                      f"explicit {name}<double> instantiation without a "
                      f"{name}<float> twin in the same file")
 
+        if rel.startswith("src/") and OMP_REDUCTION_RE.search(code):
+            emit("omp-reduction",
+                 "OpenMP reduction clause (its combine order is up to the "
+                 "runtime; sum block_range partials in thread order)")
+
         if rel != CHECKED_IO_FILE and OFSTREAM_RE.search(code):
             emit("crc-footer",
                  "raw file output outside checked_io (FileWriter gives "
@@ -231,6 +244,10 @@ SELF_TEST_SEEDS = {
     "crc-footer": (
         "src/core/bad_io.cpp",
         "std::ofstream out(\"x.bin\");\n",
+    ),
+    "omp-reduction": (
+        "src/core/bad_reduce.cpp",
+        "#pragma omp parallel for reduction(+ : total)\n",
     ),
 }
 
