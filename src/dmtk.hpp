@@ -26,8 +26,10 @@
 ///
 /// Decompositions and kernels:
 ///   dmtk::cp_als            CP decomposition via alternating least squares
-///   dmtk::cp_als_dimtree    CP-ALS with dimension-tree MTTKRP reuse
 ///   dmtk::cp_nnhals         nonnegative CP (HALS)
+///   dmtk::DecomposeJob      one validated, fully resolved decompose of a
+///                           tensor file — what `dmtk decompose` and the
+///                           server's decompose requests both run
 ///   dmtk::st_hosvd          Tucker via sequentially-truncated HOSVD
 ///   dmtk::mttkrp            one-shot wrapper over a transient MttkrpPlan
 ///                           (Algs. 2-4; use plans in loops)
@@ -58,7 +60,6 @@
 #include "baseline/ttb_cp_als.hpp"  // IWYU pragma: export
 #include "blas/blas.hpp"            // IWYU pragma: export
 #include "core/cp_als.hpp"          // IWYU pragma: export
-#include "core/cp_als_dt.hpp"       // IWYU pragma: export
 #include "core/cp_nn.hpp"           // IWYU pragma: export
 #include "core/cp_model.hpp"        // IWYU pragma: export
 #include "core/krp.hpp"             // IWYU pragma: export
@@ -74,6 +75,7 @@
 #include "exec/sparse_mttkrp_plan.hpp"  // IWYU pragma: export
 #include "exec/sweep_plan.hpp"      // IWYU pragma: export
 #include "io/tensor_io.hpp"         // IWYU pragma: export
+#include "job/decompose_job.hpp"    // IWYU pragma: export
 #include "linalg/cholesky.hpp"      // IWYU pragma: export
 #include "linalg/jacobi_eig.hpp"    // IWYU pragma: export
 #include "linalg/spd_solve.hpp"     // IWYU pragma: export

@@ -106,21 +106,21 @@ Request parse_request(const Json& j) {
     return r;
   }
 
-  r.tensor = get_string(require(j, "tensor"), "tensor");
-  if (r.tensor.empty()) bad("field \"tensor\" must be a non-empty path");
+  r.spec.tensor = get_string(require(j, "tensor"), "tensor");
+  if (r.spec.tensor.empty()) bad("field \"tensor\" must be a non-empty path");
 
   if (r.type == RequestType::Info) {
     check_fields(j, {"type", "id", "tensor"});
     return r;
   }
 
-  if (const Json* v = j.find("precision")) r.f32 = get_f32(*v);
+  if (const Json* v = j.find("precision")) r.spec.f32 = get_f32(*v);
   if (const Json* v = j.find("rank")) {
-    r.rank = static_cast<index_t>(get_int(*v, "rank", 1, 1 << 20));
+    r.spec.rank = static_cast<index_t>(get_int(*v, "rank", 1, 1 << 20));
   }
-  if (r.type == RequestType::Mttkrp) r.seed = 7;  // factor-draw convention
+  if (r.type == RequestType::Mttkrp) r.spec.seed = 7;  // factor-draw convention
   if (const Json* v = j.find("seed")) {
-    r.seed = static_cast<std::uint64_t>(
+    r.spec.seed = static_cast<std::uint64_t>(
         get_int(*v, "seed", 0, (std::int64_t{1} << 53) - 1));
   }
   if (const Json* v = j.find("out")) {
@@ -140,26 +140,26 @@ Request parse_request(const Json& j) {
                    "tol", "seed", "sweep", "method", "levels", "out",
                    "inline_model", "cold"});
   if (const Json* v = j.find("iters")) {
-    r.iters = static_cast<int>(get_int(*v, "iters", 1, 1'000'000));
+    r.spec.iters = static_cast<int>(get_int(*v, "iters", 1, 1'000'000));
   }
   if (const Json* v = j.find("tol")) {
-    r.tol = get_number(*v, "tol");
-    if (!(r.tol >= 0.0)) bad("field \"tol\" must be >= 0");
+    r.spec.tol = get_number(*v, "tol");
+    if (!(r.spec.tol >= 0.0)) bad("field \"tol\" must be >= 0");
   }
   if (const Json* v = j.find("sweep")) {
     const std::string name = get_string(*v, "sweep");
     const auto s = parse_sweep_scheme(name);
     if (!s) bad("unknown sweep scheme \"" + name + '"');
-    r.sweep = *s;
+    r.spec.sweep = *s;
   }
   if (const Json* v = j.find("method")) {
     const std::string name = get_string(*v, "method");
     const auto m = parse_mttkrp_method(name);
     if (!m) bad("unknown mttkrp method \"" + name + '"');
-    r.method = *m;
+    r.spec.method = *m;
   }
   if (const Json* v = j.find("levels")) {
-    r.levels = static_cast<int>(get_int(*v, "levels", 0, 64));
+    r.spec.levels = static_cast<int>(get_int(*v, "levels", 0, 64));
   }
   if (const Json* v = j.find("cold")) r.cold = get_bool(*v, "cold");
   // Default: inline the model exactly when it is not going to a file.

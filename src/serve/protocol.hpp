@@ -36,7 +36,7 @@
 
 #include "core/cp_model.hpp"
 #include "core/mttkrp.hpp"
-#include "exec/sweep_plan.hpp"
+#include "job/decompose_job.hpp"
 #include "serve/json.hpp"
 #include "util/common.hpp"
 
@@ -58,24 +58,16 @@ enum class RequestType { Decompose, Mttkrp, Info, Stats, Shutdown, Health };
 
 [[nodiscard]] std::string_view to_string(RequestType t);
 
-/// A validated request. Defaults mirror the CLI's decompose defaults
-/// except `tol` (1e-6, the CLI's documented default) and the mttkrp seed
-/// (7, matching the bench harness convention for factor draws).
+/// A validated request. A decompose request's fields are exactly a
+/// DecomposeSpec's (same defaults as `dmtk decompose`); serve never sets
+/// nn, acc64 or the checkpoint fields. An mttkrp request reuses the
+/// spec's tensor, precision, rank and seed (seed 7 by default, matching
+/// the bench harness convention for factor draws).
 struct Request {
   RequestType type = RequestType::Info;
   Json id;  ///< echoed verbatim; null when the request had none
 
-  std::string tensor;  ///< tensor file path (.dten dense / .tns sparse)
-  bool f32 = false;    ///< "precision": "float"
-
-  // decompose
-  index_t rank = 10;
-  int iters = 100;
-  double tol = 1e-6;
-  std::uint64_t seed = 42;
-  SweepScheme sweep = SweepScheme::Auto;
-  MttkrpMethod method = MttkrpMethod::Auto;
-  int levels = 0;            ///< DimTree depth cap
+  DecomposeSpec spec;  ///< tensor path + decompose/mttkrp parameters
   std::string out;           ///< model/matrix output path ("" = none)
   bool inline_model = true;  ///< include the model payload in the response
   /// Emulate the batch CLI's one-shot cost: run on a fresh ExecContext

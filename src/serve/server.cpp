@@ -11,11 +11,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <utility>
+#include <variant>
 
 #include "blas/blas.hpp"
-#include "core/cp_als.hpp"
 #include "core/krp.hpp"
 #include "core/reorder.hpp"
 #include "io/tensor_io.hpp"
@@ -36,10 +35,6 @@ constexpr int kSendTimeoutMs = 30000;
 
 double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-}
-
-bool is_tns(const std::string& path) {
-  return path.size() >= 4 && path.compare(path.size() - 4, 4, ".tns") == 0;
 }
 
 [[noreturn]] void invalid(const std::string& message) {
@@ -365,59 +360,34 @@ Server::Job Server::make_job(Request r, const std::shared_ptr<Conn>& conn) {
   job.received = Clock::now();
   job.conn = conn;
 
-  if (is_tns(r.tensor)) {
-    if (r.type == RequestType::Mttkrp) {
-      invalid("mttkrp requests need a dense tensor (.dten input)");
+  if (r.type == RequestType::Decompose) {
+    // The job validates and probes; sparse jobs never batch (their plans
+    // bind the tensor), so only dense ones get a plan key.
+    const DecomposeJob& dj = job.decompose.emplace(r.spec);
+    job.dense = !dj.sparse();
+    if (job.dense) {
+      job.key = PlanKey{dj.dims(), r.spec.rank, dj.scheme(), r.spec.method,
+                        r.spec.levels, r.spec.f32};
     }
-    if (r.sweep == SweepScheme::PerMode || r.sweep == SweepScheme::DimTree) {
-      invalid("sweep scheme \"" + std::string(dmtk::to_string(r.sweep)) +
-              "\" is dense-only; .tns input takes auto/csf/coo");
-    }
-    if (r.method != MttkrpMethod::Auto) {
-      invalid("\"method\" selects dense per-mode kernels; sparse input "
-              "chooses its own");
-    }
-    if (r.levels != 0) {
-      invalid("\"levels\" applies to the dense dimtree scheme");
-    }
-    if (!std::filesystem::exists(r.tensor)) {
-      throw ProtocolError("io_error", "no such tensor file: " + r.tensor);
-    }
-    job.dense = false;
     job.req = std::move(r);
-    return job;  // sparse jobs never batch (plans bind the tensor)
+    return job;
   }
 
-  if (r.sweep == SweepScheme::SparseCsf || r.sweep == SweepScheme::SparseCoo) {
-    invalid("sweep scheme \"" + std::string(dmtk::to_string(r.sweep)) +
-            "\" needs sparse (.tns) input");
+  if (is_sparse_tensor_path(r.spec.tensor)) {
+    invalid("mttkrp requests need a dense tensor (.dten input)");
   }
   // Header probe: extents without payload traffic. Throws IoError
   // (-> "io_error") for missing or non-tensor files.
-  std::vector<index_t> dims = io::tensor_extents(r.tensor);
+  std::vector<index_t> dims = io::tensor_extents(r.spec.tensor);
   const auto order = static_cast<index_t>(dims.size());
-
-  if (r.type == RequestType::Mttkrp) {
-    if (r.mode >= order) {
-      invalid("mode " + std::to_string(r.mode) + " out of range for a " +
-              std::to_string(order) + "-way tensor");
-    }
-    // mttkrp batching keys on shape/rank/precision/mode only; the sweep
-    // fields stay at their defaults in the key.
-    job.key = PlanKey{dims, r.rank, SweepScheme::PerMode, MttkrpMethod::Auto,
-                      0, r.f32};
-  } else {
-    const SweepScheme resolved =
-        resolve_sweep_scheme(r.sweep, order, r.method);
-    if (r.method != MttkrpMethod::Auto && resolved == SweepScheme::DimTree) {
-      invalid("\"method\" selects per-mode kernels; the dimtree scheme has "
-              "its own");
-    }
-    if (r.levels != 0 && resolved != SweepScheme::DimTree) {
-      invalid("\"levels\" requires the dimtree scheme");
-    }
-    job.key = PlanKey{dims, r.rank, resolved, r.method, r.levels, r.f32};
+  if (r.mode >= order) {
+    invalid("mode " + std::to_string(r.mode) + " out of range for a " +
+            std::to_string(order) + "-way tensor");
   }
+  // mttkrp batching keys on shape/rank/precision/mode only; the sweep
+  // fields stay at their defaults in the key.
+  job.key = PlanKey{dims, r.spec.rank, SweepScheme::PerMode,
+                    MttkrpMethod::Auto, 0, r.spec.f32};
   job.dims = std::move(dims);
   job.dense = true;
   job.req = std::move(r);
@@ -491,24 +461,22 @@ bool Server::admit_or_timeout(const Queue::Item& item) {
 void Server::run_decompose_batch(Worker& ws, std::vector<Queue::Item>& jobs) {
   const Job& lead = jobs.front().job;
   // Cold and sparse jobs carry an empty batch key, so they arrive alone.
-  if (!lead.dense) {
-    try {
-      if (admit_or_timeout(jobs.front())) decompose_sparse(ws, jobs.front());
-    } catch (...) {
-      send_error_for_exception(lead.conn, lead.req.id);
-    }
-    return;
-  }
-  if (lead.req.cold) {
+  // Sparse jobs run on the warm context (their plans bind the tensor, so
+  // nothing is cached); cold ones pay the batch CLI's one-shot cost — a
+  // fresh context (arena allocation + first touch) and a transient plan.
+  if (!lead.dense || lead.req.cold) {
     try {
       if (admit_or_timeout(jobs.front())) {
+        const double queue_ms = ms_since(jobs.front().enqueued);
         ws.cache.note_bypass();
-        if (lead.key.f32) {
-          decompose_one<float>(jobs.front(), nullptr, "bypass", 0.0, 1, 0);
+        DecomposeOutcome out;
+        if (lead.dense) {
+          const ExecContext fresh(opts_.threads);
+          out = lead.decompose->run(fresh);
         } else {
-          decompose_one<double>(jobs.front(), nullptr, "bypass", 0.0, 1,
-                                0);
+          out = lead.decompose->run(ws.ctx);
         }
+        send_decompose(jobs.front(), out, queue_ms, "bypass", 0.0, 1, 0);
       }
     } catch (...) {
       send_error_for_exception(lead.conn, lead.req.id);
@@ -526,6 +494,7 @@ void Server::run_decompose_batch(Worker& ws, std::vector<Queue::Item>& jobs) {
     const Job& job = item.job;
     try {
       if (!admit_or_timeout(item)) continue;
+      const double queue_ms = ms_since(item.enqueued);
       if (entry == nullptr) {
         WallTimer t;
         bool built = false;
@@ -533,28 +502,24 @@ void Server::run_decompose_batch(Worker& ws, std::vector<Queue::Item>& jobs) {
         plan_ms = t.seconds() * 1e3;
         next_tag = entry == nullptr ? "bypass" : (built ? "miss" : "hit");
       }
-      if (entry == nullptr) {
+      const PlanKey& k = job.key;
+      DecomposeOutcome out;
+      if (entry != nullptr) {
+        out = k.f32 ? job.decompose->run(*entry->f32)
+                    : job.decompose->run(*entry->f64);
+      } else if (k.f32) {
         // Cache disabled (--cache-entries 0): every job runs like a warm
         // context with a transient plan.
-        if (job.key.f32) {
-          CpAlsSweepPlanF plan(ws.ctx, job.key.dims, job.key.rank,
-                               job.key.scheme, job.key.method,
-                               job.key.levels);
-          decompose_one<float>(item, &plan, "bypass", plan_ms,
-                               jobs.size(), index);
-        } else {
-          CpAlsSweepPlan plan(ws.ctx, job.key.dims, job.key.rank,
-                              job.key.scheme, job.key.method, job.key.levels);
-          decompose_one<double>(item, &plan, "bypass", plan_ms,
-                                jobs.size(), index);
-        }
-      } else if (job.key.f32) {
-        decompose_one<float>(item, entry->f32.get(), next_tag, plan_ms,
-                             jobs.size(), index);
+        CpAlsSweepPlanF plan(ws.ctx, k.dims, k.rank, k.scheme, k.method,
+                             k.levels);
+        out = job.decompose->run(plan);
       } else {
-        decompose_one<double>(item, entry->f64.get(), next_tag, plan_ms,
-                              jobs.size(), index);
+        CpAlsSweepPlan plan(ws.ctx, k.dims, k.rank, k.scheme, k.method,
+                            k.levels);
+        out = job.decompose->run(plan);
       }
+      send_decompose(item, out, queue_ms, next_tag, plan_ms, jobs.size(),
+                     index);
       next_tag = "batch";
       plan_ms = 0.0;
     } catch (...) {
@@ -563,130 +528,39 @@ void Server::run_decompose_batch(Worker& ws, std::vector<Queue::Item>& jobs) {
   }
 }
 
-template <typename T>
-void Server::decompose_one(const Queue::Item& item,
-                           CpAlsSweepPlanT<T>* plan, const char* plan_tag,
-                           double plan_ms, std::size_t batch_size,
-                           std::size_t batch_index) {
+void Server::send_decompose(const Queue::Item& item,
+                            const DecomposeOutcome& out, double queue_ms,
+                            const char* plan_tag, double plan_ms,
+                            std::size_t batch_size, std::size_t batch_index) {
   const Job& job = item.job;
   const Request& r = job.req;
-  const double queue_ms = ms_since(item.enqueued);
-
-  WallTimer read_t;
-  const TensorT<T> X = io::read_tensor_as<T>(r.tensor);
-  const double read_ms = read_t.seconds() * 1e3;
-
-  CpAlsOptionsT<T> o;
-  o.rank = r.rank;
-  o.max_iters = r.iters;
-  o.tol = r.tol;
-  o.seed = r.seed;
-  o.compute_fit = true;
-  o.sweep_scheme = job.key.scheme;
-  o.method = job.key.method;
-  o.dimtree_levels = job.key.levels;
-
-  WallTimer exec_t;
-  CpAlsResultT<T> res;
-  SweepScheme ran = job.key.scheme;
-  if (plan != nullptr) {
-    // Timings accumulate over a plan's lifetime; reset so this response
-    // reports this request's sweeps, not the cache entry's history.
-    plan->reset_timings();
-    res = cp_als(X, o, *plan);
-    ran = plan->scheme();
-  } else {
-    // Cold: the batch CLI's one-shot cost, faithfully — a fresh context
-    // (arena allocation + first touch) and a transient plan.
-    ExecContext fresh(opts_.threads);
-    o.exec = &fresh;
-    res = cp_als(X, o);
-  }
-  const double exec_ms = exec_t.seconds() * 1e3;
-
   Json resp;
   resp.set("ok", Json(true));
   resp.set("type", Json("decompose"));
   if (!r.id.is_null()) resp.set("id", r.id);
-  resp.set("iterations", Json(res.iterations));
-  resp.set("final_fit", Json(res.final_fit));
-  resp.set("converged", Json(res.converged));
-  resp.set("scheme", Json(std::string(dmtk::to_string(ran))));
-  resp.set("precision", Json(r.f32 ? "float" : "double"));
-  resp.set("key", Json(job.key.to_string()));
+  resp.set("iterations", Json(out.iterations));
+  resp.set("final_fit", Json(out.fit));
+  resp.set("converged", Json(out.status == CpAlsStatus::Converged));
+  resp.set("scheme", Json(std::string(dmtk::to_string(out.scheme))));
+  resp.set("precision", Json(r.spec.f32 ? "float" : "double"));
+  if (job.dense) resp.set("key", Json(job.key.to_string()));
   resp.set("plan", Json(plan_tag));
   resp.set("batch", batch_json(batch_size, batch_index));
   if (!r.out.empty()) {
-    // Native payload for either scalar ('DMTKKTNf' for fp32) — identical
-    // bytes to what the CLI writes for the same run.
-    io::write_ktensor(r.out, res.model);
+    // Native payload for either scalar ('DMTKKTNf' for fp32) — the same
+    // bytes `dmtk decompose --out` writes for the same run.
+    out.write_model(r.out);
     resp.set("out", Json(r.out));
   }
-  if (r.inline_model) resp.set("model", ktensor_to_json(res.model));
+  if (r.inline_model) {
+    resp.set("model", std::visit(
+                          [](const auto& K) { return ktensor_to_json(K); },
+                          out.model));
+  }
   resp.set("timings_ms",
-           timings_json(queue_ms, read_ms, plan_ms, exec_ms,
+           timings_json(queue_ms, out.read_ms, plan_ms, out.exec_ms,
                         ms_since(job.received)));
   send_line(job.conn, resp);
-}
-
-void Server::decompose_sparse(Worker& ws, const Queue::Item& item) {
-  const Job& job = item.job;
-  const Request& r = job.req;
-  const double queue_ms = ms_since(item.enqueued);
-
-  WallTimer read_t;
-  const sparse::SparseTensor S = io::read_tns(r.tensor);
-  const double read_ms = read_t.seconds() * 1e3;
-
-  // One templated body for both precisions: .tns text parses as double
-  // (the format's natural scalar); an fp32 job narrows the coordinates'
-  // values once, then runs the same plan-bypassing sparse sweep with the
-  // kernels' fp64 accumulators.
-  const auto run = [&]<typename T>(const sparse::SparseTensorT<T>& X) {
-    CpAlsOptionsT<T> o;
-    o.rank = r.rank;
-    o.max_iters = r.iters;
-    o.tol = r.tol;
-    o.seed = r.seed;
-    o.compute_fit = true;
-    o.sweep_scheme = r.sweep;
-    o.exec = &ws.ctx;  // warm context; the plan itself binds X, so no cache
-    ws.cache.note_bypass();
-
-    WallTimer exec_t;
-    const CpAlsResultT<T> res = sparse::cp_als(X, o);
-    const double exec_ms = exec_t.seconds() * 1e3;
-
-    Json resp;
-    resp.set("ok", Json(true));
-    resp.set("type", Json("decompose"));
-    if (!r.id.is_null()) resp.set("id", r.id);
-    resp.set("iterations", Json(res.iterations));
-    resp.set("final_fit", Json(res.final_fit));
-    resp.set("converged", Json(res.converged));
-    resp.set("scheme",
-             Json(std::string(dmtk::to_string(
-                 resolve_sparse_sweep_scheme(r.sweep)))));
-    resp.set("precision", Json(r.f32 ? "float" : "double"));
-    resp.set("plan", Json("bypass"));
-    resp.set("batch", batch_json(1, 0));
-    if (!r.out.empty()) {
-      // Native payload for either scalar — identical bytes to the CLI's
-      // model file for the same run configuration.
-      io::write_ktensor(r.out, res.model);
-      resp.set("out", Json(r.out));
-    }
-    if (r.inline_model) resp.set("model", ktensor_to_json(res.model));
-    resp.set("timings_ms",
-             timings_json(queue_ms, read_ms, 0.0, exec_ms,
-                          ms_since(job.received)));
-    send_line(job.conn, resp);
-  };
-  if (r.f32) {
-    run(sparse::sparse_cast<float>(S));
-  } else {
-    run(S);
-  }
 }
 
 void Server::run_mttkrp_batch(Worker& ws, std::vector<Queue::Item>& jobs) {
@@ -725,19 +599,19 @@ void Server::mttkrp_exec(Worker& ws, std::vector<Queue::Item*>& live) {
       p.item = item;
       p.queue_ms = ms_since(item->enqueued);
       WallTimer read_t;
-      const TensorT<T> X = io::read_tensor_as<T>(r.tensor);
+      const TensorT<T> X = io::read_tensor_as<T>(r.spec.tensor);
       DMTK_CHECK(std::equal(X.dims().begin(), X.dims().end(),
                             job.dims.begin(), job.dims.end()),
                  "mttkrp: tensor extents changed between probe and read");
-      Rng rng(r.seed);
-      const KtensorT<T> F = KtensorT<T>::random(X.dims(), r.rank, rng);
+      Rng rng(r.spec.seed);
+      const KtensorT<T> F = KtensorT<T>::random(X.dims(), r.spec.rank, rng);
       const index_t In = X.dim(r.mode);
       const index_t J = X.numel() / In;
       p.Xn = MatrixT<T>(In, J);
       matricize_into(X, r.mode, p.Xn.data(), nt);
       const FactorListT<T> fl = mttkrp_krp_factors(F.factors, r.mode);
       krp_transposed_into(fl, p.Kt, KrpVariant::Reuse, nt);
-      p.M = MatrixT<T>(In, r.rank);
+      p.M = MatrixT<T>(In, r.spec.rank);
       p.read_ms = read_t.seconds() * 1e3;
       preps.push_back(std::move(p));
     } catch (...) {
@@ -752,7 +626,7 @@ void Server::mttkrp_exec(Worker& ws, std::vector<Queue::Item*>& live) {
   const Job& lead = preps.front().item->job;
   const index_t In = preps.front().Xn.rows();
   const index_t J = preps.front().Xn.cols();
-  const index_t C = lead.req.rank;
+  const index_t C = lead.req.spec.rank;
   std::vector<const T*> A(preps.size());
   std::vector<const T*> B(preps.size());
   std::vector<T*> Cp(preps.size());
@@ -779,7 +653,7 @@ void Server::mttkrp_exec(Worker& ws, std::vector<Queue::Item*>& live) {
       resp.set("rows", Json(In));
       resp.set("cols", Json(C));
       resp.set("mode", Json(r.mode));
-      resp.set("precision", Json(r.f32 ? "float" : "double"));
+      resp.set("precision", Json(r.spec.f32 ? "float" : "double"));
       resp.set("norm", Json(p.M.norm()));
       resp.set("plan", Json(preps.size() > 1 ? "batch" : "bypass"));
       resp.set("batch", batch_json(preps.size(), i));
@@ -806,16 +680,16 @@ Json Server::handle_info(const Request& r) {
   resp.set("ok", Json(true));
   resp.set("type", Json("info"));
   if (!r.id.is_null()) resp.set("id", r.id);
-  resp.set("tensor", Json(r.tensor));
-  if (is_tns(r.tensor)) {
-    const sparse::SparseTensor S = io::read_tns(r.tensor);
+  resp.set("tensor", Json(r.spec.tensor));
+  if (is_sparse_tensor_path(r.spec.tensor)) {
+    const sparse::SparseTensor S = io::read_tns(r.spec.tensor);
     resp.set("kind", Json("sparse"));
     Json::Array dims;
     for (const index_t d : S.dims()) dims.emplace_back(d);
     resp.set("dims", Json(std::move(dims)));
     resp.set("nnz", Json(S.nnz()));
   } else {
-    const std::vector<index_t> ext = io::tensor_extents(r.tensor);
+    const std::vector<index_t> ext = io::tensor_extents(r.spec.tensor);
     resp.set("kind", Json("dense"));
     Json::Array dims;
     index_t numel = ext.empty() ? 0 : 1;
@@ -826,7 +700,7 @@ Json Server::handle_info(const Request& r) {
     resp.set("dims", Json(std::move(dims)));
     resp.set("numel", Json(numel));
     resp.set("precision",
-             Json(io::tensor_scalar_kind(r.tensor) == io::ScalarKind::F32
+             Json(io::tensor_scalar_kind(r.spec.tensor) == io::ScalarKind::F32
                       ? "float"
                       : "double"));
   }
@@ -964,7 +838,7 @@ void Server::send_error_for_exception(const std::shared_ptr<Conn>& conn,
     send_line(conn, make_error("io_error", e.what(), id));
   } catch (const JsonError& e) {
     send_line(conn, make_error("invalid_request", e.what(), id));
-  } catch (const DimensionError& e) {
+  } catch (const std::invalid_argument& e) {
     send_line(conn, make_error("invalid_request", e.what(), id));
   } catch (const std::exception& e) {
     send_line(conn, make_error("internal", e.what(), id));

@@ -56,11 +56,13 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "exec/exec_context.hpp"
+#include "job/decompose_job.hpp"
 #include "serve/job_queue.hpp"
 #include "serve/json.hpp"
 #include "serve/plan_cache.hpp"
@@ -150,7 +152,8 @@ class Server {
   struct Job {
     Request req;
     std::shared_ptr<Conn> conn;
-    std::vector<index_t> dims;  ///< probed extents (dense jobs)
+    std::optional<DecomposeJob> decompose;  ///< decompose requests
+    std::vector<index_t> dims;  ///< probed extents (mttkrp)
     PlanKey key;                ///< plan key (dense decompose / mttkrp)
     bool dense = false;
     std::chrono::steady_clock::time_point received;
@@ -180,15 +183,10 @@ class Server {
   void worker_loop(Worker& ws);
   void run_decompose_batch(Worker& ws, std::vector<Queue::Item>& jobs);
   void run_mttkrp_batch(Worker& ws, std::vector<Queue::Item>& jobs);
-  /// One warm/cold dense decompose; sends the success response itself.
-  /// Execution context comes from the plan (warm) or a fresh private one
-  /// (plan == nullptr -> cold), never from the worker directly — which
-  /// is why, uniquely among the handlers, this one takes no Worker.
-  template <typename T>
-  void decompose_one(const Queue::Item& item, CpAlsSweepPlanT<T>* plan,
-                     const char* plan_tag, double plan_ms,
-                     std::size_t batch_size, std::size_t batch_index);
-  void decompose_sparse(Worker& ws, const Queue::Item& item);
+  /// Send one finished decompose's success response.
+  void send_decompose(const Queue::Item& item, const DecomposeOutcome& out,
+                      double queue_ms, const char* plan_tag, double plan_ms,
+                      std::size_t batch_size, std::size_t batch_index);
   /// The coalesced same-shape mttkrp sweep: per-job matricize + KRP,
   /// then ONE gemm_batched over the whole batch.
   template <typename T>
@@ -197,7 +195,8 @@ class Server {
   void send_line(const std::shared_ptr<Conn>& conn, const Json& j);
   /// Inside a catch block: map the in-flight exception to a structured
   /// error response (ProtocolError keeps its code; IoError -> io_error;
-  /// DimensionError -> invalid_request; anything else -> internal).
+  /// std::invalid_argument (DecomposeJob's rejections, DimensionError) ->
+  /// invalid_request; anything else -> internal).
   void send_error_for_exception(const std::shared_ptr<Conn>& conn,
                                 const Json& id);
   /// Age-check one job: true = still fresh; false = timeout response sent.

@@ -15,6 +15,8 @@
 #include "exec/exec_context.hpp"
 #include "exec/mttkrp_plan.hpp"
 #include "exec/sweep_plan.hpp"
+// dmtk-lint: allow(layering): serve/json.hpp is the in-tree JSON codec
+// (standard headers only, no server code); wisdom profiles are JSON.
 #include "serve/json.hpp"
 #include "sparse/sparse_tensor.hpp"
 #include "util/rng.hpp"

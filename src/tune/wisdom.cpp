@@ -9,6 +9,8 @@
 #include <string>
 
 #include "io/checked_io.hpp"
+// dmtk-lint: allow(layering): serve/json.hpp is the in-tree JSON codec
+// (standard headers only, no server code); wisdom profiles are JSON.
 #include "serve/json.hpp"
 #include "util/mutex.hpp"
 

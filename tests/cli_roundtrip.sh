@@ -5,9 +5,10 @@
 #
 # Covers: generate -> info -> decompose -> export in both precisions (dense
 # AND sparse), fp32 HALS, the fp64-accumulate fp32 path, the fp32 payload
-# surfacing in `info`, and the strict-argument audit (every malformed
-# numeric flag must exit 1 with a usage message, never an uncaught
-# exception, which exits 2).
+# surfacing in `info`, the strict-argument audit (every malformed numeric
+# flag must exit 1 with a usage message, never an uncaught exception,
+# which exits 2), unknown flags per command, and decompose's value-based
+# rules (a spelled-out default passes, a real conflict exits 1).
 
 set -u
 dmtk="$1"
@@ -122,6 +123,45 @@ expect_usage_error "${dmtk}" generate --dims 8x8 --density 2 \
 expect_usage_error "${dmtk}" generate --dims 8x8 --nnz abc \
   --out "${work}/bad.tns"
 expect_usage_error "${dmtk}" tucker "${work}/x64.dten" --ranks 4xqx4
+
+# --- unknown flags ----------------------------------------------------------
+# A misspelled flag is a usage error naming it, never a silently defaulted
+# run.
+expect_usage_error "${dmtk}" decompose "${work}/x64.dten" --rank 3 \
+  --itters 1000 --thredas 2
+expect_grep "unknown flag '--itters'" "${dmtk}" decompose "${work}/x64.dten" \
+  --rank 3 --itters 1000
+expect_usage_error "${dmtk}" generate --dims 8x8 --rnak 3 \
+  --out "${work}/bad.dten"
+expect_usage_error "${dmtk}" serve --sockett "${work}/never.sock"
+expect_usage_error "${dmtk}" client --socket "${work}/never.sock" \
+  decompose "${work}/x64.dten" --rnak 3
+# The legacy --dimtree alias is gone; --sweep dimtree is the one spelling.
+expect_usage_error "${dmtk}" decompose "${work}/x64.dten" --rank 3 --dimtree
+
+# --- value-based decompose rules (DecomposeJob) -----------------------------
+# Spelling out a default is never an error ...
+expect_ok "${dmtk}" decompose "${work}/x64.dten" --rank 3 --iters 2 \
+  --sweep permode --levels 0
+expect_ok "${dmtk}" decompose "${work}/x64.dten" --rank 3 --iters 2 \
+  --sweep dimtree --method auto
+expect_ok "${dmtk}" decompose "${work}/x64.dten" --rank 3 --iters 2 \
+  --accumulate float
+expect_ok "${dmtk}" decompose "${work}/s.tns" --rank 2 --iters 2 \
+  --levels 0 --method auto
+# ... while a real conflict is a usage error naming the field.
+expect_usage_error "${dmtk}" decompose "${work}/x64.dten" --rank 3 \
+  --sweep permode --levels 1
+expect_grep "levels:" "${dmtk}" decompose "${work}/x64.dten" --rank 3 \
+  --sweep permode --levels 1
+expect_usage_error "${dmtk}" decompose "${work}/x64.dten" --rank 3 \
+  --sweep dimtree --method 2-step
+expect_usage_error "${dmtk}" decompose "${work}/x64.dten" --rank 3 \
+  --sweep csf
+expect_usage_error "${dmtk}" decompose "${work}/s.tns" --rank 2 --nn
+expect_usage_error "${dmtk}" decompose "${work}/s.tns" --rank 2 \
+  --sweep dimtree
+expect_usage_error "${dmtk}" decompose "${work}/x64.dten" --rank 3 --resume
 
 if [[ ${fails} -ne 0 ]]; then
   echo "${fails} CLI round-trip check(s) failed"

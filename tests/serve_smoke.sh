@@ -5,7 +5,8 @@
 #
 # Starts `dmtk serve` on a temp-dir Unix socket, drives it through `dmtk
 # client` — generate -> info -> decompose (both precisions, warm repeat)
-# -> mttkrp -> stats -> shutdown — and requires a clean server exit. The
+# -> CLI-vs-served model byte identity (dense f64, dense f32, sparse) ->
+# mttkrp -> stats -> shutdown — and requires a clean server exit. The
 # sed filter drops the conda activation warning some login shells print
 # on stderr, which would otherwise pollute captured JSON checks.
 
@@ -87,6 +88,30 @@ check "decompose to file" 0 '"ok":true' \
   --rank 3 --iters 5 --out "${work}/model.dktn" --no-inline
 [[ -f "${work}/model.dktn" ]] \
   || { echo "FAIL: served model file missing"; fails=$((fails + 1)); }
+# CLI vs server, byte for byte: both front ends run the same DecomposeJob,
+# so at one thread and a fixed sweep count the model files must be equal
+# for dense f64, dense f32 and sparse input.
+"${dmtk}" generate --dims 20x18x16 --nnz 300 --seed 5 \
+  --out "${work}/s.tns" > /dev/null
+same_model() {
+  local desc="$1"
+  local tensor="$2"
+  shift 2
+  "${dmtk}" decompose "${tensor}" --rank 3 --iters 6 --tol 0 --seed 11 \
+    --threads 1 "$@" --out "${work}/cli.dktn" > "${work}/cli.log" 2>&1 \
+    || { echo "FAIL (${desc}): CLI decompose"; cat "${work}/cli.log";
+         fails=$((fails + 1)); return; }
+  check "${desc} (served)" 0 '"ok":true' \
+    "${dmtk}" client --socket "${sock}" decompose "${tensor}" --rank 3 \
+    --iters 6 --tol 0 --seed 11 "$@" --out "${work}/served.dktn"
+  cmp -s "${work}/cli.dktn" "${work}/served.dktn" \
+    || { echo "FAIL (${desc}): CLI and served models differ";
+         fails=$((fails + 1)); }
+}
+same_model "cli == served, dense f64" "${work}/cube.dten"
+same_model "cli == served, dense f32" "${work}/cube.dten" --precision float
+same_model "cli == served, sparse" "${work}/s.tns"
+
 check "mttkrp" 0 '"type":"mttkrp"' \
   "${dmtk}" client --socket "${sock}" mttkrp "${work}/cube.dten" --mode 1 \
   --rank 4

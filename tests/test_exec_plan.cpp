@@ -12,7 +12,6 @@
 #include "baseline/ttb_cp_als.hpp"
 #include "blas/gemm_workspace.hpp"
 #include "core/cp_als.hpp"
-#include "core/cp_als_dt.hpp"
 #include "core/cp_nn.hpp"
 #include "core/mttkrp.hpp"
 #include "exec/exec_context.hpp"
@@ -470,7 +469,11 @@ TEST(DriverExecContext, DimtreeAndHalsAcceptContext) {
 
   CpAlsOptions opts_ctx = opts;
   opts_ctx.exec = &ctx;
-  expect_same_result(cp_als_dimtree(X, opts), cp_als_dimtree(X, opts_ctx));
+  CpAlsOptions dt = opts;
+  dt.sweep_scheme = SweepScheme::DimTree;
+  CpAlsOptions dt_ctx = opts_ctx;
+  dt_ctx.sweep_scheme = SweepScheme::DimTree;
+  expect_same_result(cp_als(X, dt), cp_als(X, dt_ctx));
   expect_same_result(cp_nnhals(X, opts), cp_nnhals(X, opts_ctx));
 }
 

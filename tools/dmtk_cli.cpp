@@ -7,7 +7,7 @@
 ///   dmtk generate  --dims 500x400x300 --density 1e-4 --out x.tns  (sparse)
 ///   dmtk fmri      --time 225 --subjects 59 --regions 200 --out x.dten
 ///   dmtk info      x.dten            (or x.tns)
-///   dmtk decompose x.dten --rank 10 [--nn] [--dimtree] --out model.dktn
+///   dmtk decompose x.dten --rank 10 [--nn] [--sweep dimtree] --out model.dktn
 ///   dmtk decompose x.dten --rank 10 --precision float   (fp32 CP-ALS)
 ///   dmtk decompose x.tns  --rank 10 --sweep csf       (sparse, CSF plan)
 ///   dmtk tucker    x.dten --ranks 8x8x8 --out-prefix model
@@ -22,6 +22,10 @@
 /// value (`--rank abc`, `--dims 10x-3x7`, `--density 2`) is a usage error
 /// (exit 1) with a message naming the flag, never a silent zero or wrap.
 ///
+/// Every command accepts only its own flags; an unknown one (`--itters`) is
+/// a usage error naming it. `decompose` hands its flags to a DecomposeJob
+/// (job/decompose_job.hpp), the same one the server runs.
+///
 /// Exit code 0 on success, 1 on usage errors, 2 on runtime failures.
 
 #include <csignal>
@@ -30,7 +34,10 @@
 #include <iostream>
 #include <cstring>
 #include <map>
+#include <optional>
+#include <set>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "dmtk.hpp"
@@ -68,16 +75,16 @@ using namespace dmtk;
       "             --json prints the full measurement report)\n"
       "  decompose <tensor.dten> --rank R [--nn] [--wisdom F]\n"
       "            [--precision double|float] [--accumulate double|float]\n"
-      "            [--sweep permode|dimtree|auto] [--levels n] [--dimtree]\n"
+      "            [--sweep permode|dimtree|auto] [--levels n]\n"
       "            [--method reference|reorder|1-step-seq|1-step|2-step|auto]\n"
-      "            [--iters n] [--tol f] [--threads t] [--out model.dktn]\n"
+      "            [--iters n] [--tol f] [--seed s] [--threads t]\n"
+      "            [--out model.dktn]\n"
       "            [--checkpoint F [--checkpoint-every n] [--resume]]\n"
       "            (--checkpoint writes a crash-safe sweep checkpoint every\n"
       "             n sweeps (atomic rename + CRC); --resume restarts an\n"
       "             interrupted run from it, bit-identical to uninterrupted)\n"
       "            (--sweep dimtree shares partial MTTKRPs across modes;\n"
-      "             --levels caps the tree depth, 0 = full tree; --dimtree\n"
-      "             is the legacy alias for --sweep dimtree; auto picks\n"
+      "             --levels caps the tree depth, 0 = full tree; auto picks\n"
       "             dimtree for 4-way-and-up tensors; --precision float\n"
       "             runs the whole ALS pipeline in fp32 — half the memory\n"
       "             bandwidth, fit accurate to ~1e-4; --accumulate double\n"
@@ -90,7 +97,8 @@ using namespace dmtk;
       "             DMTK_WISDOM env autoloads leniently instead)\n"
       "  decompose <tensor.tns> --rank R [--sweep csf|coo|auto] [--wisdom F]\n"
       "            [--precision double|float]\n"
-      "            [--iters n] [--tol f] [--threads t] [--out model.dktn]\n"
+      "            [--iters n] [--tol f] [--seed s] [--threads t]\n"
+      "            [--out model.dktn]\n"
       "            [--checkpoint F [--checkpoint-every n] [--resume]]\n"
       "            (sparse CP-ALS through the plan layer; auto = csf; both\n"
       "             precisions accumulate in fp64 — fp32 halves the bytes\n"
@@ -140,34 +148,51 @@ std::vector<index_t> parse_dims_or_die(const char* flag,
   return *dims;
 }
 
-/// Minimal --flag value parser; flags without '=' consume the next token.
-std::map<std::string, std::string> parse_flags(int argc, char** argv,
-                                               int first,
-                                               std::string* positional) {
-  std::map<std::string, std::string> flags;
-  for (int i = first; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a.rfind("--", 0) == 0) {
-      const std::string key = a.substr(2);
-      // Boolean flags.
-      if (key == "nn" || key == "dimtree" || key == "linearize" ||
-          key == "resume" || key == "cpu" || key == "quick" || key == "json") {
-        flags.insert_or_assign(key, std::string("1"));
-      } else if (i + 1 < argc) {
-        flags.insert_or_assign(key, std::string(argv[++i]));
-      } else {
-        usage();
-      }
-    } else if (positional != nullptr && positional->empty()) {
-      *positional = a;
+using Flags = std::map<std::string, std::string>;
+
+/// The flags one command accepts: `value` flags consume the next token,
+/// `toggle` flags take none.
+struct FlagSet {
+  std::set<std::string> value;
+  std::set<std::string> toggle;
+};
+
+/// Parse `--flag value` / `--toggle` pairs plus up to `max_positional`
+/// bare arguments. A flag outside `allowed` is a usage error naming it —
+/// a typo (`--itters 1000`) must not silently run with the default.
+Flags parse_flags(int argc, char** argv, const FlagSet& allowed,
+                  std::vector<std::string>* positional,
+                  std::size_t max_positional = 1) {
+  Flags flags;
+  for (int i = 2; i < argc; ++i) {
+    const std::string a = argv[i];
+    if (a.rfind("--", 0) != 0) {
+      if (positional->size() == max_positional) usage();
+      positional->push_back(a);
+      continue;
+    }
+    const std::string key = a.substr(2);
+    if (allowed.toggle.contains(key)) {
+      flags.insert_or_assign(key, std::string("1"));
+    } else if (!allowed.value.contains(key)) {
+      usage_error("unknown flag '" + a + "' for `dmtk " + argv[1] + "`");
+    } else if (i + 1 < argc) {
+      flags.insert_or_assign(key, std::string(argv[++i]));
     } else {
-      usage();
+      usage_error(a + " expects a value");
     }
   }
   return flags;
 }
 
-using Flags = std::map<std::string, std::string>;
+/// The usual shape: flags plus at most one positional (empty if none).
+Flags parse_flags(int argc, char** argv, const FlagSet& allowed,
+                  std::string* positional) {
+  std::vector<std::string> pos;
+  Flags flags = parse_flags(argc, argv, allowed, &pos);
+  *positional = pos.empty() ? std::string() : pos.front();
+  return flags;
+}
 
 /// Strict integer flag: default when absent, usage error on a malformed
 /// value or one below `min`.
@@ -218,18 +243,12 @@ bool flag_wants_f32(const Flags& f) {
 }
 
 /// --accumulate: float (the storage scalar; default) or double (the
-/// fp64-accumulate fp32 MTTKRP kernel); usage error otherwise. Only
-/// meaningful with --precision float — callers gate on flag presence.
+/// fp64-accumulate fp32 MTTKRP kernel); usage error otherwise.
 bool flag_wants_acc64(const Flags& f) {
   const std::string a = flag_str(f, "accumulate", "float");
   if (a == "float" || a == "fp32" || a == "f32") return false;
   if (a == "double" || a == "fp64" || a == "f64") return true;
   usage_error("--accumulate expects double|float, got '" + a + "'");
-}
-
-/// The .tns extension selects the sparse (FROSTT text) path.
-bool is_tns(const std::string& path) {
-  return path.size() >= 4 && path.compare(path.size() - 4, 4, ".tns") == 0;
 }
 
 /// --wisdom F: STRICT tuned-profile load — a missing, corrupt, or
@@ -247,8 +266,11 @@ void flag_load_wisdom(const Flags& f) {
 }
 
 int cmd_generate(int argc, char** argv) {
+  static const FlagSet kFlags{
+      {"dims", "rank", "noise", "seed", "out", "precision", "density", "nnz"},
+      {}};
   std::string pos;
-  auto flags = parse_flags(argc, argv, 2, &pos);
+  const Flags flags = parse_flags(argc, argv, kFlags, &pos);
   const std::string out = flag_str(flags, "out");
   const std::string dims_s = flag_str(flags, "dims");
   if (out.empty() || dims_s.empty()) usage();
@@ -262,7 +284,7 @@ int cmd_generate(int argc, char** argv) {
   // a payload the rest of the CLI's extension dispatch cannot read back.
   const bool sparse_requested =
       flags.count("density") != 0 || flags.count("nnz") != 0;
-  if (sparse_requested != is_tns(out)) {
+  if (sparse_requested != is_sparse_tensor_path(out)) {
     std::fprintf(stderr,
                  sparse_requested
                      ? "--density/--nnz write FROSTT .tns text; use a .tns "
@@ -338,8 +360,11 @@ int cmd_generate(int argc, char** argv) {
 }
 
 int cmd_fmri(int argc, char** argv) {
+  static const FlagSet kFlags{
+      {"time", "subjects", "regions", "rank", "noise", "seed", "out"},
+      {"linearize"}};
   std::string pos;
-  auto flags = parse_flags(argc, argv, 2, &pos);
+  const Flags flags = parse_flags(argc, argv, kFlags, &pos);
   const std::string out = flag_str(flags, "out");
   if (out.empty()) usage();
   sim::FmriOptions fo;
@@ -410,14 +435,15 @@ int cmd_info_cpu(const Flags& flags) {
 }
 
 int cmd_info(int argc, char** argv) {
+  static const FlagSet kFlags{{"wisdom"}, {"cpu"}};
   std::string pos;
-  auto flags = parse_flags(argc, argv, 2, &pos);
+  const Flags flags = parse_flags(argc, argv, kFlags, &pos);
   if (flags.count("cpu") != 0) {
     if (!pos.empty()) usage_error("info --cpu takes no tensor path");
     return cmd_info_cpu(flags);
   }
   if (pos.empty()) usage();
-  if (is_tns(pos)) {
+  if (is_sparse_tensor_path(pos)) {
     const sparse::SparseTensor S = io::read_tns(pos);
     std::printf("%s: sparse, order %lld, dims", pos.c_str(),
                 static_cast<long long>(S.order()));
@@ -449,8 +475,10 @@ int cmd_info(int argc, char** argv) {
 /// `dmtk tune`: run the measurement pass (src/tune/tuner.hpp) and persist
 /// the wisdom profile for --wisdom / DMTK_WISDOM.
 int cmd_tune(int argc, char** argv) {
+  static const FlagSet kFlags{{"out", "threads", "trials"},
+                              {"quick", "json"}};
   std::string pos;
-  auto flags = parse_flags(argc, argv, 2, &pos);
+  const Flags flags = parse_flags(argc, argv, kFlags, &pos);
   if (!pos.empty()) usage();
   tune::TuneOptions to;
   to.quick = flags.count("quick") != 0;
@@ -471,287 +499,99 @@ int cmd_tune(int argc, char** argv) {
   return 0;
 }
 
-/// Sparse decompose: .tns input through the plan layer (SparseCsf by
-/// default). The dense-only knobs are rejected loudly rather than ignored.
-int cmd_decompose_sparse(const std::string& pos, Flags& flags) {
-  for (const char* dense_only : {"nn", "method", "levels", "dimtree"}) {
-    if (flags.count(dense_only) != 0) {
-      std::fprintf(stderr, "--%s needs a dense tensor (.dten input)\n",
-                   dense_only);
-      return 1;
-    }
-  }
-  // Both sparse kernels accumulate in fp64 for either storage scalar, so
-  // --accumulate has nothing to select here; rejecting beats silently
-  // accepting a knob that cannot change the arithmetic.
-  if (flags.count("accumulate") != 0) {
-    std::fprintf(stderr,
-                 "--accumulate is dense-only: the sparse CSF/COO kernels "
-                 "always accumulate in fp64\n");
-    return 1;
-  }
-  const bool f32 = flag_wants_f32(flags);
-  flag_load_wisdom(flags);
-  const sparse::SparseTensor S = io::read_tns(pos);
-  // Advisory only: a .tns input explicitly asked for the sparse path, but
-  // above the measured crossover the dense kernels are expected to win.
-  const double density =
-      static_cast<double>(S.nnz()) / static_cast<double>(S.numel());
-  if (density >= tune::wisdom_sparse_crossover()) {
-    std::fprintf(stderr,
-                 "note: density %.3g is at or above the %s dense/sparse "
-                 "crossover %.3g — a dense (.dten) decomposition of this "
-                 "tensor is expected to be faster\n",
-                 density, tune::wisdom_loaded() ? "tuned" : "default",
-                 tune::wisdom_sparse_crossover());
-  }
-  ExecContext ctx(static_cast<int>(flag_int(flags, "threads", 0, 0)));
-  CpAlsOptions opts;
-  opts.rank = static_cast<index_t>(flag_int(flags, "rank", 10, 1));
-  opts.max_iters = static_cast<int>(flag_int(flags, "iters", 100, 1));
-  opts.tol = flag_double(flags, "tol", 1e-6, 0.0);
-  opts.exec = &ctx;
-  opts.seed = static_cast<std::uint64_t>(flag_int(flags, "seed", 42, 0));
-  opts.checkpoint_path = flag_str(flags, "checkpoint");
-  opts.checkpoint_every =
-      static_cast<int>(flag_int(flags, "checkpoint-every", 1, 1));
-  opts.resume = flags.count("resume") != 0;
-  if (opts.checkpoint_path.empty() &&
-      (flags.count("checkpoint-every") != 0 || opts.resume)) {
-    usage_error("--checkpoint-every/--resume require --checkpoint <file>");
-  }
-  const std::string sweep_s = flag_str(flags, "sweep");
-  if (!sweep_s.empty()) {
-    const auto s = parse_sweep_scheme(sweep_s);
-    if (!s) {
-      std::fprintf(stderr, "unknown sweep scheme '%s'\n", sweep_s.c_str());
-      return 1;
-    }
-    if (*s != SweepScheme::Auto && *s != SweepScheme::SparseCsf &&
-        *s != SweepScheme::SparseCoo) {
-      std::fprintf(stderr, "--sweep %s needs a dense tensor; sparse input "
-                   "takes csf, coo, or auto\n", sweep_s.c_str());
-      return 1;
-    }
-    opts.sweep_scheme = *s;
-  }
-  const SweepScheme resolved = resolve_sparse_sweep_scheme(opts.sweep_scheme);
-  const std::string out = flag_str(flags, "out");
-
-  if (f32) {
-    // .tns text is parsed as double (the format's natural scalar) and
-    // narrowed once; the fp32 sweep then streams half the value/factor
-    // bytes per nonzero while the kernels keep their fp64 accumulators.
-    const sparse::SparseTensorF Sf = sparse::sparse_cast<float>(S);
-    CpAlsOptionsF fopts;
-    fopts.rank = opts.rank;
-    fopts.max_iters = opts.max_iters;
-    fopts.tol = opts.tol;
-    fopts.exec = opts.exec;
-    fopts.seed = opts.seed;
-    fopts.sweep_scheme = opts.sweep_scheme;
-    fopts.checkpoint_path = opts.checkpoint_path;
-    fopts.checkpoint_every = opts.checkpoint_every;
-    fopts.resume = opts.resume;
-    WallTimer t;
-    const CpAlsResultF r = sparse::cp_als(Sf, fopts);
-    std::printf(
-        "sparse cp_als[%s sweep, fp32]: rank %lld, nnz %lld, fit %.6f, "
-        "%d sweeps (%s), %.2f s\n",
-        std::string(to_string(resolved)).c_str(),
-        static_cast<long long>(opts.rank), static_cast<long long>(S.nnz()),
-        r.final_fit, r.iterations, to_string(r.status), t.seconds());
-    if (r.resumed_sweeps > 0) {
-      std::printf("resumed from checkpoint at sweep %d\n", r.resumed_sweeps);
-    }
-    if (!out.empty()) {
-      io::write_ktensor(out, r.model);
-      std::printf("wrote %s\n", out.c_str());
-    }
-    return 0;
-  }
-
-  WallTimer t;
-  const CpAlsResult r = sparse::cp_als(S, opts);
-  std::printf(
-      "sparse cp_als[%s sweep]: rank %lld, nnz %lld, fit %.6f, %d sweeps "
-      "(%s), %.2f s\n",
-      std::string(to_string(resolved)).c_str(),
-      static_cast<long long>(opts.rank), static_cast<long long>(S.nnz()),
-      r.final_fit, r.iterations, to_string(r.status), t.seconds());
-  if (r.resumed_sweeps > 0) {
-    std::printf("resumed from checkpoint at sweep %d\n", r.resumed_sweeps);
-  }
-  if (!out.empty()) {
-    io::write_ktensor(out, r.model);
-    std::printf("wrote %s\n", out.c_str());
-  }
-  return 0;
-}
-
-/// Dense fp32 decompose: the tensor is read (or converted) straight into
-/// fp32 — never staged as a second full double copy — and the whole ALS
-/// pipeline (plans, kernels, solve, fit) runs in float. With `acc64` the
-/// MTTKRPs route through the fp64-accumulate kernel instead of the fp32
-/// plans. The model is written as a native f32 payload.
-int cmd_decompose_f32(const std::string& pos, const CpAlsOptions& dopts,
-                      SweepScheme resolved, const std::string& out, bool nn,
-                      bool acc64) {
-  const TensorF X = io::read_tensor_as<float>(pos);
-  ExecContext ctx(dopts.exec != nullptr ? dopts.exec->threads() : 0);
-  CpAlsOptionsF opts;
-  opts.rank = dopts.rank;
-  opts.max_iters = dopts.max_iters;
-  opts.tol = dopts.tol;
-  opts.method = dopts.method;
-  opts.seed = dopts.seed;
-  opts.sweep_scheme = dopts.sweep_scheme;
-  opts.dimtree_levels = dopts.dimtree_levels;
-  opts.exec = &ctx;
-  opts.checkpoint_path = dopts.checkpoint_path;
-  opts.checkpoint_every = dopts.checkpoint_every;
-  opts.resume = dopts.resume;
-  if (acc64) opts.mttkrp_override = mttkrp_acc64_override();
-
-  WallTimer t;
-  const CpAlsResultF r = nn ? cp_nnhals(X, opts) : cp_als(X, opts);
-  std::printf(
-      "%s[%s sweep, %s]: rank %lld, fit %.6f, %d sweeps (%s), %.2f s\n",
-      nn ? "cp_nnhals" : "cp_als", std::string(to_string(resolved)).c_str(),
-      acc64 ? "fp32+acc64" : "fp32", static_cast<long long>(opts.rank),
-      r.final_fit, r.iterations, to_string(r.status), t.seconds());
-  if (r.resumed_sweeps > 0) {
-    std::printf("resumed from checkpoint at sweep %d\n", r.resumed_sweeps);
-  }
-  if (!out.empty()) {
-    io::write_ktensor(out, r.model);
-    std::printf("wrote %s\n", out.c_str());
-  }
-  return 0;
-}
-
+/// `dmtk decompose`: flags -> DecomposeSpec -> DecomposeJob -> one report
+/// line. The job owns every rule; its rejections are usage errors (exit 1)
+/// and anything thrown while running is a runtime failure (exit 2).
 int cmd_decompose(int argc, char** argv) {
+  static const FlagSet kFlags{
+      {"rank", "iters", "tol", "seed", "threads", "precision", "accumulate",
+       "sweep", "method", "levels", "out", "wisdom", "checkpoint",
+       "checkpoint-every"},
+      {"nn", "resume"}};
   std::string pos;
-  auto flags = parse_flags(argc, argv, 2, &pos);
+  const Flags flags = parse_flags(argc, argv, kFlags, &pos);
   if (pos.empty()) usage();
-  if (is_tns(pos)) return cmd_decompose_sparse(pos, flags);
-  flag_load_wisdom(flags);  // before any plan/context is built
-  const bool f32 = flag_wants_f32(flags);
-  // Only the header is needed to resolve options; the payload is read
-  // later, in the selected compute precision (an fp32 run never stages a
-  // full double copy).
-  const index_t order =
-      static_cast<index_t>(io::tensor_extents(pos).size());
-  // One context for the whole decomposition: pinned thread count plus the
-  // workspace arena the driver's per-mode MTTKRP plans share.
-  ExecContext ctx(static_cast<int>(flag_int(flags, "threads", 0, 0)));
-  CpAlsOptions opts;
-  opts.rank = static_cast<index_t>(flag_int(flags, "rank", 10, 1));
-  opts.max_iters = static_cast<int>(flag_int(flags, "iters", 100, 1));
-  opts.tol = flag_double(flags, "tol", 1e-6, 0.0);
-  opts.exec = &ctx;
-  opts.seed = static_cast<std::uint64_t>(flag_int(flags, "seed", 42, 0));
-  opts.dimtree_levels = static_cast<int>(flag_int(flags, "levels", 0, 0));
-  opts.checkpoint_path = flag_str(flags, "checkpoint");
-  opts.checkpoint_every =
-      static_cast<int>(flag_int(flags, "checkpoint-every", 1, 1));
-  opts.resume = flags.count("resume") != 0;
-  if (opts.checkpoint_path.empty() &&
-      (flags.count("checkpoint-every") != 0 || opts.resume)) {
-    usage_error("--checkpoint-every/--resume require --checkpoint <file>");
-  }
-  const std::string sweep_s = flag_str(flags, "sweep");
-  if (!sweep_s.empty()) {
-    const auto s = parse_sweep_scheme(sweep_s);
-    if (!s) {
-      std::fprintf(stderr, "unknown sweep scheme '%s'\n", sweep_s.c_str());
-      return 1;
-    }
-    if (*s == SweepScheme::SparseCsf || *s == SweepScheme::SparseCoo) {
-      std::fprintf(stderr, "--sweep %s needs a sparse tensor (.tns input)\n",
-                   sweep_s.c_str());
-      return 1;
-    }
-    opts.sweep_scheme = *s;
-  }
-  if (flags.count("dimtree") != 0) {
-    if (!sweep_s.empty() && opts.sweep_scheme != SweepScheme::DimTree) {
-      // The legacy alias contradicting an explicit --sweep choice; honoring
-      // either one silently would mislead.
-      std::fprintf(stderr, "--dimtree conflicts with --sweep %s\n",
-                   sweep_s.c_str());
-      return 1;
-    }
-    opts.sweep_scheme = SweepScheme::DimTree;  // legacy alias
-  }
-  const std::string method_s = flag_str(flags, "method");
-  if (!method_s.empty()) {
-    if (opts.sweep_scheme == SweepScheme::DimTree) {
-      // The dimension-tree sweep has its own contraction kernels and
-      // ignores opts.method; silently dropping the flag would mislead.
-      std::fprintf(stderr,
-                   "--method cannot be combined with the dimtree sweep\n");
-      return 1;
-    }
-    const auto m = parse_mttkrp_method(method_s);
-    if (!m) {
-      std::fprintf(stderr, "unknown MTTKRP method '%s'\n", method_s.c_str());
-      return 1;
-    }
-    opts.method = *m;
-  }
-  // What a plan built from these options will actually run (Auto picks
-  // DimTree for 4-way-and-up tensors unless an explicit --method pinned
-  // the per-mode kernels; same resolver the plan constructor uses) — the
-  // guardrails and the report below key off the resolution, not the
-  // request.
-  const SweepScheme resolved =
-      resolve_sweep_scheme(opts.sweep_scheme, order, opts.method);
-  if (flags.count("levels") != 0 && resolved != SweepScheme::DimTree) {
-    // Only the dimension tree has a depth; ignoring the flag would let the
-    // user believe they ran the 1-level ablation on a PerMode sweep.
-    std::fprintf(stderr, "--levels requires the dimtree sweep\n");
-    return 1;
-  }
-  if (flags.count("accumulate") != 0 && !f32) {
-    std::fprintf(stderr,
-                 "--accumulate requires --precision float (the double "
-                 "pipeline already accumulates in fp64)\n");
-    return 1;
-  }
-  if (f32) {
-    return cmd_decompose_f32(pos, opts, resolved, flag_str(flags, "out"),
-                             flags.count("nn") != 0, flag_wants_acc64(flags));
-  }
-  const Tensor X = io::read_tensor(pos);
+  DecomposeSpec spec;
+  spec.tensor = pos;
+  spec.f32 = flag_wants_f32(flags);
+  spec.acc64 = flag_wants_acc64(flags);
+  spec.nn = flags.count("nn") != 0;
+  spec.rank = static_cast<index_t>(flag_int(flags, "rank", spec.rank, 1));
+  spec.iters = static_cast<int>(flag_int(flags, "iters", spec.iters, 1));
+  spec.tol = flag_double(flags, "tol", spec.tol, 0.0);
+  spec.seed = static_cast<std::uint64_t>(
+      flag_int(flags, "seed", static_cast<long long>(spec.seed), 0));
+  spec.levels = static_cast<int>(flag_int(flags, "levels", spec.levels, 0));
+  spec.checkpoint = flag_str(flags, "checkpoint");
+  spec.checkpoint_every = static_cast<int>(
+      flag_int(flags, "checkpoint-every", spec.checkpoint_every, 1));
+  spec.resume = flags.count("resume") != 0;
+  const std::string sweep = flag_str(flags, "sweep", "auto");
+  const auto scheme = parse_sweep_scheme(sweep);
+  if (!scheme) usage_error("--sweep: unknown sweep scheme '" + sweep + "'");
+  spec.sweep = *scheme;
+  const std::string method = flag_str(flags, "method", "auto");
+  const auto m = parse_mttkrp_method(method);
+  if (!m) usage_error("--method: unknown MTTKRP method '" + method + "'");
+  spec.method = *m;
 
-  WallTimer t;
-  CpAlsResult r;
-  const char* method = "cp_als";
-  if (flags.count("nn") != 0) {
-    r = cp_nnhals(X, opts);
-    method = "cp_nnhals";
-  } else {
-    r = cp_als(X, opts);
+  flag_load_wisdom(flags);  // before the job resolves Auto against it
+  std::optional<DecomposeJob> job;
+  try {
+    job.emplace(std::move(spec));
+  } catch (const std::invalid_argument& e) {
+    usage_error(e.what());
   }
-  std::printf("%s[%s sweep]: rank %lld, fit %.6f, %d sweeps (%s), %.2f s\n",
-              method, std::string(to_string(resolved)).c_str(),
-              static_cast<long long>(opts.rank), r.final_fit, r.iterations,
-              to_string(r.status), t.seconds());
+  const DecomposeSpec& s = job->spec();
+  const ExecContext ctx(static_cast<int>(flag_int(flags, "threads", 0, 0)));
+  const DecomposeOutcome r = job->run(ctx);
+
+  const char* driver =
+      job->sparse() ? "sparse cp_als" : (s.nn ? "cp_nnhals" : "cp_als");
+  const char* precision =
+      !s.f32 ? "" : (s.acc64 ? ", fp32+acc64" : ", fp32");
+  const std::string nnz =
+      job->sparse() ? "nnz " + std::to_string(r.nnz) + ", " : "";
+  std::printf("%s[%s sweep%s]: rank %lld, %sfit %.6f, %d sweeps (%s), "
+              "%.2f s\n",
+              driver, std::string(to_string(r.scheme)).c_str(), precision,
+              static_cast<long long>(s.rank), nnz.c_str(), r.fit,
+              r.iterations, to_string(r.status), r.exec_ms / 1e3);
+  if (job->sparse()) {
+    // Advisory only: .tns input asked for the sparse path, but above the
+    // measured crossover the dense kernels are expected to win.
+    const double numel = std::visit(
+        [](const auto& K) {
+          double n = 1.0;
+          for (const auto& U : K.factors) n *= static_cast<double>(U.rows());
+          return n;
+        },
+        r.model);
+    const double density = static_cast<double>(r.nnz) / numel;
+    if (density >= tune::wisdom_sparse_crossover()) {
+      std::fprintf(stderr,
+                   "note: density %.3g is at or above the %s dense/sparse "
+                   "crossover %.3g — a dense (.dten) decomposition of this "
+                   "tensor is expected to be faster\n",
+                   density, tune::wisdom_loaded() ? "tuned" : "default",
+                   tune::wisdom_sparse_crossover());
+    }
+  }
   if (r.resumed_sweeps > 0) {
     std::printf("resumed from checkpoint at sweep %d\n", r.resumed_sweeps);
   }
   const std::string out = flag_str(flags, "out");
   if (!out.empty()) {
-    io::write_ktensor(out, r.model);
+    r.write_model(out);
     std::printf("wrote %s\n", out.c_str());
   }
   return 0;
 }
 
 int cmd_tucker(int argc, char** argv) {
+  static const FlagSet kFlags{{"ranks", "out-prefix"}, {}};
   std::string pos;
-  auto flags = parse_flags(argc, argv, 2, &pos);
+  const Flags flags = parse_flags(argc, argv, kFlags, &pos);
   const std::string ranks_s = flag_str(flags, "ranks");
   if (pos.empty() || ranks_s.empty()) usage();
   const Tensor X = io::read_tensor(pos);
@@ -782,8 +622,12 @@ void serve_signal_handler(int /*sig*/) {
 }
 
 int cmd_serve(int argc, char** argv) {
+  static const FlagSet kFlags{
+      {"socket", "workers", "threads", "queue-depth", "queue-timeout-ms",
+       "batch-window-ms", "max-batch", "cache-entries", "cache-mb", "wisdom"},
+      {}};
   std::string pos;
-  auto flags = parse_flags(argc, argv, 2, &pos);
+  const Flags flags = parse_flags(argc, argv, kFlags, &pos);
   if (!pos.empty()) usage();
   serve::ServeOptions so;
   so.socket = flag_str(flags, "socket");
@@ -820,30 +664,16 @@ int cmd_serve(int argc, char** argv) {
 }
 
 int cmd_client(int argc, char** argv) {
-  // client takes an action word plus an optional tensor path — two
-  // positionals, so it parses its own argv (parse_flags allows one).
-  Flags flags;
-  std::string action;
-  std::string tensor;
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind("--", 0) == 0) {
-      const std::string key = a.substr(2);
-      if (key == "cold" || key == "inline" || key == "no-inline") {
-        flags.insert_or_assign(key, std::string("1"));
-      } else if (i + 1 < argc) {
-        flags.insert_or_assign(key, std::string(argv[++i]));
-      } else {
-        usage();
-      }
-    } else if (action.empty()) {
-      action = a;
-    } else if (tensor.empty()) {
-      tensor = a;
-    } else {
-      usage();
-    }
-  }
+  static const FlagSet kFlags{
+      {"socket", "timeout-ms", "retries", "retry-base-ms", "json", "rank",
+       "seed", "precision", "out", "iters", "tol", "sweep", "method",
+       "levels", "mode"},
+      {"cold", "inline", "no-inline"}};
+  // Two positionals: the action word and an optional tensor path.
+  std::vector<std::string> pos;
+  const Flags flags = parse_flags(argc, argv, kFlags, &pos, 2);
+  const std::string action = pos.empty() ? std::string() : pos[0];
+  const std::string tensor = pos.size() < 2 ? std::string() : pos[1];
   const std::string socket = flag_str(flags, "socket");
   if (socket.empty()) usage_error("client needs --socket <path>");
   const int timeout_ms =
@@ -947,8 +777,9 @@ int cmd_client(int argc, char** argv) {
 }
 
 int cmd_export(int argc, char** argv) {
+  static const FlagSet kFlags{{"out-prefix"}, {}};
   std::string pos;
-  auto flags = parse_flags(argc, argv, 2, &pos);
+  const Flags flags = parse_flags(argc, argv, kFlags, &pos);
   const std::string prefix = flag_str(flags, "out-prefix");
   if (pos.empty() || prefix.empty()) usage();
   const Ktensor K = io::read_ktensor(pos);

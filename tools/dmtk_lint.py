@@ -34,6 +34,13 @@ the line directly above it; an empty justification is itself an error):
                       threads arrive, so a floating-point sum changes in
                       its last bits from run to run; combine per-thread
                       block_range partials in thread order instead.
+  layering            An ``#include`` that points up the layer stack.
+                      ``src/job/`` (the decompose job) may not include
+                      ``serve/``; the layers below it
+                      (``src/{baseline,blas,core,exec,io,linalg,sim,sparse,
+                      tune,util}``) may include neither ``job/`` nor
+                      ``serve/``. The front ends (serve/, tools/) build on
+                      the job, never the other way round.
 
 Exit status: 0 clean, 1 violations, 2 usage/self-test failure.
 `--self-test` seeds one violation of every rule class in a temp tree and
@@ -85,6 +92,14 @@ INSTANTIATION_RE = re.compile(r"^\s*template\s+[^<=]*\b([A-Za-z_]\w*)<double")
 OFSTREAM_RE = re.compile(r"\bstd::ofstream\b|\bfopen\s*\(")
 
 OMP_REDUCTION_RE = re.compile(r"#\s*pragma\s+omp\b.*\breduction\s*\(")
+
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([a-z_]+)/')
+# Layer -> the src/ directories it must not include.
+JOB_LAYER = "job"
+BELOW_JOB = ("baseline", "blas", "core", "exec", "io", "linalg", "sim",
+             "sparse", "tune", "util")
+FORBIDDEN_INCLUDES = {JOB_LAYER: ("serve",)}
+FORBIDDEN_INCLUDES.update({d: (JOB_LAYER, "serve") for d in BELOW_JOB})
 
 
 class Violation:
@@ -204,6 +219,14 @@ def check_file(root: str, path: str, known_sites: set[str],
                  "OpenMP reduction clause (its combine order is up to the "
                  "runtime; sum block_range partials in thread order)")
 
+        inc = INCLUDE_RE.match(raw)
+        if inc and rel.startswith("src/"):
+            layer = rel.split("/")[1]
+            if inc.group(1) in FORBIDDEN_INCLUDES.get(layer, ()):
+                emit("layering",
+                     f"src/{layer}/ includes {inc.group(1)}/ (a lower "
+                     f"layer may not depend on the job or server layers)")
+
         if rel != CHECKED_IO_FILE and OFSTREAM_RE.search(code):
             emit("crc-footer",
                  "raw file output outside checked_io (FileWriter gives "
@@ -248,6 +271,10 @@ SELF_TEST_SEEDS = {
     "omp-reduction": (
         "src/core/bad_reduce.cpp",
         "#pragma omp parallel for reduction(+ : total)\n",
+    ),
+    "layering": (
+        "src/core/bad_layer.cpp",
+        "#include \"job/decompose_job.hpp\"\n",
     ),
 }
 
