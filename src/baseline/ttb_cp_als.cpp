@@ -20,7 +20,6 @@ CpAlsResult ttb_cp_als(const Tensor& X, const CpAlsOptions& opts) {
   CpAlsOptions baseline_opts = opts;
   baseline_opts.method = MttkrpMethod::Reorder;
   baseline_opts.sweep_scheme = SweepScheme::PerMode;
-  baseline_opts.mttkrp_override = nullptr;
   return cp_als(X, baseline_opts);
 }
 

@@ -41,7 +41,7 @@ namespace {
 template <typename T>
 CpAlsResultT<T> run_standard(const TensorT<T>& X, const CpAlsOptionsT<T>& opts,
                              const ExecContext& ctx,
-                             CpAlsSweepPlanT<T>* sweep) {
+                             CpAlsSweepPlanT<T>& sweep) {
   const int nt = ctx.threads();
   CpAlsResultT<T> result;
   detail::init_model(X, opts, "cp_als", result.model);
@@ -76,12 +76,9 @@ CpAlsResultT<T> cp_als(const TensorT<T>& X, const CpAlsOptionsT<T>& opts) {
   // construction (DimTree) or per-mode MttkrpPlans (PerMode), and the
   // complete workspace layout are paid once, and the sweeps below run
   // without touching the heap.
-  std::optional<CpAlsSweepPlanT<T>> sweep;
-  if (!opts.mttkrp_override) {
-    sweep.emplace(ctx, X.dims(), C, opts.sweep_scheme, opts.method,
-                  opts.dimtree_levels);
-  }
-  return run_standard(X, opts, ctx, sweep ? &*sweep : nullptr);
+  CpAlsSweepPlanT<T> sweep(ctx, X.dims(), C, opts.sweep_scheme, opts.method,
+                           opts.dimtree_levels);
+  return run_standard(X, opts, ctx, sweep);
 }
 
 template <typename T>
@@ -89,8 +86,6 @@ CpAlsResultT<T> cp_als(const TensorT<T>& X, const CpAlsOptionsT<T>& opts,
                        CpAlsSweepPlanT<T>& plan) {
   DMTK_CHECK(X.order() >= 2, "cp_als: tensor must have at least 2 modes");
   DMTK_CHECK(opts.rank >= 1, "cp_als: rank must be positive");
-  DMTK_CHECK(!opts.mttkrp_override,
-             "cp_als: the plan overload cannot take an mttkrp_override");
   DMTK_CHECK(!plan.is_sparse(), "cp_als: dense driver needs a dense plan");
   DMTK_CHECK(plan.rank() == opts.rank,
              "cp_als: plan rank does not match opts.rank");
@@ -101,14 +96,7 @@ CpAlsResultT<T> cp_als(const TensorT<T>& X, const CpAlsOptionsT<T>& opts,
              "cp_als: plan extents do not match the tensor");
   // The plan's sweeps draw from its own context's arena; running them
   // against any other context would be wrong, so opts.exec is ignored.
-  return run_standard(X, opts, plan.context(), &plan);
-}
-
-CpAlsOptionsF::MttkrpFn mttkrp_acc64_override() {
-  return [](const TensorF& X, std::span<const MatrixF> factors, index_t mode,
-            MatrixF& M, const ExecContext& ctx) {
-    mttkrp_acc64(X, factors, mode, M, ctx.threads());
-  };
+  return run_standard(X, opts, plan.context(), plan);
 }
 
 template CpAlsResult cp_als<double>(const Tensor&, const CpAlsOptions&);

@@ -5,8 +5,10 @@
 /// (3) linear solve — with MTTKRP dominating the cost. The sweep's MTTKRPs
 /// come from a CpAlsSweepPlan (exec/sweep_plan.hpp) selected by
 /// `sweep_scheme`: per-mode kernels with the paper's dispatch policy
-/// (1-step external, 2-step internal, overridable via `method`), or the
-/// dimension-tree scheme that shares partial contractions across modes.
+/// (1-step external, 2-step internal, overridable via `method` — including
+/// MttkrpMethod::Acc64, the fp64-accumulate kernel that recovers the fp64
+/// fit floor at fp32 storage cost), or the dimension-tree scheme that
+/// shares partial contractions across modes.
 ///
 /// Options, result, and the driver are templated on the scalar type:
 /// `cp_als(TensorF, CpAlsOptionsF)` runs the whole pipeline — plans,
@@ -15,7 +17,6 @@
 /// aliases keep existing double call sites compiling unchanged.
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -58,15 +59,6 @@ struct CpAlsOptionsT {
   /// `threads` — same result, but the workspace cannot be shared across
   /// drivers.
   const ExecContext* exec = nullptr;
-
-  /// Custom MTTKRP kernel. When set it replaces the built-in plans and
-  /// `method` is ignored — the hook for experimenting with kernels that
-  /// share the exact ALS driver (initialization, solve, stopping rule)
-  /// while swapping only the bottleneck.
-  using MttkrpFn =
-      std::function<void(const TensorT<T>&, std::span<const MatrixT<T>>,
-                         index_t, MatrixT<T>&, const ExecContext&)>;
-  MttkrpFn mttkrp_override;
 
   /// Crash-safe checkpointing (see io/checkpoint.hpp). When non-empty,
   /// the sweep loop writes an atomic CRC'd checkpoint of the model +
@@ -122,11 +114,11 @@ struct CpAlsResultT {
   int resumed_sweeps = 0;
   std::vector<CpAlsIterStats> iters;  ///< one entry per sweep
   /// Phase breakdown summed over the per-mode MttkrpPlans across all
-  /// sweeps (PerMode scheme; zero for DimTree or a custom mttkrp_override,
-  /// whose phases live in sweep_timings).
+  /// sweeps (PerMode scheme; zero for DimTree, whose phases live in
+  /// sweep_timings).
   MttkrpTimings mttkrp_timings;
   /// Per-node sweep-plan breakdown (tree nodes for DimTree, one leaf per
-  /// mode for PerMode; empty when a custom mttkrp_override ran).
+  /// mode for PerMode).
   SweepTimings sweep_timings;
 };
 
@@ -152,11 +144,10 @@ extern template CpAlsResultF cp_als<float>(const TensorF&,
 /// the same (shape, rank). The plan must be dense, match X's extents and
 /// opts.rank, and outlive the call; execution uses plan.context() —
 /// opts.exec and opts.threads are ignored (the plan's arena lives in its
-/// own context), and opts.mttkrp_override is rejected (it would bypass
-/// the plan this overload exists to reuse). opts.sweep_scheme / method /
-/// dimtree_levels are likewise superseded by what the plan was built
-/// with. Identical results to the plan-less overload given matching
-/// construction parameters — byte-identical factors for equal seeds.
+/// own context). opts.sweep_scheme / method / dimtree_levels are likewise
+/// superseded by what the plan was built with. Identical results to the
+/// plan-less overload given matching construction parameters —
+/// byte-identical factors for equal seeds.
 template <typename T>
 CpAlsResultT<T> cp_als(const TensorT<T>& X, const CpAlsOptionsT<T>& opts,
                        CpAlsSweepPlanT<T>& plan);
@@ -165,18 +156,6 @@ extern template CpAlsResult cp_als<double>(const Tensor&, const CpAlsOptions&,
                                            CpAlsSweepPlan&);
 extern template CpAlsResultF cp_als<float>(const TensorF&, const CpAlsOptionsF&,
                                            CpAlsSweepPlanF&);
-
-/// An mttkrp_override running mttkrp_acc64 (the fp64-accumulate fp32
-/// MTTKRP): `opts.mttkrp_override = mttkrp_acc64_override();` turns a
-/// float cp_als into the mixed-precision run — fp32 storage, Gram, and
-/// solve, fp64 MTTKRP sums — which recovers the fp64 fit floor on
-/// fit-limited problems while keeping the fp32 memory footprint. The
-/// kernel's fp64 inner loop bypasses the blocked micro-kernels, so the
-/// sweeps run slower than the planned fp32 methods (BENCH_pr9's acc64
-/// rows) — it is the accuracy end of the precision/speed trade.
-/// Checkpoints written with the override set are bound to it (the
-/// options hash mixes its presence).
-CpAlsOptionsF::MttkrpFn mttkrp_acc64_override();
 
 /// The Hadamard product of all Gram matrices except `skip`:
 /// H = (*)_{k != skip} grams[k]. Pass skip = -1 to include all modes.

@@ -5,10 +5,9 @@
 /// baseline) runs the same sweep loop — run_als_sweeps below — which owns
 /// the Gram matrices, the per-mode MTTKRP outputs, the fit bookkeeping,
 /// and the stopping rule, and produces each mode's MTTKRP through a
-/// CpAlsSweepPlan (or the caller's mttkrp_override). Drivers differ only
-/// in the factor-update callback they pass in. Also here: Gram
-/// computation, the TTB column normalization convention, the factor-update
-/// solve, and the fit formula.
+/// CpAlsSweepPlan. Drivers differ only in the factor-update callback they
+/// pass in. Also here: Gram computation, the TTB column normalization
+/// convention, the factor-update solve, and the fit formula.
 ///
 /// Everything is templated on the scalar type T (deduced from the options/
 /// plan types), so the float and double CP-ALS pipelines are literally the
@@ -135,10 +134,6 @@ std::uint64_t cp_als_options_hash(const XT& X, const CpAlsOptionsT<T>& opts,
   mix(static_cast<std::uint64_t>(opts.method));
   mix(static_cast<std::uint64_t>(opts.dimtree_levels));
   mix(static_cast<std::uint64_t>(threads));
-  // A custom MTTKRP kernel changes the sweep's arithmetic (e.g. the fp64-
-  // accumulate fp32 path); bind checkpoints to its presence so an override
-  // run never resumes a built-in-kernel checkpoint or vice versa.
-  if (opts.mttkrp_override) mix(0xACCu);
   return h;
 }
 
@@ -169,29 +164,19 @@ void init_model(const XT& X, const CpAlsOptionsT<T>& opts,
 /// tensor type only has to expose order()/dim()/dims()/norm_squared(int)
 /// and a matching CpAlsSweepPlan begin_sweep/mode_mttkrp overload, so a
 /// sparse::SparseTensor runs the exact same grams/fit/stopping code as the
-/// dense drivers. `sweep` may be null only when opts.mttkrp_override is
-/// set (the hook then replaces the plan; dense tensors only).
+/// dense drivers.
 /// `update_mode(n, H, M, iter)` must update result.model's factor n (and
 /// lambda, if the driver normalizes) in place, given the Hadamard-of-Grams
 /// system matrix H and the mode's MTTKRP M; the loop recomputes the Gram
 /// matrix afterwards and owns fit evaluation and the stopping rule.
 template <typename T, typename XT, typename UpdateFn>
 void run_als_sweeps(const XT& X, const CpAlsOptionsT<T>& opts,
-                    const ExecContext& ctx, CpAlsSweepPlanT<T>* sweep,
+                    const ExecContext& ctx, CpAlsSweepPlanT<T>& sweep,
                     CpAlsResultT<T>& result, UpdateFn&& update_mode) {
-  constexpr bool kDense = std::is_same_v<std::decay_t<XT>, TensorT<T>>;
   const index_t N = X.order();
   const index_t C = opts.rank;
   const int nt = ctx.threads();
   KtensorT<T>& model = result.model;
-  if constexpr (!kDense) {
-    DMTK_CHECK(!opts.mttkrp_override,
-               "run_als_sweeps: mttkrp_override is dense-only");
-  }
-  const bool use_override = kDense && static_cast<bool>(opts.mttkrp_override);
-  DMTK_CHECK(use_override || sweep != nullptr,
-             "run_als_sweeps: need a sweep plan or an mttkrp override");
-
   const double normX2 = X.norm_squared(nt);
 
   // Checkpoint restore happens BEFORE the Gram matrices are built: the
@@ -253,19 +238,11 @@ void run_als_sweeps(const XT& X, const CpAlsOptionsT<T>& opts,
   for (int iter = start_iter; iter < opts.max_iters; ++iter) {
     CpAlsIterStats stats;
     WallTimer sweep_timer;
-    if (!use_override) sweep->begin_sweep(X);
+    sweep.begin_sweep(X);
 
     for (index_t n = 0; n < N; ++n) {
       MatrixT<T>& M = Ms[static_cast<std::size_t>(n)];
-      if (use_override) {
-        if constexpr (kDense) {
-          WallTimer t;
-          opts.mttkrp_override(X, model.factors, n, M, ctx);
-          stats.mttkrp_seconds += t.seconds();
-        }
-      } else {
-        sweep->mode_mttkrp(n, X, model.factors, M);
-      }
+      sweep.mode_mttkrp(n, X, model.factors, M);
       WallTimer t;
       if (opts.compute_fit && n == N - 1) {
         std::copy(M.span().begin(), M.span().end(), Mlast.span().begin());
@@ -276,7 +253,7 @@ void run_als_sweeps(const XT& X, const CpAlsOptionsT<T>& opts,
            grams[static_cast<std::size_t>(n)], nt);
       stats.solve_seconds += t.seconds();
     }
-    if (!use_override) stats.mttkrp_seconds = sweep->last_sweep_seconds();
+    stats.mttkrp_seconds = sweep.last_sweep_seconds();
 
     result.iterations = iter + 1;
     bool stop = false;
@@ -325,10 +302,8 @@ void run_als_sweeps(const XT& X, const CpAlsOptionsT<T>& opts,
     if (stop) break;
   }
 
-  if (sweep != nullptr) {
-    result.sweep_timings = sweep->timings();
-    result.mttkrp_timings = sweep->per_mode_timings();
-  }
+  result.sweep_timings = sweep.timings();
+  result.mttkrp_timings = sweep.per_mode_timings();
 }
 
 }  // namespace dmtk::detail

@@ -58,11 +58,8 @@ CpAlsResultT<T> cp_nnhals(const TensorT<T>& X, const CpAlsOptionsT<T>& opts) {
   std::optional<ExecContext> own_ctx;
   const ExecContext& ctx =
       opts.exec != nullptr ? *opts.exec : own_ctx.emplace(opts.threads);
-  std::optional<CpAlsSweepPlanT<T>> sweep;
-  if (!opts.mttkrp_override) {
-    sweep.emplace(ctx, X.dims(), C, opts.sweep_scheme, opts.method,
-                  opts.dimtree_levels);
-  }
+  CpAlsSweepPlanT<T> sweep(ctx, X.dims(), C, opts.sweep_scheme, opts.method,
+                           opts.dimtree_levels);
 
   CpAlsResultT<T> result;
   KtensorT<T>& model = result.model;
@@ -89,7 +86,7 @@ CpAlsResultT<T> cp_nnhals(const TensorT<T>& X, const CpAlsOptionsT<T>& opts) {
   std::vector<T> hals_scratch(static_cast<std::size_t>(max_rows));
 
   detail::run_als_sweeps(
-      X, opts, ctx, sweep ? &*sweep : nullptr, result,
+      X, opts, ctx, sweep, result,
       [&](index_t n, MatrixT<T>& H, MatrixT<T>& M, int /*iter*/) {
         hals_update(model.factors[static_cast<std::size_t>(n)], M, H,
                     hals_scratch);

@@ -1,13 +1,8 @@
 #include "core/mttkrp.hpp"
 
-#include <vector>
-
-#include "core/krp.hpp"
 #include "exec/exec_context.hpp"
 #include "exec/mttkrp_plan.hpp"
 #include "util/common.hpp"
-#include "util/env.hpp"
-#include "util/parallel.hpp"
 
 namespace dmtk {
 
@@ -19,6 +14,7 @@ std::string_view to_string(MttkrpMethod m) {
     case MttkrpMethod::OneStep: return "1-step";
     case MttkrpMethod::TwoStep: return "2-step";
     case MttkrpMethod::Auto: return "auto";
+    case MttkrpMethod::Acc64: return "acc64";
   }
   return "?";
 }
@@ -27,7 +23,7 @@ std::optional<MttkrpMethod> parse_mttkrp_method(std::string_view name) {
   for (MttkrpMethod m :
        {MttkrpMethod::Reference, MttkrpMethod::Reorder,
         MttkrpMethod::OneStepSeq, MttkrpMethod::OneStep, MttkrpMethod::TwoStep,
-        MttkrpMethod::Auto}) {
+        MttkrpMethod::Auto, MttkrpMethod::Acc64}) {
     if (name == to_string(m)) return m;
   }
   // Friendly aliases used in earlier CLIs and papers' prose.
@@ -86,64 +82,7 @@ MatrixT<T> mttkrp(const TensorT<T>& X,
 
 void mttkrp_acc64(const TensorF& X, std::span<const MatrixF> factors,
                   index_t mode, MatrixF& M, int threads) {
-  const index_t N = X.order();
-  DMTK_CHECK(N >= 2, "mttkrp_acc64: tensor must have at least 2 modes");
-  DMTK_CHECK(mode >= 0 && mode < N, "mttkrp_acc64: mode out of range");
-  DMTK_CHECK(static_cast<index_t>(factors.size()) == N,
-             "mttkrp_acc64: need one factor matrix per mode");
-  const index_t C = factors[0].cols();
-  for (index_t n = 0; n < N; ++n) {
-    const MatrixF& U = factors[static_cast<std::size_t>(n)];
-    DMTK_CHECK(U.cols() == C, "mttkrp_acc64: factors disagree on rank");
-    DMTK_CHECK(U.rows() == X.dim(n), "mttkrp_acc64: factor rows != mode size");
-  }
-  const index_t In = X.dim(mode);
-  const index_t ILn = X.left_size(mode);
-  const index_t IRn = X.right_size(mode);
-  if (M.rows() != In || M.cols() != C) M = MatrixF(In, C);
-  const int nt = resolve_threads(threads);
-
-  // Full transposed KRP in the storage scalar (C x cosize, column r = KRP
-  // row r); the widening to fp64 happens at accumulate time, per product.
-  FactorListF fl;
-  fl.reserve(static_cast<std::size_t>(N - 1));
-  for (index_t n = N - 1; n >= 0; --n) {
-    if (n != mode) fl.push_back(&factors[static_cast<std::size_t>(n)]);
-  }
-  MatrixF Kt;
-  krp_transposed_into(fl, Kt, KrpVariant::Reuse, nt);
-
-  // Threads own disjoint ranges of output rows i, each accumulating its
-  // rows across every natural block of X(mode) in a private slice of one
-  // shared fp64 buffer (row-major In x C). No reduction, and each entry's
-  // summation order never depends on the team size.
-  // dmtk-lint: allow(hot-alloc): the one-shot mixed-precision kernel has
-  // no plan/arena to draw from — per-call sweeps use MttkrpPlan instead.
-  std::vector<double> acc(static_cast<std::size_t>(In) *
-                          static_cast<std::size_t>(C));
-  parallel_region(nt, [&](int t, int nteam) {
-    const Range r = block_range(In, nteam, t);
-    for (index_t i = r.begin; i < r.end; ++i) {
-      double* arow = acc.data() + static_cast<std::size_t>(i) *
-                                      static_cast<std::size_t>(C);
-      std::fill(arow, arow + C, 0.0);
-      for (index_t j = 0; j < IRn; ++j) {
-        const float* xrow = X.mode_block(mode, j) + i * ILn;
-        const float* kt = Kt.data() + j * ILn * C;
-        for (index_t l = 0; l < ILn; ++l) {
-          const double x = static_cast<double>(xrow[l]);
-          const float* kcol = kt + l * C;
-          for (index_t c = 0; c < C; ++c) {
-            arow[c] += x * static_cast<double>(kcol[c]);
-          }
-        }
-      }
-      // One rounding per output entry: fp64 accumulator -> fp32 M.
-      for (index_t c = 0; c < C; ++c) {
-        M(i, c) = static_cast<float>(arow[c]);
-      }
-    }
-  });
+  mttkrp(X, factors, mode, M, MttkrpMethod::Acc64, threads);
 }
 
 template void mttkrp<double>(const Tensor&, std::span<const Matrix>, index_t,

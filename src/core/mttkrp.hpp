@@ -4,7 +4,7 @@
 ///   M = X(n) * (U_{N-1} (.) ... (.) U_{n+1} (.) U_{n-1} (.) ... (.) U_0),
 /// the computational bottleneck of CP decompositions (Section 2.3).
 ///
-/// Five implementations are provided:
+/// Six implementations are provided:
 ///  - Reference: element-wise loops, O(I*N*C). Testing oracle only.
 ///  - Reorder:   explicit matricization (tensor permute) + explicit
 ///               column-wise KRP + one GEMM — the straightforward approach
@@ -24,6 +24,11 @@
 ///  - Auto:      the paper's CP-ALS policy — 1-step for external modes
 ///               (where 2-step degenerates to it anyway) and 2-step for
 ///               internal modes.
+///  - Acc64:     full KRP, then a direct row-owned inner product with one
+///               fp64 accumulator per output row, rounded once on the
+///               store: fp32 storage with fp64 sums (the dense analogue of
+///               the sparse kernels' accumulation). Deterministic across
+///               thread counts, but its fp64 loop skips the blocked GEMM.
 ///
 /// The kernels themselves live behind the plan API of exec/mttkrp_plan.hpp
 /// (dispatch, thread partitions, and workspace are precomputed once and
@@ -50,14 +55,15 @@ enum class MttkrpMethod {
   OneStep,
   TwoStep,
   Auto,
+  Acc64,  ///< appended: enumerator values feed checkpoint options hashes
 };
 
 /// Human-readable method name (for logs and benchmark tables).
 std::string_view to_string(MttkrpMethod m);
 
 /// Inverse of to_string: parse a method name ("reference", "reorder",
-/// "1-step-seq", "1-step", "2-step", "auto"). Returns nullopt for unknown
-/// names — the single parser shared by the CLI and the benchmarks.
+/// "1-step-seq", "1-step", "2-step", "auto", "acc64"). Returns nullopt for
+/// unknown names — the single parser shared by the CLI and the benchmarks.
 std::optional<MttkrpMethod> parse_mttkrp_method(std::string_view name);
 
 /// Wall-clock breakdown of one MTTKRP call, mirroring the categories of
@@ -112,15 +118,9 @@ extern template MatrixF mttkrp<float>(const TensorF&, std::span<const MatrixF>,
                                       index_t, MttkrpMethod, int,
                                       MttkrpTimings*);
 
-/// Mixed-precision dense MTTKRP for fp32 storage: streams X and the
-/// factors in float (the bandwidth-bound part) but keeps every per-entry
-/// sum in an fp64 accumulator, rounding once on the output store — the
-/// dense analogue of what the sparse CSF/COO kernels always do. One-shot
-/// (forms the full transposed fp32 KRP per call) and deterministic across
-/// thread counts: threads own disjoint output rows, so each entry's
-/// accumulation order is fixed. Opt in from CP-ALS via
-/// `opts.mttkrp_override = mttkrp_acc64_override()` (cp_als.hpp) or the
-/// CLI's `--accumulate double`.
+/// One-shot MttkrpMethod::Acc64 on fp32 storage: fp32 operands, fp64
+/// per-entry sums, one rounding on the store. CP-ALS runs it per sweep
+/// through `opts.method = MttkrpMethod::Acc64` (CLI: `--method acc64`).
 void mttkrp_acc64(const TensorF& X, std::span<const MatrixF> factors,
                   index_t mode, MatrixF& M, int threads = 0);
 

@@ -10,6 +10,11 @@
 ///                           (shape, rank, mode, method); execute() then
 ///                           runs allocation-free across ALS sweeps and
 ///                           accumulates its own MttkrpTimings
+///   dmtk::MttkrpMethod      a plan's kernel: Auto (the paper's 1-step/
+///                           2-step policy), the individual algorithms,
+///                           the Reorder baseline, the Reference oracle,
+///                           and Acc64 (fp32 storage, fp64 sums; the
+///                           CP-ALS drivers take it via options.method)
 ///   dmtk::CpAlsSweepPlan    whole-sweep planner behind every CP-ALS
 ///                           driver: SweepScheme::PerMode (N independent
 ///                           MttkrpPlans) or SweepScheme::DimTree (multi-

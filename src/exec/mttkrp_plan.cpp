@@ -231,6 +231,22 @@ void MttkrpPlanT<T>::plan_workspace() {
         plan_gemm_ws(blas::Trans::Trans, In_, mode_ == 0 ? IRn_ : ILn_, nt_);
       }
       break;
+    case MttkrpMethod::Acc64:
+      plan_packed(full_);
+      p_need(full_);
+      off_kt_full_ = take(static_cast<std::size_t>(C * cosize_));
+      // One C-wide fp64 accumulator per planned block, carved in T units.
+      // Page-strided so a neighbour's hot accumulator lies beyond the reach
+      // of the hardware prefetchers: with cache-line-granular slots the
+      // 4-thread kernel ran ~2x slower on a 4-core x86 host.
+      {
+        constexpr std::size_t kPage = 4096;
+        static_assert(sizeof(double) % sizeof(T) == 0);
+        const std::size_t bytes = static_cast<std::size_t>(C) * sizeof(double);
+        stride_thread_acc_ = (bytes + kPage - 1) / kPage * (kPage / sizeof(T));
+      }
+      off_thread_acc_ = take(snt * stride_thread_acc_);
+      break;
     case MttkrpMethod::Auto:
       break;  // unreachable: resolved at construction
   }
@@ -332,6 +348,9 @@ void MttkrpPlanT<T>::execute(const TensorT<T>& X,
       break;
     case MttkrpMethod::TwoStep:
       exec_twostep(X, factors, M, base);
+      break;
+    case MttkrpMethod::Acc64:
+      exec_acc64(X, factors, M, base);
       break;
     case MttkrpMethod::Auto:
       break;  // unreachable
@@ -662,6 +681,53 @@ void MttkrpPlanT<T>::exec_twostep(const TensorT<T>& X,
     PhaseTimer pt(&timings_.gemv);
     multi_ttv_right(inter, In_, ILn_, C, KLt, C, M, nt_);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Acc64: full transposed KRP, then a row-owned inner product summed in fp64.
+// ---------------------------------------------------------------------------
+template <typename T>
+void MttkrpPlanT<T>::exec_acc64(const TensorT<T>& X,
+                                std::span<const MatrixT<T>> factors,
+                                MatrixT<T>& M, T* base) {
+  const index_t C = rank_;
+  {
+    PhaseTimer pt(&timings_.krp);
+    gather_factors(factors, List::Full, fl_full_);
+    pack(fl_full_, full_, base, packed_full_);
+    krp_transposed_ws(full_, packed_full_, base, off_kt_full_, nt_);
+  }
+  const T* Kt = base + off_kt_full_;
+
+  // Each planned block owns whole output rows i and sums each one across
+  // every natural block of X(mode) in its own C-wide fp64 accumulator,
+  // widening the stored operands per product. No reduction, and an
+  // entry's summation order never depends on the team size.
+  PhaseTimer pt(&timings_.gemm);
+  parallel_region(nt_, [&](int t, int nteam) {
+    for (int b = t; b < nt_; b += nteam) {
+      const std::size_t sb = static_cast<std::size_t>(b);
+      const Range r = block_range(In_, nt_, b);
+      double* acc = static_cast<double*>(static_cast<void*>(
+          base + off_thread_acc_ + sb * stride_thread_acc_));
+      for (index_t i = r.begin; i < r.end; ++i) {
+        std::fill(acc, acc + C, 0.0);
+        for (index_t j = 0; j < IRn_; ++j) {
+          const T* xrow = X.mode_block(mode_, j) + i * ILn_;
+          const T* kt = Kt + j * ILn_ * C;
+          for (index_t l = 0; l < ILn_; ++l) {
+            const double x = static_cast<double>(xrow[l]);
+            const T* kcol = kt + l * C;
+            for (index_t c = 0; c < C; ++c) {
+              acc[c] += x * static_cast<double>(kcol[c]);
+            }
+          }
+        }
+        // One rounding per output entry: fp64 accumulator -> T.
+        for (index_t c = 0; c < C; ++c) M(i, c) = static_cast<T>(acc[c]);
+      }
+    }
+  });
 }
 
 /// M = sum_t Mt over the thread-private partials, parallelized by rows.

@@ -17,12 +17,13 @@
 ///
 /// execute() then draws every large buffer from the arena frame opened for
 /// the call; the small index/timing scratch lives in the plan itself. The
-/// paper's methods (OneStepSeq/OneStep/TwoStep/Auto) run fully heap-free
-/// after construction — INCLUDING the BLAS layer: every gemm/gemm_batched
-/// call receives a GemmWorkspace carved from the same arena frame, so the
-/// packing panels of the blocked kernel never touch the heap either (the
-/// arena instrumentation plus blas::gemm_internal_allocs() verify this in
-/// the tests). The Reorder baseline and the Reference oracle keep their
+/// paper's methods (OneStepSeq/OneStep/TwoStep/Auto) and the fp64-
+/// accumulate Acc64 kernel run fully heap-free after construction —
+/// INCLUDING the BLAS layer: every gemm/gemm_batched call receives a
+/// GemmWorkspace carved from the same arena frame, so the packing panels
+/// of the blocked kernel never touch the heap either (the arena
+/// instrumentation plus blas::gemm_internal_allocs() verify this in the
+/// tests). The Reorder baseline and the Reference oracle keep their
 /// O(tensor) buffers in the arena too but may use transient O(N) index
 /// scratch inside matricize_into.
 ///
@@ -147,6 +148,8 @@ class MttkrpPlanT {
                              MatrixT<T>& M, T* base);
   void exec_twostep(const TensorT<T>& X, std::span<const MatrixT<T>> factors,
                     MatrixT<T>& M, T* base);
+  void exec_acc64(const TensorT<T>& X, std::span<const MatrixT<T>> factors,
+                  MatrixT<T>& M, T* base);
 
   void reduce_partials(T* base, MatrixT<T>& M, double* reduce_time);
 
@@ -182,6 +185,8 @@ class MttkrpPlanT {
   std::size_t stride_thread_p_ = 0;
   std::size_t off_thread_row_ = 0;   // per-thread right-KRP row (C)
   std::size_t stride_thread_row_ = 0;
+  std::size_t off_thread_acc_ = 0;   // Acc64: per-thread C fp64 sums
+  std::size_t stride_thread_acc_ = 0;
   std::size_t off_inter_ = 0;        // 2-step first-step intermediate
   std::size_t off_xn_ = 0;           // Reorder: explicit matricization
   std::size_t off_kcol_ = 0;         // Reorder: column-wise KRP (J x C)

@@ -73,9 +73,6 @@ DecomposeOutcome run_dense(const DecomposeJob& job, const ExecContext& ctx) {
   const TensorT<T> X = read_dense<T>(s.tensor, job.dims(), &read_ms);
   CpAlsOptionsT<T> o = options<T>(s);
   o.exec = &ctx;
-  if constexpr (std::is_same_v<T, float>) {
-    if (s.acc64) o.mttkrp_override = mttkrp_acc64_override();
-  }
   WallTimer t;
   CpAlsResultT<T> r = s.nn ? cp_nnhals(X, o) : cp_als(X, o);
   return outcome_of(std::move(r), job.scheme(), read_ms, t.seconds() * 1e3);
@@ -142,9 +139,6 @@ DecomposeJob::DecomposeJob(DecomposeSpec spec) : spec_(std::move(spec)) {
     }
     if (s.levels != 0) reject("levels", "applies to the dense dimtree sweep");
     if (s.nn) reject("nn", "nonnegative CP needs a dense (.dten) tensor");
-    if (s.acc64) {
-      reject("acc64", "the sparse CSF/COO kernels always accumulate in fp64");
-    }
     if (!std::filesystem::exists(s.tensor)) {
       throw io::IoError("no such tensor file: " + s.tensor);
     }
@@ -156,9 +150,9 @@ DecomposeJob::DecomposeJob(DecomposeSpec spec) : spec_(std::move(spec)) {
     reject("sweep", "\"" + scheme_name(s.sweep) +
                         "\" needs a sparse (.tns) tensor");
   }
-  if (s.acc64 && !s.f32) {
-    reject("acc64", "needs f32 storage (the double pipeline already "
-                    "accumulates in fp64)");
+  if (s.method == MttkrpMethod::Acc64 && !s.f32) {
+    reject("method", "\"acc64\" needs f32 storage (the double pipeline "
+                     "already accumulates in fp64)");
   }
   // Header probe: extents without payload traffic (IoError when the file
   // is missing or not a dmtk tensor).
@@ -187,7 +181,7 @@ DecomposeOutcome DecomposeJob::run(const ExecContext& ctx) const {
 
 template <typename T>
 DecomposeOutcome DecomposeJob::run(CpAlsSweepPlanT<T>& plan) const {
-  DMTK_CHECK(!sparse_ && !spec_.nn && !spec_.acc64,
+  DMTK_CHECK(!sparse_ && !spec_.nn,
              "DecomposeJob: a caller-owned plan runs plain dense cp_als");
   DMTK_CHECK((spec_.f32 == std::is_same_v<T, float>),
              "DecomposeJob: plan precision differs from the job's");

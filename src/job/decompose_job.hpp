@@ -16,11 +16,11 @@
 ///   any     rank < 1, iters < 1, tol < 0 or NaN, levels < 0,
 ///           checkpoint_every < 1; checkpoint_every != 1 or resume
 ///           without a checkpoint path
-///   .tns    a dense sweep (permode/dimtree), a non-auto method,
-///           levels != 0, nn, acc64
+///   .tns    a dense sweep (permode/dimtree), a non-auto method (acc64
+///           included), levels != 0, nn
 ///   dense   a sparse sweep (csf/coo), a non-auto method on a resolved
-///           dimtree sweep, levels != 0 on a non-dimtree sweep, acc64
-///           without f32
+///           dimtree sweep, levels != 0 on a non-dimtree sweep, method
+///           acc64 without f32
 ///
 /// Layering: job/ sits above core/exec/io/sparse and below serve/ and
 /// tools/ (enforced by tools/dmtk_lint.py's `layering` rule).
@@ -48,14 +48,13 @@ namespace dmtk {
 struct DecomposeSpec {
   std::string tensor;        ///< .dten (dense) or .tns (sparse) file
   bool f32 = false;          ///< compute (and write the model) in fp32
-  bool acc64 = false;        ///< fp32 storage, fp64 MTTKRP sums (dense f32)
   bool nn = false;           ///< nonnegative CP (HALS), dense only
   index_t rank = 10;
   int iters = 100;           ///< sweep cap
   double tol = 1e-6;         ///< fit-change stopping tolerance
   std::uint64_t seed = 42;   ///< initialization seed
   SweepScheme sweep = SweepScheme::Auto;
-  MttkrpMethod method = MttkrpMethod::Auto;
+  MttkrpMethod method = MttkrpMethod::Auto;  ///< Acc64: fp64 sums (f32)
   int levels = 0;            ///< dimension-tree depth cap (0 = full tree)
   std::string checkpoint;    ///< crash-safe checkpoint path ("" = none)
   int checkpoint_every = 1;  ///< sweeps between checkpoints
@@ -101,7 +100,7 @@ class DecomposeJob {
 
   /// As run(ctx), through a caller-owned dense plan built for this job's
   /// dims(), rank, scheme(), method and levels (the server's plan cache).
-  /// Needs a plain dense cp_als job: no nn, no acc64.
+  /// Needs a plain dense cp_als job: no nn.
   template <typename T>
   [[nodiscard]] DecomposeOutcome run(CpAlsSweepPlanT<T>& plan) const;
 

@@ -190,8 +190,6 @@ CpAlsResultT<T> cp_als(const SparseTensorT<T>& X,
   const index_t C = opts.rank;
   DMTK_CHECK(N >= 2, "sparse cp_als: tensor must have at least 2 modes");
   DMTK_CHECK(C >= 1, "sparse cp_als: rank must be positive");
-  DMTK_CHECK(!opts.mttkrp_override,
-             "sparse cp_als: mttkrp_override is dense-only");
 
   // Execution context: caller-supplied (shared arena) or private — the
   // same contract as the dense drivers.
@@ -210,7 +208,7 @@ CpAlsResultT<T> cp_als(const SparseTensorT<T>& X,
   KtensorT<T>& model = result.model;
 
   detail::run_als_sweeps(
-      X, opts, ctx, &sweep, result,
+      X, opts, ctx, sweep, result,
       [&](index_t n, MatrixT<T>& H, MatrixT<T>& M, int iter) {
         detail::factor_solve(H, M, nt);
         MatrixT<T>& U = model.factors[static_cast<std::size_t>(n)];

@@ -154,8 +154,8 @@ extern template void mttkrp<float>(const SparseTensorT<float>&,
 /// to SparseCsf; SparseCoo runs the plan-layer COO kernel (bitwise-equal
 /// to the historical ad-hoc driver at equal thread counts); the dense
 /// schemes are rejected. Both scalars are supported (the fp32 sweep keeps
-/// fp64 accumulation in the kernels). opts.method and opts.mttkrp_override
-/// are dense-only (the latter throws here); opts.exec shares the arena.
+/// fp64 accumulation in the kernels). opts.method is dense-only (ignored
+/// here); opts.exec shares the arena.
 template <typename T>
 CpAlsResultT<T> cp_als(const SparseTensorT<T>& X,
                        const CpAlsOptionsT<T>& opts);

@@ -72,11 +72,25 @@ expect_grep "cp_nnhals\[.*fp32" "${dmtk}" decompose "${work}/x32.dten" \
   --rank 3 --iters 5 --precision float --nn
 # Mixed-precision accumulate: fp32 storage, fp64 MTTKRP sums.
 expect_grep "fp32+acc64" "${dmtk}" decompose "${work}/x32.dten" --rank 3 \
-  --iters 5 --precision float --accumulate double --out "${work}/macc.dktn"
+  --iters 5 --precision float --method acc64 --out "${work}/macc.dktn"
 expect_ok "${dmtk}" export "${work}/macc.dktn" --out-prefix "${work}/facc"
-# ... but it is an fp32-only knob: the double pipeline already sums in fp64.
+# ... but it is an fp32-only method: the double pipeline already sums in
+# fp64.
+expect_grep "method:" "${dmtk}" decompose "${work}/x64.dten" --rank 3 \
+  --iters 5 --method acc64
 expect_usage_error "${dmtk}" decompose "${work}/x64.dten" --rank 3 --iters 5 \
-  --accumulate double
+  --method acc64
+# acc64 is a per-mode kernel: on a 4-way tensor (where auto picks the
+# dimension tree) it pins the per-mode sweep and says so, and an explicit
+# dimtree sweep is a conflict rather than a silently ignored flag.
+expect_ok "${dmtk}" generate --dims 6x5x4x3 --rank 2 --seed 5 \
+  --precision float --out "${work}/x4.dten"
+expect_grep "permode sweep, fp32+acc64" "${dmtk}" decompose \
+  "${work}/x4.dten" --rank 2 --iters 3 --precision float --method acc64
+expect_usage_error "${dmtk}" decompose "${work}/x4.dten" --rank 2 \
+  --iters 3 --precision float --sweep dimtree --method acc64
+expect_grep "method:" "${dmtk}" decompose "${work}/x4.dten" --rank 2 \
+  --iters 3 --precision float --sweep dimtree --method acc64
 
 # The f32 payload should be roughly half the f64 size.
 s64=$(stat -c %s "${work}/x64.dten")
@@ -101,9 +115,11 @@ expect_ok "${dmtk}" export "${work}/ms32.dktn" --out-prefix "${work}/s32"
 expect_ok "${dmtk}" decompose "${work}/s.tns" --rank 2 --iters 3 \
   --precision double
 # The sparse kernels accumulate in fp64 unconditionally, so the dense
-# accumulate knob is refused rather than silently accepted.
+# acc64 method is refused rather than silently accepted.
 expect_usage_error "${dmtk}" decompose "${work}/s.tns" --rank 2 --iters 3 \
-  --precision float --accumulate double
+  --precision float --method acc64
+expect_grep "method:" "${dmtk}" decompose "${work}/s.tns" --rank 2 \
+  --iters 3 --precision float --method acc64
 
 # --- strict numeric argument audit ----------------------------------------
 expect_usage_error "${dmtk}" decompose "${work}/x64.dten" --rank abc
@@ -138,6 +154,11 @@ expect_usage_error "${dmtk}" client --socket "${work}/never.sock" \
   decompose "${work}/x64.dten" --rnak 3
 # The legacy --dimtree alias is gone; --sweep dimtree is the one spelling.
 expect_usage_error "${dmtk}" decompose "${work}/x64.dten" --rank 3 --dimtree
+# Likewise --accumulate: --method acc64 is the one spelling.
+expect_grep "unknown flag '--accumulate'" "${dmtk}" decompose \
+  "${work}/x32.dten" --rank 3 --precision float --accumulate double
+expect_usage_error "${dmtk}" decompose "${work}/x32.dten" --rank 3 \
+  --precision float --accumulate double
 
 # --- value-based decompose rules (DecomposeJob) -----------------------------
 # Spelling out a default is never an error ...
@@ -146,7 +167,7 @@ expect_ok "${dmtk}" decompose "${work}/x64.dten" --rank 3 --iters 2 \
 expect_ok "${dmtk}" decompose "${work}/x64.dten" --rank 3 --iters 2 \
   --sweep dimtree --method auto
 expect_ok "${dmtk}" decompose "${work}/x64.dten" --rank 3 --iters 2 \
-  --accumulate float
+  --precision double --method auto
 expect_ok "${dmtk}" decompose "${work}/s.tns" --rank 2 --iters 2 \
   --levels 0 --method auto
 # ... while a real conflict is a usage error naming the field.

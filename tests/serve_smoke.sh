@@ -5,10 +5,11 @@
 #
 # Starts `dmtk serve` on a temp-dir Unix socket, drives it through `dmtk
 # client` — generate -> info -> decompose (both precisions, warm repeat)
-# -> CLI-vs-served model byte identity (dense f64, dense f32, sparse) ->
-# mttkrp -> stats -> shutdown — and requires a clean server exit. The
-# sed filter drops the conda activation warning some login shells print
-# on stderr, which would otherwise pollute captured JSON checks.
+# -> CLI-vs-served model byte identity (dense f64, dense f32, dense f32
+# acc64, sparse) -> mttkrp -> stats -> shutdown — and requires a clean
+# server exit. The sed filter drops the conda activation warning some
+# login shells print on stderr, which would otherwise pollute captured
+# JSON checks.
 
 set -u
 dmtk="$1"
@@ -90,7 +91,7 @@ check "decompose to file" 0 '"ok":true' \
   || { echo "FAIL: served model file missing"; fails=$((fails + 1)); }
 # CLI vs server, byte for byte: both front ends run the same DecomposeJob,
 # so at one thread and a fixed sweep count the model files must be equal
-# for dense f64, dense f32 and sparse input.
+# for dense f64, dense f32 (plain and fp64-accumulate) and sparse input.
 "${dmtk}" generate --dims 20x18x16 --nnz 300 --seed 5 \
   --out "${work}/s.tns" > /dev/null
 same_model() {
@@ -110,6 +111,8 @@ same_model() {
 }
 same_model "cli == served, dense f64" "${work}/cube.dten"
 same_model "cli == served, dense f32" "${work}/cube.dten" --precision float
+same_model "cli == served, dense f32 acc64" "${work}/cube.dten" \
+  --precision float --method acc64
 same_model "cli == served, sparse" "${work}/s.tns"
 
 check "mttkrp" 0 '"type":"mttkrp"' \

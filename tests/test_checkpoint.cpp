@@ -135,6 +135,38 @@ TEST_F(CheckpointTest, OptionsHashMismatchRefusesToResume) {
   }
 }
 
+TEST_F(CheckpointTest, Acc64AndAutoCheckpointsNeverCrossResume) {
+  // The method is hashed by enumerator value: Acc64 was appended so every
+  // earlier method keeps the value its existing checkpoints were bound to.
+  static_assert(static_cast<int>(MttkrpMethod::Auto) == 5);
+  static_assert(static_cast<int>(MttkrpMethod::Acc64) == 6);
+  // fp64 accumulation changes the sweep's arithmetic, so a checkpoint
+  // binds to it in both directions; the writer's own method resumes.
+  const TensorF X = tensor_cast<float>(test_tensor());
+  for (MttkrpMethod writer : {MttkrpMethod::Acc64, MttkrpMethod::Auto}) {
+    SCOPED_TRACE(std::string("writer=") + std::string(to_string(writer)));
+    CpAlsOptionsF o;
+    o.rank = 4;
+    o.tol = 0.0;
+    o.seed = 77;
+    o.max_iters = 3;
+    o.method = writer;
+    o.checkpoint_path = path(std::string(to_string(writer)) + ".dckp");
+    (void)cp_als(X, o);
+    ASSERT_TRUE(fs::exists(o.checkpoint_path));
+
+    CpAlsOptionsF other = o;
+    other.resume = true;
+    other.method = writer == MttkrpMethod::Acc64 ? MttkrpMethod::Auto
+                                                 : MttkrpMethod::Acc64;
+    EXPECT_THROW((void)cp_als(X, other), io::IoError);
+
+    CpAlsOptionsF same = o;
+    same.resume = true;
+    EXPECT_EQ(cp_als(X, same).resumed_sweeps, 3);
+  }
+}
+
 TEST_F(CheckpointTest, CheckpointCadenceFollowsCheckpointEvery) {
   const Tensor X = test_tensor();
   CpAlsOptions o = base_options();
@@ -178,20 +210,14 @@ TEST_F(CheckpointTest, ScalarKindMismatchIsAStructuredError) {
 }
 
 TEST_F(CheckpointTest, DivergenceIsReportedAndNeverCheckpointed) {
-  const Tensor X = test_tensor();
+  Tensor X = test_tensor();
+  // One NaN entry poisons ||X||^2 and every MTTKRP from the very first
+  // sweep on: the sweep's fit / lambda turn non-finite and the guardrail
+  // must catch it.
+  X[5] = std::numeric_limits<double>::quiet_NaN();
   CpAlsOptions o = base_options();
   o.max_iters = 10;
   o.checkpoint_path = path("blown.dckp");
-  // An MTTKRP that detonates on the very first call: the sweep's lambda /
-  // fit turn non-finite and the guardrail must catch it.
-  o.mttkrp_override = [](const Tensor&, std::span<const Matrix>, index_t,
-                         Matrix& M, const ExecContext&) {
-    for (index_t j = 0; j < M.cols(); ++j) {
-      for (index_t i = 0; i < M.rows(); ++i) {
-        M(i, j) = std::numeric_limits<double>::quiet_NaN();
-      }
-    }
-  };
   const CpAlsResult r = cp_als(X, o);
   EXPECT_EQ(r.status, CpAlsStatus::Diverged);
   EXPECT_FALSE(r.converged);

@@ -116,11 +116,11 @@ TEST_F(DecomposeJobTest, EveryRuleRejectsByFieldName) {
          s.tensor = tns_;
          s.nn = true;
        }},
-      {"sparse + acc64", "acc64",
+      {"sparse + acc64", "method",
        [this](DecomposeSpec& s) {
          s.tensor = tns_;
          s.f32 = true;
-         s.acc64 = true;
+         s.method = MttkrpMethod::Acc64;
        }},
       // Dense input.
       {"dense + csf", "sweep",
@@ -146,8 +146,14 @@ TEST_F(DecomposeJobTest, EveryRuleRejectsByFieldName) {
          s.method = MttkrpMethod::TwoStep;
          s.levels = 1;
        }},
-      {"acc64 without f32", "acc64",
-       [](DecomposeSpec& s) { s.acc64 = true; }},
+      {"acc64 without f32", "method",
+       [](DecomposeSpec& s) { s.method = MttkrpMethod::Acc64; }},
+      {"acc64 on an explicit dimtree", "method",
+       [](DecomposeSpec& s) {
+         s.f32 = true;
+         s.sweep = SweepScheme::DimTree;
+         s.method = MttkrpMethod::Acc64;
+       }},
   };
   for (const Row& row : rows) {
     DecomposeSpec spec;
@@ -183,7 +189,7 @@ TEST_F(DecomposeJobTest, SpellingOutADefaultIsNeverAnError) {
       },
       [](DecomposeSpec& s) {
         s.f32 = true;
-        s.acc64 = true;
+        s.method = MttkrpMethod::Acc64;
       },
   };
   for (std::size_t i = 0; i < edits.size(); ++i) {
@@ -205,6 +211,9 @@ TEST_F(DecomposeJobTest, ResolvesTheSchemeAtConstruction) {
   spec.tensor = four_;
   EXPECT_EQ(DecomposeJob(spec).scheme(), SweepScheme::DimTree);
   spec.method = MttkrpMethod::TwoStep;  // an explicit method pins PerMode
+  EXPECT_EQ(DecomposeJob(spec).scheme(), SweepScheme::PerMode);
+  spec.f32 = true;
+  spec.method = MttkrpMethod::Acc64;  // acc64 is just such a method
   EXPECT_EQ(DecomposeJob(spec).scheme(), SweepScheme::PerMode);
 
   DecomposeSpec sp;
@@ -266,7 +275,7 @@ TEST_F(DecomposeJobTest, RunsEveryInputKindInItsPrecision) {
   spec.rank = 2;
   spec.iters = 2;
   spec.f32 = true;
-  spec.acc64 = true;
+  spec.method = MttkrpMethod::Acc64;
   const ExecContext ctx(1);
   const DecomposeOutcome dense = DecomposeJob(spec).run(ctx);
   EXPECT_TRUE(std::holds_alternative<KtensorF>(dense.model));
@@ -283,10 +292,10 @@ TEST_F(DecomposeJobTest, RunsEveryInputKindInItsPrecision) {
   EXPECT_EQ(sparse_out.scheme, SweepScheme::SparseCsf);
   EXPECT_TRUE(std::isfinite(sparse_out.fit));
 
-  // A caller-owned plan serves plain dense jobs only.
+  // A caller-owned plan serves plain dense cp_als jobs only.
   const std::vector<index_t> dims{6, 5, 4};
-  CpAlsSweepPlanF plan(ctx, dims, 2, SweepScheme::PerMode, MttkrpMethod::Auto,
-                       0);
+  CpAlsSweepPlanF plan(ctx, dims, 2, SweepScheme::PerMode, spec.method, 0);
+  spec.nn = true;
   EXPECT_THROW((void)DecomposeJob(spec).run(plan), DimensionError);
 }
 

@@ -26,6 +26,7 @@ using testing::random_factors;
 const std::vector<MttkrpMethod> kAllMethods = {
     MttkrpMethod::Reference, MttkrpMethod::Reorder, MttkrpMethod::OneStepSeq,
     MttkrpMethod::OneStep,   MttkrpMethod::TwoStep, MttkrpMethod::Auto,
+    MttkrpMethod::Acc64,
 };
 
 void expect_bitwise_equal(const Matrix& a, const Matrix& b) {
@@ -488,30 +489,6 @@ TEST(DriverExecContext, BaselineUsesReorderPlans) {
   CpAlsOptions reorder_opts = opts;
   reorder_opts.method = MttkrpMethod::Reorder;
   expect_same_result(baseline::ttb_cp_als(X, opts), cp_als(X, reorder_opts));
-}
-
-TEST(DriverExecContext, OverrideHookReceivesContext) {
-  Rng rng(20);
-  Tensor X = Tensor::random_uniform({4, 3, 5}, rng);
-  ExecContext ctx(2);
-  int calls = 0;
-  CpAlsOptions opts;
-  opts.rank = 2;
-  opts.max_iters = 2;
-  opts.compute_fit = false;
-  opts.exec = &ctx;
-  opts.mttkrp_override = [&calls](const Tensor& T,
-                                  std::span<const Matrix> factors,
-                                  index_t mode, Matrix& M,
-                                  const ExecContext& c) {
-    ++calls;
-    EXPECT_EQ(c.threads(), 2);
-    mttkrp(T, factors, mode, M, MttkrpMethod::Auto, c.threads());
-  };
-  const CpAlsResult r = cp_als(X, opts);
-  EXPECT_EQ(r.iterations, 2);
-  EXPECT_EQ(calls, 2 * 3);  // sweeps * modes
-  EXPECT_EQ(r.mttkrp_timings.total, 0.0);  // no built-in plans ran
 }
 
 }  // namespace

@@ -18,7 +18,7 @@
 //    error is input/output rounding), sparse cp_als<float> lands within
 //    typed tolerance of the double fit, and the sparse float sweep is
 //    allocation-free like the dense one;
-//  - the mixed-precision dense path (mttkrp_acc64 / --accumulate double)
+//  - the mixed-precision dense path (MttkrpMethod::Acc64 / --method acc64)
 //    reproduces the fp64 MTTKRP sums bit-for-rounded-bit and recovers the
 //    fp64 fit floor through cp_als;
 //  - fp32 tensor AND ktensor IO round-trip, and cross-precision reads
@@ -54,6 +54,7 @@ namespace {
 constexpr MttkrpMethod kAllMethods[] = {
     MttkrpMethod::Reference, MttkrpMethod::Reorder, MttkrpMethod::OneStepSeq,
     MttkrpMethod::OneStep,   MttkrpMethod::TwoStep, MttkrpMethod::Auto,
+    MttkrpMethod::Acc64,
 };
 
 /// Same seeded problem in both precisions: the double operands, and their
@@ -412,11 +413,16 @@ TEST(FloatMixedAccumulate, Acc64MatchesTheExactSumsOfTheFp32Inputs) {
     }
   }
   // Determinism across team sizes, bitwise.
-  MatrixF M1, M4;
+  MatrixF M1;
   mttkrp_acc64(p.Xf, p.fsf, 1, M1, 1);
-  mttkrp_acc64(p.Xf, p.fsf, 1, M4, 4);
-  for (index_t i = 0; i < M1.rows(); ++i) {
-    for (index_t c = 0; c < M1.cols(); ++c) ASSERT_EQ(M1(i, c), M4(i, c));
+  for (int threads : {3, 4}) {
+    MatrixF Mt;
+    mttkrp_acc64(p.Xf, p.fsf, 1, Mt, threads);
+    for (index_t i = 0; i < M1.rows(); ++i) {
+      for (index_t c = 0; c < M1.cols(); ++c) {
+        ASSERT_EQ(M1(i, c), Mt(i, c)) << "threads=" << threads;
+      }
+    }
   }
 }
 
@@ -442,7 +448,7 @@ TEST(FloatMixedAccumulate, Acc64CpAlsRecoversTheFp64FitFloor) {
   of.tol = 1e-7;
   of.seed = 31;
   CpAlsOptionsF oa = of;
-  oa.mttkrp_override = mttkrp_acc64_override();
+  oa.method = MttkrpMethod::Acc64;
 
   const CpAlsResult rd = cp_als(Xd, od);
   const CpAlsResultF rf = cp_als(Xf, of);

@@ -566,10 +566,6 @@ TEST(SparseCpAlsPlan, RejectsDenseOnlyOptions) {
   CpAlsOptions opts;
   opts.rank = 2;
   opts.max_iters = 2;
-  opts.mttkrp_override = [](const Tensor&, std::span<const Matrix>, index_t,
-                            Matrix&, const ExecContext&) {};
-  EXPECT_THROW(sparse::cp_als(S, opts), DimensionError);
-  opts.mttkrp_override = nullptr;
   opts.sweep_scheme = SweepScheme::DimTree;
   EXPECT_THROW(sparse::cp_als(S, opts), DimensionError);
 }

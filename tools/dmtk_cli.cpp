@@ -74,9 +74,10 @@ using namespace dmtk;
       "             --quick shrinks every probe to a seconds-long smoke,\n"
       "             --json prints the full measurement report)\n"
       "  decompose <tensor.dten> --rank R [--nn] [--wisdom F]\n"
-      "            [--precision double|float] [--accumulate double|float]\n"
+      "            [--precision double|float]\n"
       "            [--sweep permode|dimtree|auto] [--levels n]\n"
-      "            [--method reference|reorder|1-step-seq|1-step|2-step|auto]\n"
+      "            [--method reference|reorder|1-step-seq|1-step|2-step|\n"
+      "                      acc64|auto]\n"
       "            [--iters n] [--tol f] [--seed s] [--threads t]\n"
       "            [--out model.dktn]\n"
       "            [--checkpoint F [--checkpoint-every n] [--resume]]\n"
@@ -87,11 +88,11 @@ using namespace dmtk;
       "             --levels caps the tree depth, 0 = full tree; auto picks\n"
       "             dimtree for 4-way-and-up tensors; --precision float\n"
       "             runs the whole ALS pipeline in fp32 — half the memory\n"
-      "             bandwidth, fit accurate to ~1e-4; --accumulate double\n"
-      "             keeps fp32 storage but sums every MTTKRP entry in fp64,\n"
-      "             recovering the fp64 fit floor at fp32 storage cost —\n"
-      "             slower per sweep: the fp64 loop skips the blocked\n"
-      "             kernels)\n"
+      "             bandwidth, fit accurate to ~1e-4; --method acc64 (with\n"
+      "             --precision float, per-mode sweep) keeps fp32 storage\n"
+      "             but sums every MTTKRP entry in fp64, recovering the\n"
+      "             fp64 fit floor at fp32 storage cost — slower per sweep:\n"
+      "             the fp64 loop skips the blocked kernels)\n"
       "            (--wisdom loads a tuned profile STRICTLY: a missing,\n"
       "             corrupt, or other-CPU profile aborts the run; the\n"
       "             DMTK_WISDOM env autoloads leniently instead)\n"
@@ -240,15 +241,6 @@ bool flag_wants_f32(const Flags& f) {
   if (p == "double" || p == "fp64" || p == "f64") return false;
   if (p == "float" || p == "fp32" || p == "f32" || p == "single") return true;
   usage_error("--precision expects double|float, got '" + p + "'");
-}
-
-/// --accumulate: float (the storage scalar; default) or double (the
-/// fp64-accumulate fp32 MTTKRP kernel); usage error otherwise.
-bool flag_wants_acc64(const Flags& f) {
-  const std::string a = flag_str(f, "accumulate", "float");
-  if (a == "float" || a == "fp32" || a == "f32") return false;
-  if (a == "double" || a == "fp64" || a == "f64") return true;
-  usage_error("--accumulate expects double|float, got '" + a + "'");
 }
 
 /// --wisdom F: STRICT tuned-profile load — a missing, corrupt, or
@@ -504,9 +496,8 @@ int cmd_tune(int argc, char** argv) {
 /// and anything thrown while running is a runtime failure (exit 2).
 int cmd_decompose(int argc, char** argv) {
   static const FlagSet kFlags{
-      {"rank", "iters", "tol", "seed", "threads", "precision", "accumulate",
-       "sweep", "method", "levels", "out", "wisdom", "checkpoint",
-       "checkpoint-every"},
+      {"rank", "iters", "tol", "seed", "threads", "precision", "sweep",
+       "method", "levels", "out", "wisdom", "checkpoint", "checkpoint-every"},
       {"nn", "resume"}};
   std::string pos;
   const Flags flags = parse_flags(argc, argv, kFlags, &pos);
@@ -514,7 +505,6 @@ int cmd_decompose(int argc, char** argv) {
   DecomposeSpec spec;
   spec.tensor = pos;
   spec.f32 = flag_wants_f32(flags);
-  spec.acc64 = flag_wants_acc64(flags);
   spec.nn = flags.count("nn") != 0;
   spec.rank = static_cast<index_t>(flag_int(flags, "rank", spec.rank, 1));
   spec.iters = static_cast<int>(flag_int(flags, "iters", spec.iters, 1));
@@ -549,7 +539,8 @@ int cmd_decompose(int argc, char** argv) {
   const char* driver =
       job->sparse() ? "sparse cp_als" : (s.nn ? "cp_nnhals" : "cp_als");
   const char* precision =
-      !s.f32 ? "" : (s.acc64 ? ", fp32+acc64" : ", fp32");
+      !s.f32 ? ""
+             : (s.method == MttkrpMethod::Acc64 ? ", fp32+acc64" : ", fp32");
   const std::string nnz =
       job->sparse() ? "nnz " + std::to_string(r.nnz) + ", " : "";
   std::printf("%s[%s sweep%s]: rank %lld, %sfit %.6f, %d sweeps (%s), "

@@ -58,6 +58,7 @@ import tempfile
 
 HOT_FILES = (
     "src/core/mttkrp.cpp",
+    "src/exec/mttkrp_plan.cpp",
     "src/exec/sweep_plan.cpp",
     "src/exec/sparse_mttkrp_plan.cpp",
     "src/blas/gemm.cpp",
