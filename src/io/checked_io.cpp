@@ -15,7 +15,9 @@ namespace dmtk::io {
 namespace {
 
 constexpr std::size_t kWriteBufBytes = 1u << 16;
-constexpr std::size_t kReadBufBytes = 1u << 16;
+/// Bulk reads bypass the buffer in chunks that stay cache-resident
+/// between the read() that writes them and the CRC pass that reads them.
+constexpr std::size_t kDirectChunkBytes = 1u << 18;
 
 std::string errno_text(int err) {
   return err != 0 ? std::string(std::strerror(err)) : std::string("error");
@@ -199,32 +201,31 @@ void FileReader::fail(const std::string& what) {
   throw IoError("'" + path_.string() + "': " + what);
 }
 
+std::size_t FileReader::read_some(char* dst, std::size_t ask) {
+  const std::uint64_t file_pos = offset_ + (buf_end_ - buf_pos_);
+  ssize_t n = 0;
+  do {
+    n = ::read(fd_, dst, ask);
+  } while (n < 0 && errno == EINTR);
+  if (n < 0)
+    fail("read() failed at offset " + std::to_string(file_pos) + ": " +
+         errno_text(errno));
+  if (fault::any_armed() && fault::should_fail("io.read.short")) n = 0;
+  if (n == 0)
+    fail("truncated: unexpected end of data at offset " +
+         std::to_string(file_pos) + " (payload size " +
+         std::to_string(payload_size_) + ")");
+  return static_cast<std::size_t>(n);
+}
+
 void FileReader::refill(std::size_t need) {
-  // Compact the consumed prefix, then read up to the payload boundary.
-  buf_.erase(0, buf_pos_);
+  // Only called with the buffer drained; reads up to the payload boundary.
   buf_pos_ = 0;
-  const std::uint64_t buffered = buf_.size();
-  const std::uint64_t payload_left = payload_size_ - offset_ - buffered;
-  std::uint64_t want =
-      std::min<std::uint64_t>(payload_left, kReadBufBytes - buffered);
-  while (buf_.size() < need && want > 0) {
-    char chunk[kReadBufBytes];
-    const std::size_t ask =
-        static_cast<std::size_t>(std::min<std::uint64_t>(want, sizeof chunk));
-    ssize_t n = ::read(fd_, chunk, ask);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      fail("read() failed at offset " + std::to_string(offset_ + buf_.size()) +
-           ": " + errno_text(errno));
-    }
-    if (fault::any_armed() && fault::should_fail("io.read.short")) n = 0;
-    if (n == 0)
-      fail("truncated: unexpected end of data at offset " +
-           std::to_string(offset_ + buf_.size()) + " (payload size " +
-           std::to_string(payload_size_) + ")");
-    buf_.append(chunk, static_cast<std::size_t>(n));
-    want -= static_cast<std::uint64_t>(n);
-  }
+  buf_end_ = 0;
+  const std::size_t want = static_cast<std::size_t>(
+      std::min<std::uint64_t>(payload_size_ - offset_, kBufBytes));
+  while (buf_end_ < need)
+    buf_end_ += read_some(buf_.data() + buf_end_, want - buf_end_);
 }
 
 void FileReader::read_bytes(void* data, std::size_t n) {
@@ -234,14 +235,20 @@ void FileReader::read_bytes(void* data, std::size_t n) {
          std::to_string(payload_size_));
   char* out = static_cast<char*>(data);
   while (n > 0) {
-    if (buf_pos_ == buf_.size()) {
-      refill(std::min<std::size_t>(n, kReadBufBytes));
+    std::size_t take = 0;
+    if (buf_pos_ < buf_end_) {
+      take = std::min(n, buf_end_ - buf_pos_);
+      std::memcpy(out, buf_.data() + buf_pos_, take);
+      buf_pos_ += take;
+    } else if (n >= kBufBytes) {
+      // Bulk: read() lands straight in the caller's storage, one
+      // cache-sized chunk at a time, and the CRC folds it while it is hot.
+      take = read_some(out, std::min(n, kDirectChunkBytes));
+    } else {
+      refill(n);
+      continue;
     }
-    const std::size_t have = buf_.size() - buf_pos_;
-    const std::size_t take = std::min(n, have);
-    std::memcpy(out, buf_.data() + buf_pos_, take);
     crc_ = util::crc32_update(crc_, out, take);
-    buf_pos_ += take;
     out += take;
     offset_ += take;
     n -= take;

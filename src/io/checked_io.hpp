@@ -104,8 +104,16 @@ class FileWriter {
 /// Bounded, checksumming reader with footer auto-detection. read_bytes
 /// past the payload (or a short read from the OS) throws an IoError
 /// naming the file and byte offset — the caller never sees partial data.
+///
+/// Small reads are served from a 64 KiB buffer. A read at least that
+/// large, once the buffer is drained, goes from read() straight into the
+/// caller's storage in 256 KiB chunks, each folded into the CRC right
+/// after it lands: the bytes are copied once and checksummed from cache.
 class FileReader {
  public:
+  /// Reads smaller than this are served from the buffer.
+  static constexpr std::size_t kBufBytes = std::size_t{1} << 16;
+
   explicit FileReader(const std::filesystem::path& path);
   ~FileReader();
 
@@ -119,7 +127,8 @@ class FileReader {
   [[nodiscard]] std::uint64_t offset() const noexcept { return offset_; }
   [[nodiscard]] bool has_footer() const noexcept { return has_footer_; }
 
-  /// Read exactly `n` payload bytes (folding them into the running CRC).
+  /// Read exactly `n` payload bytes into `data` (folding them into the
+  /// running CRC). After an IoError the contents of `data` are unspecified.
   void read_bytes(void* data, std::size_t n);
 
   std::uint64_t read_u64() {
@@ -135,6 +144,11 @@ class FileReader {
   void verify();
 
  private:
+  /// One read() of up to `ask` bytes, at file offset offset_ plus the
+  /// bytes buffered; never returns 0 (a short or failed read throws,
+  /// naming that offset).
+  std::size_t read_some(char* dst, std::size_t ask);
+  /// Refill the drained buffer with at least `need` bytes.
   void refill(std::size_t need);
   [[noreturn]] void fail(const std::string& what);
 
@@ -147,8 +161,12 @@ class FileReader {
   bool has_footer_ = false;
   std::uint64_t footer_payload_size_ = 0;
   std::uint32_t footer_crc_ = 0;
-  std::string buf_;
-  std::size_t buf_pos_ = 0;
+  /// In the object, not on the heap: readers live on the stack, and one
+  /// more heap block per file read was measured to fragment the heap
+  /// enough to raise a long-running process's peak RSS.
+  std::array<char, kBufBytes> buf_{};
+  std::size_t buf_pos_ = 0;  ///< next unconsumed byte in buf_
+  std::size_t buf_end_ = 0;  ///< end of the buffered bytes
 };
 
 }  // namespace dmtk::io

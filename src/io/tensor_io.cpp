@@ -154,10 +154,11 @@ namespace {
 /// Cross-precision payload read: stream the stored kind through a small
 /// fixed-size staging buffer, converting per chunk — peak extra memory is
 /// O(chunk), not O(tensor), which is what keeps the fp32 path's halved
-/// footprint honest when narrowing a large f64 file.
+/// footprint honest when narrowing a large f64 file. At 256 KiB the stage
+/// is still in cache when the conversion reads it back.
 template <typename From, typename To>
 void read_converting(FileReader& r, To* dst, std::size_t n) {
-  constexpr std::size_t kChunk = std::size_t{1} << 20;  // elements
+  constexpr std::size_t kChunk = (std::size_t{1} << 18) / sizeof(From);
   std::vector<From> stage(std::min(n, kChunk));
   std::size_t done = 0;
   while (done < n) {

@@ -28,7 +28,12 @@
 /// "busy" (queue full — admission control), "timeout" (job exceeded the
 /// oldest-job age bound while queued), "io_error" (tensor/model file
 /// problems), "internal" (anything else). Success responses set
-/// "ok": true and carry per-request "timings_ms".
+/// "ok": true and carry per-request "timings_ms": "queue" (enqueue to
+/// dequeue), "read" (the checked tensor read alone), "plan", "exec" and
+/// "total". For a decompose, "plan" is the plan-cache lookup or build
+/// and "exec" the CP-ALS run. For an mttkrp, "plan" is the operand set-up
+/// (factor draw, mode-n matricization, transposed KRP) and "exec" the
+/// batch's shared GEMM.
 
 #include <cstdint>
 #include <stdexcept>

@@ -586,6 +586,7 @@ void Server::mttkrp_exec(Worker& ws, std::vector<Queue::Item*>& live) {
     MatrixT<T> M;   ///< I_n x C output
     double queue_ms = 0.0;
     double read_ms = 0.0;
+    double plan_ms = 0.0;  ///< factor draw + matricize + transposed KRP
   };
   std::vector<Prep> preps;
   preps.reserve(live.size());
@@ -603,6 +604,8 @@ void Server::mttkrp_exec(Worker& ws, std::vector<Queue::Item*>& live) {
       DMTK_CHECK(std::equal(X.dims().begin(), X.dims().end(),
                             job.dims.begin(), job.dims.end()),
                  "mttkrp: tensor extents changed between probe and read");
+      p.read_ms = read_t.seconds() * 1e3;
+      WallTimer plan_t;
       Rng rng(r.spec.seed);
       const KtensorT<T> F = KtensorT<T>::random(X.dims(), r.spec.rank, rng);
       const index_t In = X.dim(r.mode);
@@ -612,7 +615,7 @@ void Server::mttkrp_exec(Worker& ws, std::vector<Queue::Item*>& live) {
       const FactorListT<T> fl = mttkrp_krp_factors(F.factors, r.mode);
       krp_transposed_into(fl, p.Kt, KrpVariant::Reuse, nt);
       p.M = MatrixT<T>(In, r.spec.rank);
-      p.read_ms = read_t.seconds() * 1e3;
+      p.plan_ms = plan_t.seconds() * 1e3;
       preps.push_back(std::move(p));
     } catch (...) {
       send_error_for_exception(job.conn, r.id);
@@ -666,7 +669,7 @@ void Server::mttkrp_exec(Worker& ws, std::vector<Queue::Item*>& live) {
         resp.set("out", Json(r.out));
       }
       resp.set("timings_ms",
-               timings_json(p.queue_ms, p.read_ms, 0.0, exec_ms,
+               timings_json(p.queue_ms, p.read_ms, p.plan_ms, exec_ms,
                             ms_since(p.item->job.received)));
       send_line(p.item->job.conn, resp);
     } catch (...) {

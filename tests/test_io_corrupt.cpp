@@ -3,12 +3,15 @@
 /// several depths and single-bit rot must produce a clean structured
 /// IoError — never a crash, a hang, or a silently wrong tensor — and the
 /// atomic-write path must leave the previous file intact when a write
-/// fails mid-stream.
+/// fails mid-stream. The multi-chunk cases use a tensor large enough that
+/// its body bypasses the reader's buffer and arrives in several direct
+/// bulk reads.
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -19,6 +22,7 @@
 
 #include "core/cp_model.hpp"
 #include "core/tensor.hpp"
+#include "io/checked_io.hpp"
 #include "io/checkpoint.hpp"
 #include "io/tensor_io.hpp"
 #include "util/fault.hpp"
@@ -258,6 +262,123 @@ TEST_F(IoCorruptTest, ShortReadFaultDrivesTheTruncationBranch) {
   }
   fault::disarm_all();
   EXPECT_NO_THROW((void)io::read_tensor(p));
+}
+
+// ---------------------------------------------------------------------------
+// Multi-chunk bodies: the direct bulk-read path
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kBigHeaderBytes = 8 + 8 + 3 * 8;  // magic, order, dims
+
+/// 64x64x40 f64: a 1.3 MB body, several 256 KiB bulk chunks past the
+/// 64 KiB buffer.
+Tensor big_tensor() {
+  Rng rng(31);
+  return Tensor::random_uniform({64, 64, 40}, rng);
+}
+
+/// The byte offset an IoError message reports ("... offset N ...").
+std::uint64_t reported_offset(const std::string& what) {
+  const std::size_t at = what.find("offset ");
+  if (at == std::string::npos) return 0;
+  return std::stoull(what.substr(at + 7));
+}
+
+TEST_F(IoCorruptTest, BitFlipInLastBulkChunkFailsTheChecksum) {
+  const std::string p = path("big.dten");
+  io::write_tensor(p, big_tensor());
+  std::vector<char> bytes = slurp(p);
+  // 100 bytes before the footer: inside the final bulk chunk.
+  const std::size_t at = bytes.size() - 24 - 100;
+  bytes[at] = static_cast<char>(bytes[at] ^ 0x01);
+  spit(p, bytes);
+  try {
+    (void)io::read_tensor(p);
+    FAIL() << "bit flip in the last chunk went undetected";
+  } catch (const io::IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("checksum mismatch"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(IoCorruptTest, TruncationMidBodyNamesTheOffset) {
+  const std::string p = path("big.dten");
+  const Tensor X = big_tensor();
+  io::write_tensor(p, X);
+  const std::size_t body = static_cast<std::size_t>(X.numel()) * sizeof(double);
+  // The file loses the back half of its body after the reader sized it:
+  // a bulk read hits end-of-file at the cut and must say where.
+  io::FileReader r(p);
+  std::vector<char> header(kBigHeaderBytes);
+  r.read_bytes(header.data(), header.size());
+  const std::uint64_t cut = kBigHeaderBytes + body / 2 + 1;
+  fs::resize_file(p, cut);
+  std::vector<double> out(static_cast<std::size_t>(X.numel()));
+  try {
+    r.read_bytes(out.data(), body);
+    FAIL() << "mid-body truncation went undetected";
+  } catch (const io::IoError& e) {
+    EXPECT_EQ(reported_offset(e.what()), cut) << e.what();
+  }
+
+  // Through the public reader: a file one byte short of its body fails
+  // the payload bounds check, before any body byte is read.
+  io::write_tensor(p, X);
+  fs::resize_file(p, kBigHeaderBytes + body - 1);
+  try {
+    (void)io::read_tensor(p);
+    FAIL() << "one-byte-short body went undetected";
+  } catch (const io::IoError& e) {
+    EXPECT_EQ(reported_offset(e.what()), kBigHeaderBytes) << e.what();
+  }
+}
+
+TEST_F(IoCorruptTest, ShortReadFaultOnBulkReadReportsOffsetPastHeader) {
+  const std::string p = path("big.dten");
+  const Tensor X = big_tensor();
+  io::write_tensor(p, X);
+  const std::size_t body = static_cast<std::size_t>(X.numel()) * sizeof(double);
+  io::FileReader r(p);
+  std::vector<char> header(kBigHeaderBytes);
+  r.read_bytes(header.data(), header.size());
+  // Armed after the header: the first read() the fault sees is a bulk
+  // read straight into the destination.
+  fault::arm("io.read.short", 1.0, 9);
+  std::vector<double> out(static_cast<std::size_t>(X.numel()));
+  try {
+    r.read_bytes(out.data(), body);
+    FAIL() << "short-read fault did not surface";
+  } catch (const io::IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
+        << e.what();
+    EXPECT_GT(reported_offset(e.what()), kBigHeaderBytes) << e.what();
+  }
+  fault::disarm_all();
+  const Tensor back = io::read_tensor(p);
+  EXPECT_TRUE(std::equal(back.data(), back.data() + back.numel(), X.data()));
+}
+
+TEST_F(IoCorruptTest, MultiChunkCrossPrecisionReadsMatchTensorCast) {
+  const std::string p64 = path("big64.dten");
+  const std::string p32 = path("big32.dten");
+  const Tensor X = big_tensor();
+  Rng rng(37);
+  const TensorF Xf = TensorF::random_uniform({80, 64, 48}, rng);
+  io::write_tensor(p64, X);
+  io::write_tensor(p32, Xf);
+
+  const TensorF narrowed = io::read_tensor_as<float>(p64);
+  const TensorF want_f = tensor_cast<float>(X);
+  ASSERT_EQ(narrowed.numel(), want_f.numel());
+  EXPECT_TRUE(std::equal(narrowed.data(), narrowed.data() + narrowed.numel(),
+                         want_f.data()));
+
+  const Tensor widened = io::read_tensor_as<double>(p32);
+  const Tensor want_d = tensor_cast<double>(Xf);
+  ASSERT_EQ(widened.numel(), want_d.numel());
+  EXPECT_TRUE(std::equal(widened.data(), widened.data() + widened.numel(),
+                         want_d.data()));
 }
 
 }  // namespace

@@ -21,6 +21,8 @@
 #include <vector>
 
 #include "core/cp_als.hpp"
+#include "core/cp_model.hpp"
+#include "core/mttkrp.hpp"
 #include "core/tensor.hpp"
 #include "io/tensor_io.hpp"
 #include "serve/client.hpp"
@@ -245,6 +247,41 @@ TEST_F(ServeTest, ColdRequestsBypassTheCache) {
 // ---------------------------------------------------------------------------
 // Malformed requests: strict validation, connection survives
 // ---------------------------------------------------------------------------
+
+TEST_F(ServeTest, MttkrpTimesOperandSetUpAsPlanNotRead) {
+  ServeOptions so;
+  so.workers = 1;
+  so.threads = 1;
+  start(so);
+  const std::string tensor = make_dense("m.dten", {40, 30, 20}, 5);
+
+  Json req;
+  req.set("type", Json("mttkrp"));
+  req.set("tensor", Json(tensor));
+  req.set("rank", Json(4));
+  req.set("mode", Json(1));
+  req.set("seed", Json(3));
+  const Json resp = roundtrip(req);
+  ASSERT_TRUE(resp.find("ok")->as_bool()) << resp.dump();
+
+  // The served product is the direct MTTKRP on the same factor draw.
+  const Tensor X = io::read_tensor(tensor);
+  Rng rng(3);
+  const Ktensor F = Ktensor::random(X.dims(), 4, rng);
+  const Matrix M = mttkrp(X, std::span<const Matrix>(F.factors), 1);
+  EXPECT_NEAR(resp.find("norm")->as_number(), M.norm(), 1e-9 * M.norm());
+
+  // "read" is the checked file read alone; the factor draw, matricization
+  // and KRP are reported as "plan", and the phases fit inside "total".
+  const Json* t = resp.find("timings_ms");
+  ASSERT_NE(t, nullptr) << resp.dump();
+  const double read = t->find("read")->as_number();
+  const double plan = t->find("plan")->as_number();
+  const double exec = t->find("exec")->as_number();
+  EXPECT_GT(read, 0.0);
+  EXPECT_GT(plan, 0.0) << resp.dump();
+  EXPECT_LE(read + plan + exec, t->find("total")->as_number()) << resp.dump();
+}
 
 TEST_F(ServeTest, MalformedRequestTable) {
   ServeOptions so;

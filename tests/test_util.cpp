@@ -1,13 +1,16 @@
 // Tests for util/: block partitioning, stats, RNG, timers, STREAM kernels,
-// and the threading environment.
+// the threading environment, and the CRC-32 kernels.
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <numeric>
 #include <thread>
 #include <vector>
 
 #include "util/common.hpp"
+#include "util/crc32.hpp"
 #include "util/env.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -289,6 +292,90 @@ TEST(Env, SetNumThreadsClampsToOne) {
 }
 
 TEST(Env, HardwareThreadsPositive) { EXPECT_GE(hardware_threads(), 1); }
+
+// -------------------------------------------------------------------- crc32
+
+/// The bytewise table loop: the reference both kernels must reproduce.
+std::uint32_t crc32_oracle(std::uint32_t state, const unsigned char* p,
+                           std::size_t n) {
+  static const std::array<std::uint32_t, 256> table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k)
+        c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+      t[i] = c;
+    }
+    return t;
+  }();
+  for (std::size_t i = 0; i < n; ++i)
+    state = table[(state ^ p[i]) & 0xFFu] ^ (state >> 8);
+  return state;
+}
+
+std::vector<unsigned char> random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<unsigned char> b(n);
+  for (unsigned char& c : b) c = static_cast<unsigned char>(rng.next_u64());
+  return b;
+}
+
+using CrcKernel = std::uint32_t (*)(std::uint32_t, const void*,
+                                    std::size_t) noexcept;
+
+/// Every length 0..4096 from an aligned start, then random (length up to
+/// 4 MiB, start alignment 0..63, running state) cases against the oracle.
+void expect_matches_oracle(CrcKernel kernel, const char* name) {
+  constexpr std::size_t kMax = std::size_t{4} << 20;
+  const std::vector<unsigned char> buf = random_bytes(kMax + 64, 71);
+  for (std::size_t n = 0; n <= 4096; ++n) {
+    ASSERT_EQ(kernel(util::crc32_init(), buf.data(), n),
+              crc32_oracle(util::crc32_init(), buf.data(), n))
+        << name << " length " << n;
+  }
+  Rng rng(72);
+  for (int trial = 0; trial < 48; ++trial) {
+    // Log-uniform lengths, so both short tails and multi-MiB runs occur;
+    // the last trials pin the 4 MiB end.
+    const std::size_t n =
+        trial >= 44 ? kMax - static_cast<std::size_t>(rng.below(4))
+                    : static_cast<std::size_t>(
+                          rng.below(std::uint64_t{1} << rng.below(23)));
+    const std::size_t align = static_cast<std::size_t>(rng.below(64));
+    const auto state = static_cast<std::uint32_t>(rng.next_u64());
+    ASSERT_EQ(kernel(state, buf.data() + align, n),
+              crc32_oracle(state, buf.data() + align, n))
+        << name << " length " << n << " alignment " << align;
+  }
+}
+
+TEST(Crc32, KnownAnswers) {
+  // The CRC-32/ISO-HDLC check value pins the polynomial and the
+  // reflection; the empty input pins the init/final xor pair.
+  const char check[] = "123456789";
+  EXPECT_EQ(util::crc32(check, 9), 0xCBF43926u);
+  EXPECT_EQ(util::crc32(check, 0), 0u);
+}
+
+TEST(Crc32, IncrementalSplitMatchesOneShot) {
+  const std::vector<unsigned char> buf = random_bytes(1024, 73);
+  const std::uint32_t whole = util::crc32(buf.data(), buf.size());
+  for (std::size_t k = 0; k <= buf.size(); ++k) {
+    std::uint32_t s = util::crc32_update(util::crc32_init(), buf.data(), k);
+    s = util::crc32_update(s, buf.data() + k, buf.size() - k);
+    EXPECT_EQ(util::crc32_final(s), whole) << "split at " << k;
+  }
+}
+
+TEST(Crc32, Slice16MatchesBytewiseOracle) {
+  expect_matches_oracle(util::detail::crc32_slice16, "slice16");
+}
+
+TEST(Crc32, ClmulMatchesBytewiseOracle) {
+  if (!util::detail::crc32_clmul_supported())
+    GTEST_SKIP() << "CPU lacks PCLMULQDQ/SSE4.1";
+  expect_matches_oracle(util::detail::crc32_clmul, "clmul");
+}
 
 // ------------------------------------------------------------------- checks
 

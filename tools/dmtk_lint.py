@@ -63,6 +63,7 @@ HOT_FILES = (
     "src/exec/sparse_mttkrp_plan.cpp",
     "src/blas/gemm.cpp",
     "src/blas/rank_panel.cpp",
+    "src/util/crc32.cpp",
 )
 
 SCAN_DIRS = ("src", "tools")
