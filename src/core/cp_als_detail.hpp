@@ -74,13 +74,16 @@ inline void factor_solve(MatrixT<T>& H, MatrixT<T>& M, int threads) {
 /// CP fit 1 - ||X - Y||_F / ||X||_F evaluated without materializing Y:
 /// ||X - Y||^2 = ||X||^2 + ||Y||^2 - 2 <X, Y>, where <X, Y> =
 /// sum_c lambda_c <Mlast(:, c), Ulast(:, c)> because Mlast is the final-mode
-/// MTTKRP of X against the current factors. Accuracy is limited to ~sqrt(eps)
-/// of the SCALAR type by the cancellation of the O(||X||^2) terms — ~1e-8
-/// for double, ~1e-3..1e-4 for float (the fp32 fit is a fit-insensitive
-/// diagnostic, not a convergence-grade residual).
+/// MTTKRP of X against the current factors. Both squared norms come from
+/// the caller: ||X||^2 from the tensor (carried from its read), ||Y||^2 from
+/// the Grams the sweep loop already keeps (norm_squared_from_grams).
+/// Accuracy is limited to ~sqrt(eps) of the SCALAR type by the cancellation
+/// of the O(||X||^2) terms — ~1e-8 for double, ~1e-3..1e-4 for float (the
+/// fp32 fit is a fit-insensitive diagnostic, not a convergence-grade
+/// residual).
 template <typename T>
-inline double cp_fit(double normX2, const KtensorT<T>& model,
-                     const MatrixT<T>& Mlast, int threads) {
+inline double cp_fit(double normX2, double normY2, const KtensorT<T>& model,
+                     const MatrixT<T>& Mlast) {
   const index_t C = model.rank();
   const MatrixT<T>& Ulast = model.factors.back();
   double inner = 0.0;
@@ -90,7 +93,6 @@ inline double cp_fit(double normX2, const KtensorT<T>& model,
                  blas::dot(Ulast.rows(), Mlast.col(c).data(), index_t{1},
                            Ulast.col(c).data(), index_t{1}));
   }
-  const double normY2 = model.norm_squared(threads);
   const double residual2 = std::max(0.0, normX2 + normY2 - 2.0 * inner);
   const double normX = std::sqrt(normX2);
   if (normX > 0.0) return 1.0 - std::sqrt(residual2) / normX;
@@ -258,7 +260,11 @@ void run_als_sweeps(const XT& X, const CpAlsOptionsT<T>& opts,
     result.iterations = iter + 1;
     bool stop = false;
     if (opts.compute_fit) {
-      const double fit = cp_fit(normX2, model, Mlast, nt);
+      // H is free once the modes are done: it takes the Hadamard of the
+      // current Grams, in mode order, for ||Y||^2.
+      hadamard_of_grams_into(grams, -1, H);
+      const double fit =
+          cp_fit(normX2, model.norm_squared_from_grams(H), model, Mlast);
       stats.fit = fit;
       result.final_fit = fit;
       if (!std::isfinite(fit)) {

@@ -79,6 +79,14 @@ double KtensorT<T>::norm_squared(int threads) const {
                G.data(), G.ld(), threads);
     blas::hadamard_inplace(C * C, G.data(), H.data());
   }
+  return norm_squared_from_grams(H);
+}
+
+template <typename T>
+double KtensorT<T>::norm_squared_from_grams(const MatrixT<T>& H) const {
+  const index_t C = rank();
+  DMTK_CHECK(H.rows() == C && H.cols() == C,
+             "Ktensor: Gram product is not rank x rank");
   double s = 0.0;
   for (index_t i = 0; i < C; ++i) {
     for (index_t j = 0; j < C; ++j) {

@@ -43,6 +43,12 @@ struct KtensorT {
   /// materializing the tensor (double accumulation).
   [[nodiscard]] double norm_squared(int threads = 0) const;
 
+  /// ||Y||_F^2 given H = U_0^T U_0 (*) ... (*) U_{N-1}^T U_{N-1}, the
+  /// Hadamard product of the factor Grams taken in mode order. The CP-ALS
+  /// sweep loop keeps those Grams current and passes them in; with Grams
+  /// from the same syrk, the bits equal norm_squared()'s.
+  [[nodiscard]] double norm_squared_from_grams(const MatrixT<T>& H) const;
+
   /// Pull column 2-norms of every factor into lambda (multiplicatively).
   void normalize_columns();
 

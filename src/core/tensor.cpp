@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "util/env.hpp"
-#include "util/parallel.hpp"
+#include "util/sumsq.hpp"
 
 namespace dmtk {
 
@@ -29,25 +29,8 @@ double TensorT<T>::norm(int threads) const {
 
 template <typename T>
 double TensorT<T>::norm_squared(int threads) const {
-  // One contiguous block per planned thread, partials added in thread
-  // order: no combine order is left to the OpenMP runtime.
-  const int nt = resolve_threads(threads);
-  std::vector<double> partial(static_cast<std::size_t>(nt), 0.0);
-  parallel_region(nt, [&](int t, int nteam) {
-    for (int b = t; b < nt; b += nteam) {
-      const Range r = block_range(numel_, nt, b);
-      double sum = 0.0;
-      for (index_t i = r.begin; i < r.end; ++i) {
-        const double v =
-            static_cast<double>(data_[static_cast<std::size_t>(i)]);
-        sum += v * v;
-      }
-      partial[static_cast<std::size_t>(b)] = sum;
-    }
-  });
-  double total = 0.0;
-  for (const double p : partial) total += p;
-  return total;
+  if (norm2_) return *norm2_;
+  return util::sumsq(data_.data(), data_.size(), resolve_threads(threads));
 }
 
 template <typename T>

@@ -16,7 +16,13 @@
 /// bandwidth-bound kernel moves (the paper's algorithms are bandwidth-bound,
 /// so fp32 buys ~2x on fit-insensitive loads). `Tensor` and `TensorF` alias
 /// the two instantiations; norms accumulate in double for either scalar.
+///
+/// A tensor read from a file carries its ‖X‖², summed while the checked
+/// read streamed the data in, so CP-ALS and Tucker make no pass of their
+/// own over X for it. Any non-const access drops the carried value.
 
+#include <filesystem>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -25,6 +31,14 @@
 #include "util/rng.hpp"
 
 namespace dmtk {
+
+template <typename T>
+class TensorT;
+
+namespace io {
+template <typename T>
+TensorT<T> read_tensor_as(const std::filesystem::path& path);
+}  // namespace io
 
 template <typename T>
 class TensorT {
@@ -77,21 +91,32 @@ class TensorT {
     return l;
   }
 
-  T& operator[](index_t l) { return data_[static_cast<std::size_t>(l)]; }
+  // Every non-const accessor drops the carried ‖X‖²: the caller may write.
+  T& operator[](index_t l) {
+    norm2_.reset();
+    return data_[static_cast<std::size_t>(l)];
+  }
   T operator[](index_t l) const {
     return data_[static_cast<std::size_t>(l)];
   }
 
   T& operator()(std::span<const index_t> idx) {
+    norm2_.reset();
     return data_[static_cast<std::size_t>(linear_index(idx))];
   }
   T operator()(std::span<const index_t> idx) const {
     return data_[static_cast<std::size_t>(linear_index(idx))];
   }
 
-  [[nodiscard]] T* data() { return data_.data(); }
+  [[nodiscard]] T* data() {
+    norm2_.reset();
+    return data_.data();
+  }
   [[nodiscard]] const T* data() const { return data_.data(); }
-  [[nodiscard]] std::span<T> span() { return {data_.data(), data_.size()}; }
+  [[nodiscard]] std::span<T> span() {
+    norm2_.reset();
+    return {data_.data(), data_.size()};
+  }
   [[nodiscard]] std::span<const T> span() const {
     return {data_.data(), data_.size()};
   }
@@ -103,18 +128,25 @@ class TensorT {
                               j * left_size(n) * dim(n));
   }
 
-  void set_zero() { std::fill(data_.begin(), data_.end(), T{0}); }
+  void set_zero() {
+    norm2_.reset();
+    std::fill(data_.begin(), data_.end(), T{0});
+  }
 
   /// Frobenius norm (the residual-norm term of CP-ALS needs this once per
   /// decomposition); sqrt of norm_squared(), with the same guarantee.
   [[nodiscard]] double norm(int threads = 0) const;
 
   /// Sum of squares of all entries, accumulated in double for either
-  /// scalar type. Each of the `threads` threads sums one contiguous block
-  /// and the partial sums are added in thread order, so the result is
-  /// bitwise fixed for a given thread count — run to run, whatever order
-  /// the threads finish in — but not across thread counts.
+  /// scalar type: the value carried in from the file read when there is
+  /// one, else a util::sumsq pass on `threads` threads. The summation
+  /// order is fixed by each entry's position alone (util/sumsq.hpp), so
+  /// the result is bitwise the same for every thread count, run to run,
+  /// and whether it was carried or computed.
   [[nodiscard]] double norm_squared(int threads = 0) const;
+
+  /// True while the tensor carries the ‖X‖² its file read computed.
+  [[nodiscard]] bool carries_norm() const { return norm2_.has_value(); }
 
   /// Max absolute entrywise difference; shapes must match.
   [[nodiscard]] double max_abs_diff(const TensorT& other) const;
@@ -130,6 +162,11 @@ class TensorT {
   std::vector<index_t> strides_;  // strides_[n] = prod_{k<n} dims_[k] = I_Ln
   index_t numel_ = 0;
   std::vector<T, AlignedAllocator<T>> data_;
+  /// ‖X‖² summed by the checked read; set nowhere else, dropped by every
+  /// non-const accessor. Copies and moves keep it.
+  std::optional<double> norm2_;
+
+  friend TensorT io::read_tensor_as<T>(const std::filesystem::path& path);
 };
 
 extern template class TensorT<double>;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "io/checked_io.hpp"
+#include "util/sumsq.hpp"
 
 namespace dmtk::io {
 
@@ -151,14 +152,19 @@ void write_tensor(const std::filesystem::path& path, const TensorT<T>& X) {
 
 namespace {
 
+/// Bytes per chunk of a bulk body read: small enough that a chunk is still
+/// in cache when the conversion and the ‖X‖² fold read it back.
+constexpr std::size_t kChunkBytes = std::size_t{1} << 18;
+
 /// Cross-precision payload read: stream the stored kind through a small
 /// fixed-size staging buffer, converting per chunk — peak extra memory is
 /// O(chunk), not O(tensor), which is what keeps the fp32 path's halved
-/// footprint honest when narrowing a large f64 file. At 256 KiB the stage
-/// is still in cache when the conversion reads it back.
-template <typename From, typename To>
-void read_converting(FileReader& r, To* dst, std::size_t n) {
-  constexpr std::size_t kChunk = (std::size_t{1} << 18) / sizeof(From);
+/// footprint honest when narrowing a large f64 file. `on_chunk(p, k)` sees
+/// each converted chunk while it is hot.
+template <typename From, typename To, typename OnChunk>
+void read_converting(FileReader& r, To* dst, std::size_t n,
+                     OnChunk&& on_chunk) {
+  constexpr std::size_t kChunk = kChunkBytes / sizeof(From);
   std::vector<From> stage(std::min(n, kChunk));
   std::size_t done = 0;
   while (done < n) {
@@ -167,6 +173,24 @@ void read_converting(FileReader& r, To* dst, std::size_t n) {
     for (std::size_t i = 0; i < take; ++i) {
       dst[done + i] = static_cast<To>(stage[i]);
     }
+    on_chunk(dst + done, take);
+    done += take;
+  }
+}
+
+template <typename From, typename To>
+void read_converting(FileReader& r, To* dst, std::size_t n) {
+  read_converting<From>(r, dst, n, [](const To*, std::size_t) {});
+}
+
+/// Same-precision payload read, in chunks that `on_chunk` sees while hot.
+template <typename T, typename OnChunk>
+void read_direct(FileReader& r, T* dst, std::size_t n, OnChunk&& on_chunk) {
+  constexpr std::size_t kChunk = kChunkBytes / sizeof(T);
+  for (std::size_t done = 0; done < n;) {
+    const std::size_t take = std::min(kChunk, n - done);
+    read_scalars(r, dst + done, take);
+    on_chunk(dst + done, take);
     done += take;
   }
 }
@@ -189,15 +213,20 @@ TensorT<T> read_tensor_as(const std::filesystem::path& path) {
   check_payload_has(r, numel, elem, "tensor body");
   TensorT<T> X(dims);
   const std::size_t n = static_cast<std::size_t>(X.numel());
+  // ‖X‖² of the values as stored in X, folded chunk by chunk behind the
+  // CRC; the tensor carries it only once verify() has passed.
+  util::SumSq<T> norm2;
+  const auto fold = [&norm2](const T* p, std::size_t k) { norm2.update(p, k); };
   const bool want_f32 = std::is_same_v<T, float>;
   if ((kind == ScalarKind::F32) == want_f32) {
-    read_scalars(r, X.data(), n);
+    read_direct(r, X.data(), n, fold);
   } else if (kind == ScalarKind::F32) {
-    read_converting<float>(r, X.data(), n);
+    read_converting<float>(r, X.data(), n, fold);
   } else {
-    read_converting<double>(r, X.data(), n);
+    read_converting<double>(r, X.data(), n, fold);
   }
   r.verify();
+  X.norm2_ = norm2.value();
   return X;
 }
 

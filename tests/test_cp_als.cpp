@@ -1,13 +1,21 @@
 // CP-ALS behaviour: exact recovery of low-rank tensors, fit monotonicity,
-// convergence flags, method invariance, warm starts, and the Gram/Hadamard
-// helper.
+// convergence flags, method invariance, warm starts, the Gram/Hadamard
+// helper, and the two squared norms the fit takes from elsewhere: ‖X‖²
+// carried from the tensor read, ‖Y‖² from the sweep loop's Grams.
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <array>
 #include <cmath>
+#include <filesystem>
+#include <string>
 
 #include "core/cp_als.hpp"
+#include "core/cp_als_detail.hpp"
+#include "exec/mttkrp_plan.hpp"
+#include "io/tensor_io.hpp"
 #include "test_helpers.hpp"
 
 namespace dmtk {
@@ -266,6 +274,95 @@ TEST(HadamardOfGrams, MismatchThrows) {
   Matrix G0(2, 2), G1(3, 3);
   const std::vector<Matrix> grams{G0, G1};
   EXPECT_THROW(hadamard_of_grams(grams, -1), DimensionError);
+}
+
+TEST(CpAls, ModelNormFromLoopGramsMatchesNormSquaredBitwise) {
+  Rng rng(17);
+  Ktensor K = Ktensor::random(std::array<index_t, 4>{40, 9, 13, 7}, 5, rng);
+  K.lambda = {2.5, 0.5, 1.25, 3.0, 0.75};
+  for (const int threads : {1, 3}) {
+    std::vector<Matrix> grams;
+    for (const Matrix& U : K.factors) {
+      grams.emplace_back(K.rank(), K.rank());
+      detail::gram(U, grams.back(), threads);
+    }
+    EXPECT_EQ(K.norm_squared_from_grams(hadamard_of_grams(grams, -1)),
+              K.norm_squared(threads))
+        << "threads " << threads;
+  }
+}
+
+TEST(CpAls, FitEqualsTheFormulaWithAFreshModelNorm) {
+  // The sweep loop takes ||Y||^2 from the Grams it keeps; recomputing it
+  // from the final model, with the last mode's MTTKRP, gives the same bits.
+  // A change in how the Grams are combined moves the fit's last bit only
+  // on some inputs, hence several seeds.
+  const index_t C = 7;
+  for (std::uint64_t seed = 0; seed < 12; ++seed) {
+    Rng rng(seed);
+    const Tensor X = Tensor::random_uniform({11, 9, 8, 6}, rng);
+    for (const int threads : {1, 3}) {
+      ExecContext ctx(threads);
+      CpAlsOptions o;
+      o.rank = C;
+      o.max_iters = 3;
+      o.tol = 0.0;
+      o.sweep_scheme = SweepScheme::PerMode;
+      o.exec = &ctx;
+      const CpAlsResult r = cp_als(X, o);
+      MttkrpPlan last(ctx, X.dims(), C, X.order() - 1);
+      Matrix Mlast(X.dim(X.order() - 1), C);
+      last.execute(X, r.model.factors, Mlast);
+      EXPECT_EQ(r.final_fit,
+                detail::cp_fit(X.norm_squared(threads),
+                               r.model.norm_squared(threads), r.model, Mlast))
+          << "seed " << seed << ", threads " << threads;
+    }
+  }
+}
+
+/// cp_als on a tensor as read (‖X‖² carried) and on a copy whose carried
+/// value was dropped (‖X‖² recomputed) must agree to the last bit: the
+/// CLI-vs-server model comparison and checkpoint resume rely on it.
+template <typename T>
+void expect_same_result_carried_or_not() {
+  namespace fs = std::filesystem;
+  const fs::path p = fs::temp_directory_path() /
+                     ("dmtk_cp_als_carried_" + std::to_string(::getpid()) +
+                      (std::is_same_v<T, float> ? "_f32" : "_f64") + ".dten");
+  Rng rng(23);
+  // More than one sum-of-squares group, so the recomputed norm is a
+  // threaded pass.
+  io::write_tensor(p, TensorT<T>::random_uniform({48, 40, 36}, rng));
+  const TensorT<T> carried = io::read_tensor_as<T>(p);
+  fs::remove(p);
+  TensorT<T> dropped = carried;
+  (void)dropped.data();
+  ASSERT_TRUE(carried.carries_norm());
+  ASSERT_FALSE(dropped.carries_norm());
+  for (const int threads : {1, 4}) {
+    CpAlsOptionsT<T> o;
+    o.rank = 3;
+    o.max_iters = 4;
+    o.tol = 0.0;
+    o.threads = threads;
+    const CpAlsResultT<T> a = cp_als(carried, o);
+    const CpAlsResultT<T> b = cp_als(dropped, o);
+    EXPECT_EQ(a.final_fit, b.final_fit) << "threads " << threads;
+    EXPECT_EQ(a.model.lambda, b.model.lambda) << "threads " << threads;
+    for (std::size_t n = 0; n < a.model.factors.size(); ++n) {
+      EXPECT_EQ(a.model.factors[n].max_abs_diff(b.model.factors[n]), 0.0)
+          << "threads " << threads << ", factor " << n;
+    }
+  }
+}
+
+TEST(CpAls, SameResultWhetherTheNormIsCarriedOrRecomputedF64) {
+  expect_same_result_carried_or_not<double>();
+}
+
+TEST(CpAls, SameResultWhetherTheNormIsCarriedOrRecomputedF32) {
+  expect_same_result_carried_or_not<float>();
 }
 
 }  // namespace

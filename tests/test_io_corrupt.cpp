@@ -5,19 +5,22 @@
 /// atomic-write path must leave the previous file intact when a write
 /// fails mid-stream. The multi-chunk cases use a tensor large enough that
 /// its body bypasses the reader's buffer and arrives in several direct
-/// bulk reads.
+/// bulk reads. The last section covers the ‖X‖² the tensor read folds in
+/// and carries.
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cp_model.hpp"
@@ -27,6 +30,7 @@
 #include "io/tensor_io.hpp"
 #include "util/fault.hpp"
 #include "util/rng.hpp"
+#include "util/sumsq.hpp"
 
 namespace dmtk {
 namespace {
@@ -379,6 +383,98 @@ TEST_F(IoCorruptTest, MultiChunkCrossPrecisionReadsMatchTensorCast) {
   ASSERT_EQ(widened.numel(), want_d.numel());
   EXPECT_TRUE(std::equal(widened.data(), widened.data() + widened.numel(),
                          want_d.data()));
+}
+
+// ---------------------------------------------------------------------------
+// The carried ‖X‖²
+// ---------------------------------------------------------------------------
+
+/// A fresh sum-of-squares pass over X's entries, never the carried value.
+template <typename T>
+double fresh_norm2(const TensorT<T>& X, int threads) {
+  return util::sumsq(X.data(), static_cast<std::size_t>(X.numel()), threads);
+}
+
+/// Write big_tensor() with `Stored` scalars and read it back as `Want`.
+template <typename Stored, typename Want>
+TensorT<Want> write_and_read(const std::string& p) {
+  io::write_tensor(p, tensor_cast<Stored>(big_tensor()));
+  return io::read_tensor_as<Want>(p);
+}
+
+template <typename Stored, typename Want>
+void expect_carried_equals_fresh(const std::string& p) {
+  const TensorT<Want> X = write_and_read<Stored, Want>(p);
+  ASSERT_TRUE(X.carries_norm());
+  for (const int threads : {1, 2, 4}) {
+    EXPECT_EQ(X.norm_squared(threads), fresh_norm2(X, threads))
+        << "threads " << threads;
+  }
+}
+
+TEST_F(IoCorruptTest, CarriedNormEqualsAFreshPassForEveryScalarPair) {
+  expect_carried_equals_fresh<double, double>(path("dd.dten"));
+  expect_carried_equals_fresh<double, float>(path("df.dten"));
+  expect_carried_equals_fresh<float, double>(path("fd.dten"));
+  expect_carried_equals_fresh<float, float>(path("ff.dten"));
+}
+
+TEST_F(IoCorruptTest, EveryNonConstAccessorDropsTheCarriedNorm) {
+  const Tensor X = write_and_read<double, double>(path("x.dten"));
+  ASSERT_TRUE(X.carries_norm());
+  const std::array<index_t, 3> idx{1, 2, 3};
+  const std::vector<std::pair<const char*, std::function<void(Tensor&)>>>
+      writes = {
+          {"data()", [](Tensor& Y) { Y.data()[0] += 1.0; }},
+          {"span()", [](Tensor& Y) { Y.span()[1] += 1.0; }},
+          {"operator[]", [](Tensor& Y) { Y[2] += 1.0; }},
+          {"operator()", [&idx](Tensor& Y) { Y(idx) += 1.0; }},
+          {"set_zero()", [](Tensor& Y) { Y.set_zero(); }},
+      };
+  for (const auto& [name, write] : writes) {
+    Tensor Y = X;
+    write(Y);
+    EXPECT_FALSE(Y.carries_norm()) << name;
+    EXPECT_NE(Y.norm_squared(), X.norm_squared()) << name;
+    EXPECT_EQ(Y.norm_squared(), fresh_norm2(Y, 1)) << name;
+  }
+}
+
+TEST_F(IoCorruptTest, CopiesAndMovesKeepTheCarriedNorm) {
+  const TensorF X = write_and_read<float, float>(path("x.dten"));
+  const double want = X.norm_squared();
+  const TensorF copy = X;
+  TensorF assigned;
+  assigned = X;
+  TensorF moved_from = X;
+  const TensorF moved = std::move(moved_from);
+  const TensorF* const kept[] = {&copy, &assigned, &moved};
+  for (const TensorF* Y : kept) {
+    EXPECT_TRUE(Y->carries_norm());
+    EXPECT_EQ(Y->norm_squared(), want);
+  }
+}
+
+TEST_F(IoCorruptTest, TheNormFoldNeverStandsInForVerify) {
+  // Truncation and bit rot in multi-chunk bodies, on the direct and both
+  // converting reads: each still throws, so no tensor (and no carried
+  // norm) comes out of a corrupt file.
+  const std::string p64 = path("big64.dten");
+  const std::string p32 = path("big32.dten");
+  io::write_tensor(p64, big_tensor());
+  io::write_tensor(p32, tensor_cast<float>(big_tensor()));
+  attack("f64 as f64", p64, [](const std::string& f) {
+    (void)io::read_tensor_as<double>(f);
+  });
+  attack("f64 as f32", p64, [](const std::string& f) {
+    (void)io::read_tensor_as<float>(f);
+  });
+  attack("f32 as f64", p32, [](const std::string& f) {
+    (void)io::read_tensor_as<double>(f);
+  });
+  attack("f32 as f32", p32, [](const std::string& f) {
+    (void)io::read_tensor_as<float>(f);
+  });
 }
 
 }  // namespace

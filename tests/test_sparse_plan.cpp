@@ -162,7 +162,8 @@ CpAlsResult retired_coo_cp_als(const sparse::SparseTensor& X,
     }
     result.iterations = iter + 1;
     if (opts.compute_fit) {
-      const double fit = detail::cp_fit(normX2, model, Mlast, nt);
+      const double fit =
+          detail::cp_fit(normX2, model.norm_squared(nt), model, Mlast);
       result.final_fit = fit;
       if (iter > 0 && std::abs(fit - fit_old) < opts.tol) {
         result.converged = true;

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <vector>
 
 #include "core/tensor.hpp"
+#include "util/sumsq.hpp"
 
 namespace dmtk {
 namespace {
@@ -92,14 +94,48 @@ TEST(TensorTest, NormMatchesManualSum) {
   EXPECT_DOUBLE_EQ(X.norm_squared(), 25.0);
 }
 
-TEST(TensorTest, NormThreadInvariant) {
-  Rng rng(3);
-  Tensor X = Tensor::random_uniform({7, 8, 9}, rng);
-  EXPECT_NEAR(X.norm(1), X.norm(4), 1e-12);
+/// Lengths on both sides of the sum-of-squares order's block and group
+/// edges (util/sumsq.hpp), plus more than one group.
+std::vector<index_t> norm_lengths() {
+  const auto B = static_cast<index_t>(util::kSumSqBlock);
+  const auto G = static_cast<index_t>(util::kSumSqGroup);
+  return {1, 15, 16, 17, B - 1, B + 1, G + 1, 3 * G + B + 5};
+}
+
+template <typename T>
+void expect_norm_bitwise_across_thread_counts() {
+  for (const index_t n : norm_lengths()) {
+    Rng rng(static_cast<std::uint64_t>(n));
+    // Two modes, so the layout is a real tensor's; normal draws, on which
+    // another summation order changes the low bits.
+    TensorT<T> X({n, 2});
+    fill_normal(X.span(), rng);
+    const TensorT<T>& cx = X;
+    util::SumSq<T> oracle(util::SumSqLevel::Scalar);
+    oracle.update(cx.data(), static_cast<std::size_t>(cx.numel()));
+    for (const int threads : {1, 2, 3, 4}) {
+      ASSERT_EQ(cx.norm_squared(threads), oracle.value())
+          << "length " << n << ", threads " << threads;
+    }
+    EXPECT_EQ(cx.norm(3), std::sqrt(oracle.value()));
+  }
+}
+
+TEST(TensorTest, NormSquaredIsBitwiseEqualAcrossThreadCountsF64) {
+  expect_norm_bitwise_across_thread_counts<double>();
+}
+
+TEST(TensorTest, NormSquaredIsBitwiseEqualAcrossThreadCountsF32) {
+  expect_norm_bitwise_across_thread_counts<float>();
+}
+
+TEST(TensorTest, EmptyTensorHasZeroNorm) {
+  const Tensor X;
+  for (const int threads : {1, 4}) EXPECT_EQ(X.norm_squared(threads), 0.0);
 }
 
 TEST(TensorTest, NormSquaredIsBitwiseRepeatableAtAFixedThreadCount) {
-  // The partial sums are combined in thread order, never in the order the
+  // The group sums are combined in group order, never in the order the
   // threads finish: 50 calls on a team of 4 must agree to the last bit.
   Rng rng(11);
   Tensor X = Tensor::random_uniform({100, 100, 100}, rng);

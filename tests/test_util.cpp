@@ -1,9 +1,11 @@
 // Tests for util/: block partitioning, stats, RNG, timers, STREAM kernels,
-// the threading environment, and the CRC-32 kernels.
+// the threading environment, the CRC-32 kernels and the sum-of-squares
+// kernels.
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <numeric>
 #include <thread>
@@ -16,6 +18,7 @@
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/stream.hpp"
+#include "util/sumsq.hpp"
 #include "util/timer.hpp"
 
 namespace dmtk {
@@ -375,6 +378,158 @@ TEST(Crc32, ClmulMatchesBytewiseOracle) {
   if (!util::detail::crc32_clmul_supported())
     GTEST_SKIP() << "CPU lacks PCLMULQDQ/SSE4.1";
   expect_matches_oracle(util::detail::crc32_clmul, "clmul");
+}
+
+// -------------------------------------------------------------------- sumsq
+
+/// The documented summation order written out plainly: lanes i % 16 inside
+/// blocks, the fixed lane tree, blocks ascending into groups, groups
+/// ascending into the total. This file builds with -ffp-contract=off, so
+/// the oracle rounds the square and the add separately on every target.
+template <typename T>
+double sumsq_oracle(const T* x, std::size_t n) {
+  double total = 0.0;
+  for (std::size_t g = 0; g < n; g += util::kSumSqGroup) {
+    double group = 0.0;
+    const std::size_t g_end = std::min(n, g + util::kSumSqGroup);
+    for (std::size_t b = g; b < g_end; b += util::kSumSqBlock) {
+      std::array<double, util::kSumSqLanes> lane{};
+      const std::size_t b_end = std::min(g_end, b + util::kSumSqBlock);
+      for (std::size_t i = b; i < b_end; ++i) {
+        const double v = static_cast<double>(x[i]);
+        lane[i % util::kSumSqLanes] += v * v;
+      }
+      for (std::size_t w = util::kSumSqLanes / 2; w >= 1; w /= 2) {
+        for (std::size_t j = 0; j < w; ++j) lane[j] += lane[j + w];
+      }
+      group += lane[0];
+    }
+    total += group;
+  }
+  return total;
+}
+
+/// Normal draws scaled by 2^k, k in [-20, 20]: magnitudes wide enough that
+/// any change to the summation order changes the result's low bits.
+template <typename T>
+std::vector<T> wide_values(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<T> v(n);
+  for (T& x : v) {
+    const int k = static_cast<int>(rng.below(41)) - 20;
+    x = static_cast<T>(std::ldexp(rng.normal(), k));
+  }
+  return v;
+}
+
+/// Lengths on both sides of every boundary of the order: a lane row, a
+/// block and a group, plus more than one group.
+std::vector<std::size_t> sumsq_lengths() {
+  const std::size_t B = util::kSumSqBlock;
+  const std::size_t G = util::kSumSqGroup;
+  return {0, 1, 15, 16, 17, B - 1, B, B + 1, G - 1, G, G + 1,
+          2 * G + B + 17};
+}
+
+std::vector<util::SumSqLevel> supported_sumsq_levels() {
+  std::vector<util::SumSqLevel> out;
+  for (const util::SumSqLevel l :
+       {util::SumSqLevel::Scalar, util::SumSqLevel::Avx2,
+        util::SumSqLevel::Avx512}) {
+    if (util::sumsq_supported(l)) out.push_back(l);
+  }
+  return out;
+}
+
+template <typename T>
+void expect_levels_match_oracle() {
+  const std::vector<std::size_t> lengths = sumsq_lengths();
+  const std::vector<T> data = wide_values<T>(lengths.back(), 41);
+  for (const util::SumSqLevel level : supported_sumsq_levels()) {
+    for (const std::size_t n : lengths) {
+      const double want = sumsq_oracle(data.data(), n);
+      util::SumSq<T> one(level);
+      one.update(data.data(), n);
+      ASSERT_EQ(one.value(), want)
+          << "level " << static_cast<int>(level) << " length " << n;
+      // Pieces of every awkward size: inside a lane row, across one, and
+      // across block and group edges.
+      util::SumSq<T> pieces(level);
+      const std::size_t cuts[] = {1, 7, 16, 33, util::kSumSqBlock + 3, 5};
+      std::size_t done = 0;
+      for (std::size_t k = 0; done < n; ++k) {
+        const std::size_t take = std::min(cuts[k % std::size(cuts)], n - done);
+        pieces.update(data.data() + done, take);
+        done += take;
+      }
+      ASSERT_EQ(pieces.value(), want)
+          << "pieces, level " << static_cast<int>(level) << " length " << n;
+      for (const int threads : {1, 2, 3, 4}) {
+        ASSERT_EQ(util::sumsq(data.data(), n, threads, level), want)
+            << "threads " << threads << ", level "
+            << static_cast<int>(level) << " length " << n;
+      }
+    }
+  }
+}
+
+TEST(SumSq, DefaultLevelRunsHere) {
+  EXPECT_TRUE(util::sumsq_supported(util::SumSqLevel::Scalar));
+  EXPECT_TRUE(util::sumsq_supported(util::sumsq_level()));
+}
+
+TEST(SumSq, EveryLevelMatchesTheOracleF64) {
+  expect_levels_match_oracle<double>();
+}
+
+TEST(SumSq, EveryLevelMatchesTheOracleF32) {
+  expect_levels_match_oracle<float>();
+}
+
+TEST(SumSq, TheTestDataIsOrderSensitive) {
+  // Guards the tests above against vacuous passes: on these values a plain
+  // left-to-right sum differs from the fixed order.
+  const std::vector<double> data = wide_values<double>(util::kSumSqGroup, 41);
+  double naive = 0.0;
+  for (const double v : data) naive += v * v;
+  EXPECT_NE(naive, sumsq_oracle(data.data(), data.size()));
+}
+
+TEST(SumSq, EveryLevelRoundsTheSquareBeforeTheAdd) {
+  // A fused multiply-add rarely changes a long sum's last bit, so random
+  // data cannot be trusted to catch one. Here each lane in turn holds two
+  // values, a then b, drawn so that a*a + b*b rounded twice differs from
+  // fma(b, b, a*a); every other element is zero, so the lane's sum is the
+  // result. (A float's square is exact in double: only f64 can tell.)
+  Rng rng(5);
+  for (std::size_t lane = 0; lane < util::kSumSqLanes; ++lane) {
+    double a = 0.0, b = 0.0;
+    do {
+      a = rng.uniform(1.0, 2.0);
+      b = rng.uniform(1.0, 2.0);
+    } while (a * a + b * b == std::fma(b, b, a * a));
+    std::vector<double> x(2 * util::kSumSqLanes, 0.0);
+    x[lane] = a;
+    x[util::kSumSqLanes + lane] = b;
+    ASSERT_EQ(sumsq_oracle(x.data(), x.size()), a * a + b * b);
+    for (const util::SumSqLevel level : supported_sumsq_levels()) {
+      util::SumSq<double> acc(level);
+      acc.update(x.data(), x.size());
+      EXPECT_EQ(acc.value(), a * a + b * b)
+          << "lane " << lane << ", level " << static_cast<int>(level);
+    }
+  }
+}
+
+TEST(SumSq, ManyRoundsOfGroupsMatchTheOracle) {
+  // Past the 64 groups one team round takes: several rounds, in order.
+  const std::size_t n = 100 * util::kSumSqGroup + 999;
+  const std::vector<float> data = wide_values<float>(n, 43);
+  const double want = sumsq_oracle(data.data(), n);
+  for (const int threads : {1, 3, 4}) {
+    EXPECT_EQ(util::sumsq(data.data(), n, threads), want)
+        << "threads " << threads;
+  }
 }
 
 // ------------------------------------------------------------------- checks

@@ -64,6 +64,7 @@ HOT_FILES = (
     "src/blas/gemm.cpp",
     "src/blas/rank_panel.cpp",
     "src/util/crc32.cpp",
+    "src/util/sumsq.cpp",
 )
 
 SCAN_DIRS = ("src", "tools")
