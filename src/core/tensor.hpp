@@ -145,9 +145,6 @@ class TensorT {
   /// and whether it was carried or computed.
   [[nodiscard]] double norm_squared(int threads = 0) const;
 
-  /// True while the tensor carries the ‖X‖² its file read computed.
-  [[nodiscard]] bool carries_norm() const { return norm2_.has_value(); }
-
   /// Max absolute entrywise difference; shapes must match.
   [[nodiscard]] double max_abs_diff(const TensorT& other) const;
 

@@ -32,9 +32,9 @@
 /// dequeue), "read" (the checked tensor read alone), "plan", "exec" and
 /// "total". A dense "read" includes summing ‖X‖² over each chunk as it
 /// lands, which the tensor then carries into CP-ALS. For a decompose,
-/// "plan" is the plan-cache lookup or build and "exec" the CP-ALS run. For an mttkrp, "plan" is the operand set-up
-/// (factor draw, mode-n matricization, transposed KRP) and "exec" the
-/// batch's shared GEMM.
+/// "plan" is the plan-cache lookup or build and "exec" the CP-ALS run.
+/// For an mttkrp, "plan" is the operand set-up (factor draw, mode-n
+/// matricization, transposed KRP) and "exec" the batch's shared GEMM.
 
 #include <cstdint>
 #include <stdexcept>

@@ -4,91 +4,28 @@
 
 #include "util/parallel.hpp"
 
-#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
-#define DMTK_SUMSQ_X86 1
-#include <immintrin.h>
-#else
-#define DMTK_SUMSQ_X86 0
-#endif
-
 // The build compiles this file with -ffp-contract=off: a fused
-// multiply-add rounds once where the scalar body rounds twice, and every
-// level must give the scalar body's bits.
+// multiply-add rounds once where the documented order rounds twice.
 
 namespace dmtk::util {
 namespace {
 
+/// lanes[j] += x[i]^2 for every i = j mod kSumSqLanes, ascending i; n is a
+/// multiple of kSumSqLanes.
 template <typename T>
-void lanes_scalar(double* lanes, const T* x, std::size_t n) noexcept {
+void add_rows(std::array<double, kSumSqLanes>& lanes, const T* x,
+              std::size_t n) noexcept {
+  // A local copy, so the compiler keeps the lanes in registers and
+  // vectorises the row without having to prove that x does not alias them.
+  std::array<double, kSumSqLanes> acc = lanes;
   for (std::size_t i = 0; i < n; i += kSumSqLanes) {
     for (std::size_t j = 0; j < kSumSqLanes; ++j) {
       const double v = static_cast<double>(x[i + j]);
-      lanes[j] += v * v;
+      acc[j] += v * v;
     }
   }
+  lanes = acc;
 }
-
-#if DMTK_SUMSQ_X86
-
-/// Four ymm accumulators hold the 16 lanes. Targets "avx2" without "fma",
-/// so the compiler has no fused form to contract into.
-template <typename T>
-__attribute__((target("avx2"))) void lanes_avx2(double* lanes, const T* x,
-                                                std::size_t n) noexcept {
-  __m256d a0 = _mm256_loadu_pd(lanes);
-  __m256d a1 = _mm256_loadu_pd(lanes + 4);
-  __m256d a2 = _mm256_loadu_pd(lanes + 8);
-  __m256d a3 = _mm256_loadu_pd(lanes + 12);
-  for (std::size_t i = 0; i < n; i += kSumSqLanes) {
-    __m256d v0, v1, v2, v3;
-    if constexpr (sizeof(T) == sizeof(float)) {
-      v0 = _mm256_cvtps_pd(_mm_loadu_ps(x + i));
-      v1 = _mm256_cvtps_pd(_mm_loadu_ps(x + i + 4));
-      v2 = _mm256_cvtps_pd(_mm_loadu_ps(x + i + 8));
-      v3 = _mm256_cvtps_pd(_mm_loadu_ps(x + i + 12));
-    } else {
-      v0 = _mm256_loadu_pd(x + i);
-      v1 = _mm256_loadu_pd(x + i + 4);
-      v2 = _mm256_loadu_pd(x + i + 8);
-      v3 = _mm256_loadu_pd(x + i + 12);
-    }
-    a0 = _mm256_add_pd(a0, _mm256_mul_pd(v0, v0));
-    a1 = _mm256_add_pd(a1, _mm256_mul_pd(v1, v1));
-    a2 = _mm256_add_pd(a2, _mm256_mul_pd(v2, v2));
-    a3 = _mm256_add_pd(a3, _mm256_mul_pd(v3, v3));
-  }
-  _mm256_storeu_pd(lanes, a0);
-  _mm256_storeu_pd(lanes + 4, a1);
-  _mm256_storeu_pd(lanes + 8, a2);
-  _mm256_storeu_pd(lanes + 12, a3);
-}
-
-/// Two zmm accumulators hold the 16 lanes.
-template <typename T>
-__attribute__((target("avx512f"))) void lanes_avx512(double* lanes,
-                                                     const T* x,
-                                                     std::size_t n) noexcept {
-  __m512d a0 = _mm512_loadu_pd(lanes);
-  __m512d a1 = _mm512_loadu_pd(lanes + 8);
-  for (std::size_t i = 0; i < n; i += kSumSqLanes) {
-    __m512d v0, v1;
-    if constexpr (sizeof(T) == sizeof(float)) {
-      // The all-ones maskz form is _mm512_cvtps_pd without the undefined
-      // pass-through operand that GCC 12 warns about.
-      v0 = _mm512_maskz_cvtps_pd(0xFF, _mm256_loadu_ps(x + i));
-      v1 = _mm512_maskz_cvtps_pd(0xFF, _mm256_loadu_ps(x + i + 8));
-    } else {
-      v0 = _mm512_loadu_pd(x + i);
-      v1 = _mm512_loadu_pd(x + i + 8);
-    }
-    a0 = _mm512_add_pd(a0, _mm512_mul_pd(v0, v0));
-    a1 = _mm512_add_pd(a1, _mm512_mul_pd(v1, v1));
-  }
-  _mm512_storeu_pd(lanes, a0);
-  _mm512_storeu_pd(lanes + 8, a1);
-}
-
-#endif  // DMTK_SUMSQ_X86
 
 /// The fixed lane tree: lane j += lane j + w for w = 8, 4, 2, 1.
 double fold_lanes(std::array<double, kSumSqLanes> l) noexcept {
@@ -103,42 +40,6 @@ double fold_lanes(std::array<double, kSumSqLanes> l) noexcept {
 constexpr std::size_t kRoundGroups = 64;
 
 }  // namespace
-
-bool sumsq_supported(SumSqLevel level) noexcept {
-#if DMTK_SUMSQ_X86
-  __builtin_cpu_init();
-  switch (level) {
-    case SumSqLevel::Scalar:
-      return true;
-    case SumSqLevel::Avx2:
-      return __builtin_cpu_supports("avx2");
-    case SumSqLevel::Avx512:
-      return __builtin_cpu_supports("avx512f");
-  }
-  return false;
-#else
-  return level == SumSqLevel::Scalar;
-#endif
-}
-
-SumSqLevel sumsq_level() noexcept {
-  static const SumSqLevel best = sumsq_supported(SumSqLevel::Avx512)
-                                     ? SumSqLevel::Avx512
-                                 : sumsq_supported(SumSqLevel::Avx2)
-                                     ? SumSqLevel::Avx2
-                                     : SumSqLevel::Scalar;
-  return best;
-}
-
-template <typename T>
-SumSq<T>::SumSq(SumSqLevel level) noexcept : kernel_(lanes_scalar<T>) {
-#if DMTK_SUMSQ_X86
-  if (level == SumSqLevel::Avx2) kernel_ = lanes_avx2<T>;
-  if (level == SumSqLevel::Avx512) kernel_ = lanes_avx512<T>;
-#else
-  (void)level;
-#endif
-}
 
 template <typename T>
 void SumSq<T>::update(const T* x, std::size_t n) noexcept {
@@ -155,7 +56,7 @@ void SumSq<T>::update(const T* x, std::size_t n) noexcept {
       }
     } else {
       take -= take % kSumSqLanes;
-      kernel_(lanes_.data(), x, take);
+      add_rows(lanes_, x, take);
     }
     x += take;
     n -= take;
@@ -184,11 +85,10 @@ double SumSq<T>::value() const noexcept {
 }
 
 template <typename T>
-double sumsq(const T* x, std::size_t n, int threads,
-             SumSqLevel level) noexcept {
+double sumsq(const T* x, std::size_t n, int threads) noexcept {
   const std::size_t groups = (n + kSumSqGroup - 1) / kSumSqGroup;
   if (threads <= 1 || groups <= 1) {
-    SumSq<T> acc(level);
+    SumSq<T> acc;
     acc.update(x, n);
     return acc.value();
   }
@@ -203,7 +103,7 @@ double sumsq(const T* x, std::size_t n, int threads,
       for (index_t g = r.begin; g < r.end; ++g) {
         const std::size_t begin =
             (first + static_cast<std::size_t>(g)) * kSumSqGroup;
-        SumSq<T> acc(level);
+        SumSq<T> acc;
         acc.update(x + begin, std::min(kSumSqGroup, n - begin));
         partial[static_cast<std::size_t>(g)] = acc.value();
       }
@@ -215,9 +115,7 @@ double sumsq(const T* x, std::size_t n, int threads,
 
 template class SumSq<float>;
 template class SumSq<double>;
-template double sumsq<float>(const float*, std::size_t, int,
-                             SumSqLevel) noexcept;
-template double sumsq<double>(const double*, std::size_t, int,
-                              SumSqLevel) noexcept;
+template double sumsq<float>(const float*, std::size_t, int) noexcept;
+template double sumsq<double>(const double*, std::size_t, int) noexcept;
 
 }  // namespace dmtk::util

@@ -11,14 +11,17 @@
 /// j + w for w = 8, 4, 2, 1), block sums are added in ascending order into
 /// their group (kSumSqGroupBlocks blocks), and group sums in ascending
 /// order into the total. Nothing in that order depends on how the input is
-/// chunked, on the thread count or on the kernel level, and every level
-/// squares and adds as separate roundings (no FMA), so all of them return
-/// the same bits (after Demmel & Nguyen, "Fast Reproducible Floating-Point
-/// Summation", ARITH 2013, which fixes the order by the data's layout).
+/// chunked or on the thread count, and the square and the add round
+/// separately (the file builds without multiply-add contraction), so every
+/// split of the work returns the same bits (after Demmel & Nguyen, "Fast
+/// Reproducible Floating-Point Summation", ARITH 2013, which fixes the
+/// order by the data's layout).
 ///
-/// Three kernel levels compute the lane updates: AVX-512, AVX2 and a
-/// portable scalar loop. The best one this CPU runs is chosen once per
-/// process, as for the CRC-32.
+/// One portable body computes the lane updates, and the compiler vectorises
+/// its 16 independent lanes. Hand-written AVX2 and AVX-512 bodies fold
+/// cached data faster, but on a 4-core Xeon they moved neither the
+/// benchmark's set-up time (which includes the read) nor served request
+/// latency beyond run-to-run spread, so there is no per-CPU dispatch.
 
 #include <array>
 #include <cstddef>
@@ -30,36 +33,20 @@ inline constexpr std::size_t kSumSqBlock = 4096;  ///< elements
 inline constexpr std::size_t kSumSqGroupBlocks = 16;
 inline constexpr std::size_t kSumSqGroup = kSumSqBlock * kSumSqGroupBlocks;
 
-enum class SumSqLevel { Scalar, Avx2, Avx512 };
-
-/// True when this CPU can run `level`.
-[[nodiscard]] bool sumsq_supported(SumSqLevel level) noexcept;
-
-/// The best level this CPU runs: the default of SumSq and sumsq.
-[[nodiscard]] SumSqLevel sumsq_level() noexcept;
-
 /// Streaming form: update() any number of times with consecutive pieces of
 /// the input, then value(). Any split of the input gives the same bits as
 /// one update() with all of it.
 template <typename T>
 class SumSq {
  public:
-  /// `level` must be supported on this CPU; tests pass each one in turn.
-  explicit SumSq(SumSqLevel level = sumsq_level()) noexcept;
-
   void update(const T* x, std::size_t n) noexcept;
 
   /// Sum of the squares of every element passed so far.
   [[nodiscard]] double value() const noexcept;
 
  private:
-  /// lanes[j] += x[i]^2 for every i = j mod kSumSqLanes, ascending i; n is
-  /// a multiple of kSumSqLanes.
-  using Kernel = void (*)(double* lanes, const T* x, std::size_t n) noexcept;
-
   void close_block() noexcept;
 
-  Kernel kernel_;
   std::array<double, kSumSqLanes> lanes_{};
   std::size_t in_block_ = 0;  ///< elements of the open block seen so far
   std::size_t blocks_ = 0;    ///< closed blocks of the open group
@@ -73,8 +60,7 @@ class SumSq {
 /// thread and open no team. Same bits as SumSq for every `threads`. Does
 /// not allocate.
 template <typename T>
-[[nodiscard]] double sumsq(const T* x, std::size_t n, int threads,
-                           SumSqLevel level = sumsq_level()) noexcept;
+[[nodiscard]] double sumsq(const T* x, std::size_t n, int threads) noexcept;
 
 extern template class SumSq<float>;
 extern template class SumSq<double>;

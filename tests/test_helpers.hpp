@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/matrix.hpp"
@@ -12,6 +14,21 @@
 #include "util/rng.hpp"
 
 namespace dmtk::testing {
+
+/// True when X answers norm_squared() from the ‖X‖² it carries rather than
+/// from a pass over its entries: a write the tensor cannot see (through
+/// the const data pointer, which drops nothing) leaves the answer as it
+/// was. The entry is restored before returning. X must be non-empty.
+template <typename T>
+bool answers_from_carried_norm(TensorT<T>& X) {
+  const double before = X.norm_squared();
+  T* const p = const_cast<T*>(std::as_const(X).data());
+  const T saved = p[0];
+  p[0] = std::abs(saved) + T{1};  // a strictly larger square
+  const bool carried = X.norm_squared() == before;
+  p[0] = saved;
+  return carried;
+}
 
 /// Default comparison tolerance for a scalar type: a small multiple of its
 /// machine epsilon (the scaling the typed float/double tests share, so one

@@ -28,6 +28,7 @@
 #include "io/checked_io.hpp"
 #include "io/checkpoint.hpp"
 #include "io/tensor_io.hpp"
+#include "test_helpers.hpp"
 #include "util/fault.hpp"
 #include "util/rng.hpp"
 #include "util/sumsq.hpp"
@@ -404,8 +405,8 @@ TensorT<Want> write_and_read(const std::string& p) {
 
 template <typename Stored, typename Want>
 void expect_carried_equals_fresh(const std::string& p) {
-  const TensorT<Want> X = write_and_read<Stored, Want>(p);
-  ASSERT_TRUE(X.carries_norm());
+  TensorT<Want> X = write_and_read<Stored, Want>(p);
+  ASSERT_TRUE(dmtk::testing::answers_from_carried_norm(X));
   for (const int threads : {1, 2, 4}) {
     EXPECT_EQ(X.norm_squared(threads), fresh_norm2(X, threads))
         << "threads " << threads;
@@ -420,8 +421,8 @@ TEST_F(IoCorruptTest, CarriedNormEqualsAFreshPassForEveryScalarPair) {
 }
 
 TEST_F(IoCorruptTest, EveryNonConstAccessorDropsTheCarriedNorm) {
-  const Tensor X = write_and_read<double, double>(path("x.dten"));
-  ASSERT_TRUE(X.carries_norm());
+  Tensor X = write_and_read<double, double>(path("x.dten"));
+  ASSERT_TRUE(dmtk::testing::answers_from_carried_norm(X));
   const std::array<index_t, 3> idx{1, 2, 3};
   const std::vector<std::pair<const char*, std::function<void(Tensor&)>>>
       writes = {
@@ -434,7 +435,7 @@ TEST_F(IoCorruptTest, EveryNonConstAccessorDropsTheCarriedNorm) {
   for (const auto& [name, write] : writes) {
     Tensor Y = X;
     write(Y);
-    EXPECT_FALSE(Y.carries_norm()) << name;
+    EXPECT_FALSE(dmtk::testing::answers_from_carried_norm(Y)) << name;
     EXPECT_NE(Y.norm_squared(), X.norm_squared()) << name;
     EXPECT_EQ(Y.norm_squared(), fresh_norm2(Y, 1)) << name;
   }
@@ -443,14 +444,14 @@ TEST_F(IoCorruptTest, EveryNonConstAccessorDropsTheCarriedNorm) {
 TEST_F(IoCorruptTest, CopiesAndMovesKeepTheCarriedNorm) {
   const TensorF X = write_and_read<float, float>(path("x.dten"));
   const double want = X.norm_squared();
-  const TensorF copy = X;
+  TensorF copy = X;
   TensorF assigned;
   assigned = X;
   TensorF moved_from = X;
-  const TensorF moved = std::move(moved_from);
-  const TensorF* const kept[] = {&copy, &assigned, &moved};
-  for (const TensorF* Y : kept) {
-    EXPECT_TRUE(Y->carries_norm());
+  TensorF moved = std::move(moved_from);
+  TensorF* const kept[] = {&copy, &assigned, &moved};
+  for (TensorF* Y : kept) {
+    EXPECT_TRUE(dmtk::testing::answers_from_carried_norm(*Y));
     EXPECT_EQ(Y->norm_squared(), want);
   }
 }

@@ -111,7 +111,7 @@ void expect_norm_bitwise_across_thread_counts() {
     TensorT<T> X({n, 2});
     fill_normal(X.span(), rng);
     const TensorT<T>& cx = X;
-    util::SumSq<T> oracle(util::SumSqLevel::Scalar);
+    util::SumSq<T> oracle;
     oracle.update(cx.data(), static_cast<std::size_t>(cx.numel()));
     for (const int threads : {1, 2, 3, 4}) {
       ASSERT_EQ(cx.norm_squared(threads), oracle.value())

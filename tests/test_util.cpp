@@ -431,60 +431,36 @@ std::vector<std::size_t> sumsq_lengths() {
           2 * G + B + 17};
 }
 
-std::vector<util::SumSqLevel> supported_sumsq_levels() {
-  std::vector<util::SumSqLevel> out;
-  for (const util::SumSqLevel l :
-       {util::SumSqLevel::Scalar, util::SumSqLevel::Avx2,
-        util::SumSqLevel::Avx512}) {
-    if (util::sumsq_supported(l)) out.push_back(l);
-  }
-  return out;
-}
-
 template <typename T>
-void expect_levels_match_oracle() {
+void expect_matches_oracle() {
   const std::vector<std::size_t> lengths = sumsq_lengths();
   const std::vector<T> data = wide_values<T>(lengths.back(), 41);
-  for (const util::SumSqLevel level : supported_sumsq_levels()) {
-    for (const std::size_t n : lengths) {
-      const double want = sumsq_oracle(data.data(), n);
-      util::SumSq<T> one(level);
-      one.update(data.data(), n);
-      ASSERT_EQ(one.value(), want)
-          << "level " << static_cast<int>(level) << " length " << n;
-      // Pieces of every awkward size: inside a lane row, across one, and
-      // across block and group edges.
-      util::SumSq<T> pieces(level);
-      const std::size_t cuts[] = {1, 7, 16, 33, util::kSumSqBlock + 3, 5};
-      std::size_t done = 0;
-      for (std::size_t k = 0; done < n; ++k) {
-        const std::size_t take = std::min(cuts[k % std::size(cuts)], n - done);
-        pieces.update(data.data() + done, take);
-        done += take;
-      }
-      ASSERT_EQ(pieces.value(), want)
-          << "pieces, level " << static_cast<int>(level) << " length " << n;
-      for (const int threads : {1, 2, 3, 4}) {
-        ASSERT_EQ(util::sumsq(data.data(), n, threads, level), want)
-            << "threads " << threads << ", level "
-            << static_cast<int>(level) << " length " << n;
-      }
+  for (const std::size_t n : lengths) {
+    const double want = sumsq_oracle(data.data(), n);
+    util::SumSq<T> one;
+    one.update(data.data(), n);
+    ASSERT_EQ(one.value(), want) << "length " << n;
+    // Pieces of every awkward size: inside a lane row, across one, and
+    // across block and group edges.
+    util::SumSq<T> pieces;
+    const std::size_t cuts[] = {1, 7, 16, 33, util::kSumSqBlock + 3, 5};
+    std::size_t done = 0;
+    for (std::size_t k = 0; done < n; ++k) {
+      const std::size_t take = std::min(cuts[k % std::size(cuts)], n - done);
+      pieces.update(data.data() + done, take);
+      done += take;
+    }
+    ASSERT_EQ(pieces.value(), want) << "pieces, length " << n;
+    for (const int threads : {1, 2, 3, 4}) {
+      ASSERT_EQ(util::sumsq(data.data(), n, threads), want)
+          << "threads " << threads << ", length " << n;
     }
   }
 }
 
-TEST(SumSq, DefaultLevelRunsHere) {
-  EXPECT_TRUE(util::sumsq_supported(util::SumSqLevel::Scalar));
-  EXPECT_TRUE(util::sumsq_supported(util::sumsq_level()));
-}
+TEST(SumSq, MatchesTheOracleF64) { expect_matches_oracle<double>(); }
 
-TEST(SumSq, EveryLevelMatchesTheOracleF64) {
-  expect_levels_match_oracle<double>();
-}
-
-TEST(SumSq, EveryLevelMatchesTheOracleF32) {
-  expect_levels_match_oracle<float>();
-}
+TEST(SumSq, MatchesTheOracleF32) { expect_matches_oracle<float>(); }
 
 TEST(SumSq, TheTestDataIsOrderSensitive) {
   // Guards the tests above against vacuous passes: on these values a plain
@@ -495,7 +471,7 @@ TEST(SumSq, TheTestDataIsOrderSensitive) {
   EXPECT_NE(naive, sumsq_oracle(data.data(), data.size()));
 }
 
-TEST(SumSq, EveryLevelRoundsTheSquareBeforeTheAdd) {
+TEST(SumSq, RoundsTheSquareBeforeTheAdd) {
   // A fused multiply-add rarely changes a long sum's last bit, so random
   // data cannot be trusted to catch one. Here each lane in turn holds two
   // values, a then b, drawn so that a*a + b*b rounded twice differs from
@@ -512,12 +488,9 @@ TEST(SumSq, EveryLevelRoundsTheSquareBeforeTheAdd) {
     x[lane] = a;
     x[util::kSumSqLanes + lane] = b;
     ASSERT_EQ(sumsq_oracle(x.data(), x.size()), a * a + b * b);
-    for (const util::SumSqLevel level : supported_sumsq_levels()) {
-      util::SumSq<double> acc(level);
-      acc.update(x.data(), x.size());
-      EXPECT_EQ(acc.value(), a * a + b * b)
-          << "lane " << lane << ", level " << static_cast<int>(level);
-    }
+    util::SumSq<double> acc;
+    acc.update(x.data(), x.size());
+    EXPECT_EQ(acc.value(), a * a + b * b) << "lane " << lane;
   }
 }
 
