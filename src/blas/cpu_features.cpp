@@ -56,7 +56,7 @@ SimdLevel initial_level() {
     std::fprintf(stderr,
                  "dmtk: unrecognized DMTK_SIMD value \"%s\" ignored\n", env);
   }
-  return default_simd_level();
+  return hardware_simd_level();
 }
 
 std::atomic<SimdLevel>& level_store() {
@@ -91,13 +91,6 @@ std::optional<SimdLevel> parse_simd_level(std::string_view name) {
 SimdLevel hardware_simd_level() {
   if (cpu_has_avx512()) return SimdLevel::Avx512x16x16;
   return cpu_has_avx2_fma() ? SimdLevel::Avx2x8x8 : SimdLevel::Scalar;
-}
-
-SimdLevel default_simd_level() {
-  const SimdLevel hw = hardware_simd_level();
-  // Downclock-aware: AVX-512 is opt-in (DMTK_SIMD or a wisdom profile
-  // that measured it faster on this CPU), never the blind default.
-  return needs_avx512(hw) ? SimdLevel::Avx2x8x8 : hw;
 }
 
 SimdLevel clamp_simd_level(SimdLevel requested, SimdLevel hardware) {

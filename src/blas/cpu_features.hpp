@@ -2,19 +2,19 @@
 /// \file cpu_features.hpp
 /// \brief Runtime SIMD capability detection and micro-kernel selection.
 ///
-/// The GEMM micro-kernel is chosen ONCE per process (first use), from three
-/// inputs in priority order:
+/// The level every kernel (packed GEMM, rank-panel MTTKRP tiles, syrk)
+/// dispatches to is chosen ONCE per process (first use):
 ///   1. the DMTK_SIMD environment variable ("scalar", "avx2", "avx2-4x8",
-///      "avx2-8x8", "avx512", "avx512-8x16", "avx512-16x16") — forcing a
-///      level the CPU cannot execute falls back to the best supported one
-///      with a one-time stderr warning;
-///   2. set_simd_level(), a programmatic override used by tests, the
-///      roofline bench, and the tune/wisdom loader to compare kernels
-///      within one process;
-///   3. the built-in default: CPUID's best level, EXCEPT that AVX-512
-///      capable machines default to AVX2 8x8 — wide-vector downclocking
-///      makes AVX-512 a measured opt-in (a wisdom profile that recorded it
-///      faster, or an explicit DMTK_SIMD), not an assumption.
+///      "avx2-8x8", "avx512", "avx512-8x16", "avx512-16x16") if set —
+///      forcing a level the CPU cannot execute falls back to the best
+///      supported one with a one-time stderr warning;
+///   2. otherwise hardware_simd_level(), CPUID's best level: the widest
+///      vector unit the CPU has.
+/// After start-up, set_simd_level() moves it: a loaded wisdom profile
+/// installs its measured level (unless DMTK_SIMD is set), and tests and
+/// the roofline bench compare kernels within one process. On a CPU where
+/// the wide level costs more in clock than it gains, a `dmtk tune`
+/// profile or DMTK_SIMD is the measured opt-out.
 ///
 /// The selection is exposed as a level enum rather than a bare function
 /// pointer so the packing code can agree with the kernel on the register
@@ -45,14 +45,9 @@ enum class SimdLevel {
 /// parses back to its level (round-trip).
 [[nodiscard]] std::optional<SimdLevel> parse_simd_level(std::string_view name);
 
-/// Best level this CPU can execute (CPUID, ignoring the env override).
+/// Best level this CPU can execute (CPUID, ignoring the env override):
+/// the start-up level when DMTK_SIMD is unset.
 [[nodiscard]] SimdLevel hardware_simd_level();
-
-/// The built-in dispatch default when nothing overrides it: the hardware
-/// level, except AVX-512 machines default to Avx2x8x8 (downclock-aware —
-/// AVX-512 must be asked for, via DMTK_SIMD or a wisdom profile that
-/// measured it faster).
-[[nodiscard]] SimdLevel default_simd_level();
 
 /// Pure fallback ladder: the level actually dispatched when `requested` is
 /// asked for on a machine whose best level is `hardware`. An AVX-512

@@ -62,7 +62,9 @@ double probe_gemm_gflops(index_t s, int threads, int trials, Rng& rng) {
 }
 
 /// Prefer `cand` over `best` only on a clear (>2%) win — near-ties keep
-/// the weaker level (less downclock/power risk for surrounding code).
+/// the incumbent: the hardware level for SIMD (a profile opts out of the
+/// wide vectors only when a narrower level measured faster), the current
+/// blocking for the descent.
 bool clearly_faster(double cand, double best) { return cand > best * 1.02; }
 
 /// Seconds for one full ALS sweep (begin_sweep + all modes, in order)
@@ -117,19 +119,16 @@ TuneReport run_tune(const TuneOptions& opts) {
   LevelGuard level_guard;
   BlockingGuard blocking_guard;
   // Measure from the built-in defaults, not whatever profile/env state the
-  // caller happens to be in (DMTK_SIMD still pins set_simd_level, in which
-  // case every "level" probe below measures the same pinned level — the
-  // recorded table says so via identical numbers, and apply_wisdom will
-  // respect the override anyway).
+  // caller happens to be in. set_simd_level does not consult DMTK_SIMD, so
+  // every level below is measured even when it is set; apply_wisdom still
+  // lets the override beat the recorded level.
   blas::set_gemm_blocking(GemmBlocking{});
 
   // --- stage 1: SIMD level x precision sweep ------------------------------
   const index_t probe_s = quick ? 128 : 512;
-  const SimdLevel default_level = blas::default_simd_level();
   say(opts.log, "stage 1/5: SIMD level sweep (probe " +
                     std::to_string(probe_s) + "^3, " + std::to_string(trials) +
                     " trials)");
-  double best64 = 0.0, best32 = 0.0;
   for (SimdLevel lvl : blas::supported_simd_levels()) {
     blas::set_simd_level(lvl);
     LevelGflops lg;
@@ -140,14 +139,20 @@ TuneReport run_tune(const TuneOptions& opts) {
     say(opts.log, std::string("  ") + std::string(to_string(lvl)) + ": f64 " +
                       std::to_string(lg.f64_gflops) + " GF/s, f32 " +
                       std::to_string(lg.f32_gflops) + " GF/s");
-    if (lvl == default_level) p.default_gflops_f64 = lg.f64_gflops;
-    if (p.levels.size() == 1 || clearly_faster(lg.f64_gflops, best64)) {
+  }
+  // The ladder ends at the hardware level, the start-up default.
+  const LevelGflops& hw = p.levels.back();
+  p.default_gflops_f64 = hw.f64_gflops;
+  double best64 = hw.f64_gflops, best32 = hw.f32_gflops;
+  p.best_simd_f64 = p.best_simd_f32 = hw.level;
+  for (const LevelGflops& lg : p.levels) {
+    if (clearly_faster(lg.f64_gflops, best64)) {
       best64 = lg.f64_gflops;
-      p.best_simd_f64 = lvl;
+      p.best_simd_f64 = lg.level;
     }
-    if (p.levels.size() == 1 || clearly_faster(lg.f32_gflops, best32)) {
+    if (clearly_faster(lg.f32_gflops, best32)) {
       best32 = lg.f32_gflops;
-      p.best_simd_f32 = lvl;
+      p.best_simd_f32 = lg.level;
     }
   }
   blas::set_simd_level(p.best_simd_f64);

@@ -6,8 +6,9 @@
 /// The sweep axes, in run order (later stages run under the earlier
 /// stages' winners, so the profile is self-consistent):
 ///   1. SIMD level x precision: probe GEMM GFLOP/s at every supported
-///      dispatch level for f64 and f32 — the downclock question answered
-///      by measurement instead of assumption.
+///      dispatch level for f64 and f32. The hardware level is the
+///      incumbent; a narrower level is recorded only when it measured
+///      clearly faster (the downclock opt-out, by measurement).
 ///   2. GEMM blocking (MC, KC, NC): coordinate descent from the defaults
 ///      at the winning f64 level.
 ///   3. Dimension-tree sweep scheme: PerMode vs DimTree full-sweep time at

@@ -297,7 +297,7 @@ void clear_wisdom() {
   r.env_checked = true;  // do not resurrect the env profile after a clear
   blas::set_gemm_blocking(blas::GemmBlocking{});
   if (!blas::simd_env_override()) {
-    blas::set_simd_level(blas::default_simd_level());
+    blas::set_simd_level(blas::hardware_simd_level());
   }
 }
 

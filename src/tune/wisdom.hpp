@@ -5,9 +5,9 @@
 ///
 /// A WisdomProfile records the measured answers to every question the hot
 /// path otherwise answers with a hand-picked constant:
-///   - which SIMD dispatch level is fastest here (AVX-512 downclocking
-///     makes this genuinely per-machine — the dispatch DEFAULT stays at
-///     AVX2 and only a profile or DMTK_SIMD raises it),
+///   - which SIMD dispatch level is fastest here (dispatch starts at the
+///     hardware level; where wide vectors downclock enough to lose, a
+///     profile that measured a narrower level faster is the opt-out),
 ///   - the GEMM cache blocking (MC, KC, NC),
 ///   - when the dimension-tree sweep scheme beats per-mode (the "Auto
 ///     N >= 4" rule becomes a measured min-order) and how many tree
@@ -82,7 +82,7 @@ struct WisdomProfile {
   std::string created;  ///< stamp the CLI writes (not read back into logic)
   int tune_threads = 1;
   bool quick = false;
-  double default_gflops_f64 = 0.0;  ///< probe GEMM, default level+blocking
+  double default_gflops_f64 = 0.0;  ///< probe GEMM, hw level+default blocking
   double tuned_gflops_f64 = 0.0;    ///< probe GEMM, tuned level+blocking
   std::vector<LevelGflops> levels;  ///< per-level sweep behind best_simd_*
 };
@@ -124,7 +124,7 @@ bool load_wisdom(const std::string& path, std::string* error = nullptr);
 void apply_wisdom(const WisdomProfile& p, const std::string& source = "");
 
 /// Drop the active profile and restore built-in defaults (default
-/// blocking; default_simd_level() unless DMTK_SIMD is set).
+/// blocking; hardware_simd_level() unless DMTK_SIMD is set).
 void clear_wisdom();
 
 /// A SNAPSHOT of the active profile, or nullopt. First call performs the

@@ -13,7 +13,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
+#include <optional>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -673,6 +676,10 @@ TEST(SimdLevel, ClampDegradesFamilyByFamily) {
             SimdLevel::Avx512x8x16);
 }
 
+// The level dispatch started at, read during static initialisation: before
+// any test moves it and before an ExecContext could autoload a profile.
+const SimdLevel kStartupLevel = simd_level();
+
 TEST(SimdLevel, SupportedLaddersAreCoherent) {
   const std::vector<SimdLevel> levels = supported_simd_levels();
   ASSERT_FALSE(levels.empty());
@@ -681,15 +688,31 @@ TEST(SimdLevel, SupportedLaddersAreCoherent) {
   for (std::size_t i = 1; i < levels.size(); ++i) {
     EXPECT_LT(static_cast<int>(levels[i - 1]), static_cast<int>(levels[i]));
   }
-  // The downclock-aware default never blind-picks AVX-512: it is the
-  // hardware level except on AVX-512 machines, where it is AVX2 8x8
-  // (AVX-512 is opt-in via DMTK_SIMD or a measured wisdom profile).
-  const SimdLevel hw = hardware_simd_level();
-  if (hw == SimdLevel::Avx512x16x16) {
-    EXPECT_EQ(default_simd_level(), SimdLevel::Avx2x8x8);
+  // Every kernel starts at the CPU's widest level; DMTK_SIMD, when set,
+  // replaces it (clamped to the hardware).
+  if (const std::optional<SimdLevel> env = simd_env_override()) {
+    EXPECT_EQ(kStartupLevel, *env);
   } else {
-    EXPECT_EQ(default_simd_level(), hw);
+    EXPECT_EQ(kStartupLevel, hardware_simd_level());
   }
+}
+
+TEST(SimdLevel, EnvOverrideOptsOutOfTheWideLevel) {
+  const SimdLevel entry = simd_level();
+  const char* prior = std::getenv("DMTK_SIMD");
+  const std::optional<std::string> saved =
+      prior ? std::optional<std::string>(prior) : std::nullopt;
+  ASSERT_EQ(::setenv("DMTK_SIMD", "avx2", 1), 0);
+  const std::optional<SimdLevel> env = simd_env_override();
+  ::unsetenv("DMTK_SIMD");
+  if (saved) ::setenv("DMTK_SIMD", saved->c_str(), 1);
+  set_simd_level(entry);
+  ASSERT_TRUE(env.has_value());
+  // On AVX2 and AVX-512 hardware alike, "avx2" is the AVX2 8x8 tile; a
+  // CPU without AVX2 clamps it to scalar.
+  EXPECT_EQ(*env, hardware_simd_level() == SimdLevel::Scalar
+                      ? SimdLevel::Scalar
+                      : SimdLevel::Avx2x8x8);
 }
 
 }  // namespace

@@ -67,8 +67,8 @@ class TuneTest : public ::testing::Test {
     WisdomProfile p;
     p.cpu_brand = cpu_brand();
     p.cpu_ladder = cpu_ladder();
-    p.best_simd_f64 = blas::default_simd_level();
-    p.best_simd_f32 = blas::default_simd_level();
+    p.best_simd_f64 = blas::hardware_simd_level();
+    p.best_simd_f32 = blas::hardware_simd_level();
     p.blocking = GemmBlocking{128, 192, 512};
     p.dimtree_levels = 1;
     p.dimtree_min_order = 3;
@@ -175,6 +175,18 @@ TEST_F(TuneTest, OtherCpuProfileIsRejectedAtLoad) {
   EXPECT_NE(why.find("CPU"), std::string::npos);
   EXPECT_FALSE(wisdom_loaded());
   EXPECT_EQ(blas::gemm_blocking(), entry_blocking_);
+}
+
+TEST_F(TuneTest, ClearWisdomRestoresTheHardwareLevel) {
+  if (blas::simd_env_override()) GTEST_SKIP() << "DMTK_SIMD pins the level";
+  // A profile that opted out of the wide level, then a clear: dispatch
+  // returns to the CPU's widest level, not to whatever ran before.
+  WisdomProfile p = local_profile();
+  p.best_simd_f64 = p.best_simd_f32 = SimdLevel::Scalar;
+  apply_wisdom(p, "unit-test");
+  EXPECT_EQ(blas::simd_level(), SimdLevel::Scalar);
+  clear_wisdom();
+  EXPECT_EQ(blas::simd_level(), blas::hardware_simd_level());
 }
 
 TEST_F(TuneTest, ApplyAndClearMoveTheGlobalKnobs) {

@@ -377,7 +377,7 @@ int cmd_fmri(int argc, char** argv) {
 }
 
 /// `info --cpu`: the dispatch picture on this machine — detected ladder,
-/// downclock-aware default, active level, and wisdom status.
+/// hardware level, the active level with its source, and wisdom status.
 int cmd_info_cpu(const Flags& flags) {
   flag_load_wisdom(flags);
   std::printf("cpu: %s\n", tune::cpu_brand().c_str());
@@ -386,22 +386,18 @@ int cmd_info_cpu(const Flags& flags) {
     std::printf(" %s", std::string(blas::to_string(lvl)).c_str());
   }
   std::printf("\n");
-  const blas::SimdLevel hw = blas::hardware_simd_level();
-  const blas::SimdLevel def = blas::default_simd_level();
-  std::printf("hardware level: %s\n", std::string(blas::to_string(hw)).c_str());
-  std::printf("default level: %s%s\n",
-              std::string(blas::to_string(def)).c_str(),
-              def < hw ? " (avx512 is measured opt-in: run `dmtk tune` or "
-                         "set DMTK_SIMD=avx512)"
-                       : "");
-  const auto env = blas::simd_env_override();
-  std::printf("active level: %s%s\n",
-              std::string(blas::to_string(blas::simd_level())).c_str(),
-              env ? " (DMTK_SIMD)" : "");
+  const std::string hw(blas::to_string(blas::hardware_simd_level()));
+  std::printf("hardware level: %s\n", hw.c_str());
   // One snapshot, branched on directly — wisdom() copies the profile out
-  // under the registry lock, so `p` stays valid whatever happens to the
-  // registry afterwards.
-  if (const std::optional<tune::WisdomProfile> p = tune::wisdom()) {
+  // under the registry lock (and performs the DMTK_WISDOM autoload, which
+  // may move the level), so `p` stays valid whatever happens afterwards.
+  const std::optional<tune::WisdomProfile> p = tune::wisdom();
+  std::printf("active level: %s (%s)\n",
+              std::string(blas::to_string(blas::simd_level())).c_str(),
+              blas::simd_env_override() ? "DMTK_SIMD"
+              : p                       ? "wisdom"
+                                        : "hardware");
+  if (p) {
     const std::string src = tune::wisdom_source();
     std::printf(
         "wisdom: loaded%s%s\n", src.empty() ? "" : " from ", src.c_str());
