@@ -12,7 +12,7 @@
 ///      vector unit the CPU has.
 /// After start-up, set_simd_level() moves it: a loaded wisdom profile
 /// installs its measured level (unless DMTK_SIMD is set), and tests and
-/// the roofline bench compare kernels within one process. On a CPU where
+/// the tuner compare kernels within one process. On a CPU where
 /// the wide level costs more in clock than it gains, a `dmtk tune`
 /// profile or DMTK_SIMD is the measured opt-out.
 ///

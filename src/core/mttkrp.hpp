@@ -63,7 +63,7 @@ std::string_view to_string(MttkrpMethod m);
 
 /// Inverse of to_string: parse a method name ("reference", "reorder",
 /// "1-step-seq", "1-step", "2-step", "auto", "acc64"). Returns nullopt for
-/// unknown names — the single parser shared by the CLI and the benchmarks.
+/// unknown names — the single parser shared by the CLI and the server.
 std::optional<MttkrpMethod> parse_mttkrp_method(std::string_view name);
 
 /// Wall-clock breakdown of one MTTKRP call, mirroring the categories of

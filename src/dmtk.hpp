@@ -92,5 +92,4 @@
 #include "util/env.hpp"             // IWYU pragma: export
 #include "util/rng.hpp"             // IWYU pragma: export
 #include "util/stats.hpp"           // IWYU pragma: export
-#include "util/stream.hpp"          // IWYU pragma: export
 #include "util/timer.hpp"           // IWYU pragma: export

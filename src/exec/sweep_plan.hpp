@@ -102,7 +102,7 @@ enum class SweepScheme { Auto, PerMode, DimTree, SparseCsf, SparseCoo };
 
 /// Parse "auto" | "permode" | "dimtree" | "csf" | "coo" (aliases:
 /// "per-mode", "dim-tree", "sparse-csf", "sparse-coo"). Returns nullopt
-/// for unknown names — shared by the CLI and benches.
+/// for unknown names — shared by the CLI and the server.
 [[nodiscard]] std::optional<SweepScheme> parse_sweep_scheme(
     std::string_view name);
 
@@ -111,9 +111,9 @@ enum class SweepScheme { Auto, PerMode, DimTree, SparseCsf, SparseCoo };
 /// reporting both go through it. The heuristic picks the dimension tree
 /// at order >= tune::auto_dimtree_min_order() — 4 by default (where the
 /// tree's two-full-passes-per-sweep saving is decisively ahead of
-/// PerMode's N passes; ablation data in BENCH_pr3.json), but a loaded
-/// wisdom profile replaces the constant with this machine's measured
-/// cutover. It never returns a sparse scheme: sparse input resolves Auto
+/// PerMode's N passes), but a loaded wisdom profile replaces the constant
+/// with this machine's measured cutover. It never returns a sparse
+/// scheme: sparse input resolves Auto
 /// through resolve_sparse_sweep_scheme below instead. One refinement: an
 /// explicit (non-Auto) MttkrpMethod pins PerMode under Auto, because the
 /// tree has its own contraction kernels and would silently ignore the

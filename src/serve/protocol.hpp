@@ -67,8 +67,8 @@ enum class RequestType { Decompose, Mttkrp, Info, Stats, Shutdown, Health };
 /// A validated request. A decompose request's fields are exactly a
 /// DecomposeSpec's (same defaults as `dmtk decompose`); serve never sets
 /// nn or the checkpoint fields. An mttkrp request reuses the
-/// spec's tensor, precision, rank and seed (seed 7 by default, matching
-/// the bench harness convention for factor draws).
+/// spec's tensor, precision, rank and seed (seed 7 by default for the
+/// factor draws).
 struct Request {
   RequestType type = RequestType::Info;
   Json id;  ///< echoed verbatim; null when the request had none

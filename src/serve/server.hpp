@@ -123,7 +123,7 @@ class Server {
   [[nodiscard]] const ServeOptions& options() const { return opts_; }
 
   /// The stats-request payload (cache counters aggregated across
-  /// workers) — exposed for in-process tests and the bench harness.
+  /// workers) — exposed for in-process tests.
   [[nodiscard]] Json stats_json() const;
 
   /// The health-request payload: uptime, worker/queue occupancy, the

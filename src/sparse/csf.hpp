@@ -28,7 +28,7 @@
 /// share the same tree layout; only the leaf values change width. The
 /// kernel's per-level scratch stays fp64 for either scalar, so fp32 storage
 /// accumulates at the fp64 floor while streaming half the value/factor
-/// bytes — the mixed-precision shape BENCH_pr5 motivates.
+/// bytes.
 
 #include <span>
 #include <vector>

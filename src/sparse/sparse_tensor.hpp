@@ -13,9 +13,9 @@
 /// SparseMttkrpPlan (exec/sparse_mttkrp_plan.hpp), sharing the exact
 /// grams/fit/stopping sweep loop of the dense drivers and executing
 /// allocation-free from the context's arena once planned.
-/// The `bench_ablation_density` benchmark then measures the density
-/// crossover where the paper's dense kernels overtake the sparse one —
-/// the quantitative version of the paper's motivation.
+/// `dmtk tune` measures the density crossover where the paper's dense
+/// kernels overtake the sparse one — the quantitative version of the
+/// paper's motivation.
 ///
 /// Like the dense core, the container is templated on the scalar type:
 /// `SparseTensorT<float>` halves the bytes per nonzero the COO/CSF kernels

@@ -105,7 +105,7 @@ TuneReport run_tune(const TuneOptions& opts) {
   WisdomProfile& p = rep.profile;
 
   const bool quick = opts.quick;
-  const int trials = opts.trials > 0 ? opts.trials : (quick ? 1 : 3);
+  const int trials = opts.trials > 0 ? opts.trials : 3;
   ExecContext ctx(opts.threads);
   const int nt = ctx.threads();
   Rng rng(20260808);

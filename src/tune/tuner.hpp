@@ -23,7 +23,8 @@
 ///
 /// `quick` shrinks every probe shape and candidate set so the whole pass
 /// runs in seconds — the ctest smoke and CI use it; real profiles come
-/// from the full pass.
+/// from the full pass. Both take the median of 3 trials per measurement,
+/// so one scheduler stall cannot decide the recorded level.
 
 #include <iosfwd>
 #include <vector>
@@ -35,7 +36,7 @@ namespace dmtk::tune {
 struct TuneOptions {
   bool quick = false;
   int threads = 0;  ///< 0 = resolve_threads default
-  int trials = 0;   ///< median-of trials per measurement; 0 = 3 (quick: 1)
+  int trials = 0;   ///< median-of trials per measurement; 0 = 3
   std::ostream* log = nullptr;  ///< progress lines (CLI passes std::cout)
 };
 
@@ -47,7 +48,7 @@ struct CrossoverPoint {
 };
 
 /// Everything the pass measured: the profile to persist plus the raw
-/// stage timings behind it (for BENCH JSON and --json reporting).
+/// stage timings behind it (for --json reporting).
 struct TuneReport {
   WisdomProfile profile;
   double permode_seconds_n3 = 0.0, dimtree_seconds_n3 = 0.0;

@@ -78,7 +78,7 @@ struct WisdomProfile {
   TwoStepPref twostep = TwoStepPref::Heuristic;
   double sparse_crossover = kDefaultSparseCrossover;
 
-  // Provenance + measurements (informational; info --cpu and BENCH JSON).
+  // Provenance + measurements (informational; info --cpu and tune --json).
   std::string created;  ///< stamp the CLI writes (not read back into logic)
   int tune_threads = 1;
   bool quick = false;

@@ -1,9 +1,7 @@
 #pragma once
 /// \file env.hpp
-/// \brief Process-wide threading defaults. The paper's experiments sweep the
-/// number of threads from 1 to 12; benchmarks use set_num_threads() to pin
-/// each sweep point, and kernels pick up the default when the caller passes
-/// threads <= 0.
+/// \brief Process-wide threading defaults: kernels pick up the default set
+/// by set_num_threads() when the caller passes threads <= 0.
 
 namespace dmtk {
 

@@ -1,7 +1,7 @@
 #pragma once
 /// \file parse.hpp
-/// \brief Strict numeric parsing for user-facing front ends (the CLI and
-/// benches). Unlike std::atoll/atof — which silently return 0 for garbage
+/// \brief Strict numeric parsing for user-facing front ends (the CLI).
+/// Unlike std::atoll/atof — which silently return 0 for garbage
 /// and wrap on overflow — these helpers accept a string only when it parses
 /// COMPLETELY and fits the target type, returning nullopt otherwise, so a
 /// typo like `--rank abc` or `--dims 10x-3x7` becomes a usage error instead

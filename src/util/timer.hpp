@@ -1,7 +1,7 @@
 #pragma once
 /// \file timer.hpp
-/// \brief Wall-clock timing utilities used by the benchmark harness and the
-/// per-phase instrumentation inside the MTTKRP kernels.
+/// \brief Wall-clock timing utilities: the tuner's probes and the per-phase
+/// instrumentation inside the MTTKRP kernels.
 
 #include <algorithm>
 #include <chrono>

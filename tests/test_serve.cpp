@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -30,6 +31,7 @@
 #include "serve/server.hpp"
 #include "sparse/sparse_tensor.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace dmtk::serve {
 namespace {
@@ -242,6 +244,60 @@ TEST_F(ServeTest, ColdRequestsBypassTheCache) {
   stats_req.set("type", Json("stats"));
   const Json stats = roundtrip(stats_req);
   EXPECT_GE(stats.find("cache")->find("bypass")->as_number(), 1.0);
+}
+
+// The serving claim: a resident server amortizes context and plan set-up,
+// so a decompose through the cached plan beats the cold path (a fresh
+// ExecContext and a transient plan per request, the batch CLI's cost).
+// Cold and warm requests alternate on one connection, each pair swapping
+// which goes first, so host load during the test lands on both sides. The
+// comparison is the server's own service time (read + plan + exec): the
+// queue hand-off and the wire run the same code on both paths, and under
+// `ctest -j` their scheduling delays swamp the set-up a round trip would
+// otherwise show.
+TEST_F(ServeTest, WarmCacheBeatsColdStartAtTheMedian) {
+  ServeOptions so;
+  so.workers = 1;
+  so.threads = 1;
+  start(so);
+  const std::string tensor = make_dense("cube.dten", {48, 48, 48});
+  auto request = [&](bool cold) {
+    Json r = decompose_req(tensor, 32, 1, 5);
+    r.set("sweep", Json("permode"));
+    r.set("inline_model", Json(false));
+    if (cold) r.set("cold", Json(true));
+    return r;
+  };
+  const Json warm_req = request(false);
+  const Json cold_req = request(true);
+
+  Client c;
+  c.connect(socket_);
+  const Json first = c.roundtrip(warm_req);
+  ASSERT_TRUE(first.find("ok")->as_bool()) << first.dump();
+  EXPECT_EQ(first.find("plan")->as_string(), "miss");
+
+  constexpr int kPairs = 24;
+  std::vector<double> cold_ms;
+  std::vector<double> warm_ms;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    for (const bool cold : {pair % 2 == 0, pair % 2 != 0}) {
+      const Json resp = c.roundtrip(cold ? cold_req : warm_req);
+      ASSERT_TRUE(resp.find("ok")->as_bool()) << resp.dump();
+      EXPECT_EQ(resp.find("plan")->as_string(), cold ? "bypass" : "hit");
+      const Json* t = resp.find("timings_ms");
+      ASSERT_NE(t, nullptr) << resp.dump();
+      (cold ? cold_ms : warm_ms)
+          .push_back(t->find("read")->as_number() +
+                     t->find("plan")->as_number() +
+                     t->find("exec")->as_number());
+    }
+  }
+  const double cold_p50 = median(cold_ms);
+  const double warm_p50 = median(warm_ms);
+  std::printf("decompose service p50: cold %.3f ms, warm %.3f ms\n", cold_p50,
+              warm_p50);
+  EXPECT_LT(warm_p50, cold_p50);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,13 +1,11 @@
-// Tests for util/: block partitioning, stats, RNG, timers, STREAM kernels,
-// the threading environment, the CRC-32 kernels and the sum-of-squares
-// kernels.
+// Tests for util/: block partitioning, stats, RNG, timers, the threading
+// environment, the CRC-32 kernels and the sum-of-squares kernels.
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -17,7 +15,6 @@
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
-#include "util/stream.hpp"
 #include "util/sumsq.hpp"
 #include "util/timer.hpp"
 
@@ -236,46 +233,6 @@ TEST(PhaseTimerTest, StopIsIdempotent) {
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   pt.stop();
   EXPECT_EQ(slot, after_first);
-}
-
-// ------------------------------------------------------------------- stream
-
-TEST(Stream, CopyMovesData) {
-  std::vector<double> a(1000), b(1000, 0.0);
-  std::iota(a.begin(), a.end(), 0.0);
-  const double bytes = stream::copy(a, b, 2);
-  EXPECT_EQ(b, a);
-  EXPECT_DOUBLE_EQ(bytes, 2.0 * 1000 * sizeof(double));
-}
-
-TEST(Stream, ScaleAppliesAlpha) {
-  std::vector<double> a(100, 2.0), b(100, 0.0);
-  stream::scale(a, b, 3.0, 1);
-  for (double x : b) EXPECT_DOUBLE_EQ(x, 6.0);
-}
-
-TEST(Stream, AddSums) {
-  std::vector<double> a(100, 1.5), b(100, 2.5), c(100, 0.0);
-  const double bytes = stream::add(a, b, c, 2);
-  for (double x : c) EXPECT_DOUBLE_EQ(x, 4.0);
-  EXPECT_DOUBLE_EQ(bytes, 3.0 * 100 * sizeof(double));
-}
-
-TEST(Stream, TriadFma) {
-  std::vector<double> a(64, 1.0), b(64, 2.0), c(64, 0.0);
-  stream::triad(a, b, c, 10.0, 3);
-  for (double x : c) EXPECT_DOUBLE_EQ(x, 21.0);
-}
-
-TEST(Stream, ReadScaleWriteMatchesScale) {
-  std::vector<double> a(128, 4.0), b(128, 0.0);
-  stream::read_scale_write(a, b, 0.5, 2);
-  for (double x : b) EXPECT_DOUBLE_EQ(x, 2.0);
-}
-
-TEST(Stream, SizeMismatchThrows) {
-  std::vector<double> a(10), b(11);
-  EXPECT_THROW(stream::copy(a, b), DimensionError);
 }
 
 // ---------------------------------------------------------------------- env

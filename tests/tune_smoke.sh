@@ -7,7 +7,8 @@
 # --cpu` reporting it loaded, a dense decompose running under --wisdom and
 # under the DMTK_WISDOM env autoload, the strictness contract (corrupt
 # profile aborts an explicit --wisdom run but only warns on the env path),
-# and DMTK_SIMD beating the profile's level preference.
+# DMTK_SIMD setting the start-up level (the hardware level when unset) and
+# beating the profile's level preference, and quick mode's 3-trial probes.
 
 set -u
 dmtk="$1"
@@ -39,6 +40,13 @@ wisdom="${work}/wisdom.json"
 # --- tune writes a profile this machine can load back ----------------------
 expect_ok "${dmtk}" tune --quick --out "${wisdom}"
 [[ -f "${wisdom}" ]] || { echo "FAIL: no profile written"; fails=$((fails + 1)); }
+# Quick mode keeps the median of 3 probe trials: one stall must not pick
+# the recorded level.
+grep -q "stage 1/5: .*, 3 trials)" "${work}/out.log" || {
+  echo "FAIL (quick tune should probe each level with 3 trials)"
+  cat "${work}/out.log"
+  fails=$((fails + 1))
+}
 expect_grep "best f64" "${dmtk}" tune --quick --out "${wisdom}" --json
 expect_grep '"profile"' "${dmtk}" tune --quick --out "${wisdom}" --json
 
@@ -47,6 +55,22 @@ expect_grep "simd ladder: scalar" "${dmtk}" info --cpu
 expect_grep "wisdom: none" "${dmtk}" info --cpu
 expect_grep "wisdom: loaded" "${dmtk}" info --cpu --wisdom "${wisdom}"
 expect_grep "blocking MCxKCxNC" "${dmtk}" info --cpu --wisdom "${wisdom}"
+
+# --- DMTK_SIMD picks the start-up level, clamped to the hardware ladder ----
+# (a narrower runner falls back down the ladder, so accept those names too)
+DMTK_SIMD=avx2 expect_grep '^active level: \(avx2-8x8\|scalar\) (DMTK_SIMD)$' \
+  "${dmtk}" info --cpu
+DMTK_SIMD=avx512 \
+  expect_grep '^active level: \(avx512-16x16\|avx2-8x8\|scalar\) (DMTK_SIMD)$' \
+  "${dmtk}" info --cpu
+# Unset, every kernel starts at the hardware level.
+cpu="$(env -u DMTK_SIMD -u DMTK_WISDOM "${dmtk}" info --cpu 2>&1)"
+hw="$(sed -n 's/^hardware level: //p' <<< "${cpu}")"
+if [[ -z "${hw}" ]] || ! grep -qx "active level: ${hw} (hardware)" <<< "${cpu}"; then
+  echo "FAIL (unset DMTK_SIMD should start at the hardware level)"
+  echo "${cpu}"
+  fails=$((fails + 1))
+fi
 
 # --- decompose under the profile (flag and env paths) ----------------------
 expect_ok "${dmtk}" generate --dims 10x8x6 --rank 3 --seed 5 \
