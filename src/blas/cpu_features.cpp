@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 
 namespace dmtk::blas {
 
@@ -133,16 +134,18 @@ SimdLevel set_simd_level(SimdLevel level) {
   return installed;
 }
 
-SimdTile simd_tile(SimdLevel level, bool fp32) {
-  switch (level) {
-    case SimdLevel::Scalar: return {4, 8};
-    case SimdLevel::Avx2x4x8: return fp32 ? SimdTile{8, 8} : SimdTile{4, 8};
-    case SimdLevel::Avx2x8x8: return {8, 8};
-    case SimdLevel::Avx512x8x16:
-      return fp32 ? SimdTile{16, 16} : SimdTile{8, 16};
-    case SimdLevel::Avx512x16x16: return {16, 16};
+std::string cpu_brand() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    const auto colon = line.find(':');
+    if (colon == std::string::npos) continue;
+    if (line.compare(0, 10, "model name") == 0) {
+      const auto first = line.find_first_not_of(" \t", colon + 1);
+      return first == std::string::npos ? "unknown" : line.substr(first);
+    }
   }
-  return {4, 8};
+  return "unknown";
 }
 
 }  // namespace dmtk::blas

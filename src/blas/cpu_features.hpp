@@ -10,21 +10,18 @@
 ///      supported one with a one-time stderr warning;
 ///   2. otherwise hardware_simd_level(), CPUID's best level: the widest
 ///      vector unit the CPU has.
-/// After start-up, set_simd_level() moves it: a loaded wisdom profile
-/// installs its measured level (unless DMTK_SIMD is set), and tests and
-/// the tuner compare kernels within one process. On a CPU where
-/// the wide level costs more in clock than it gains, a `dmtk tune`
-/// profile or DMTK_SIMD is the measured opt-out.
+/// After start-up, set_simd_level() moves it: the per-level kernel tests
+/// compare kernels within one process that way. On a CPU where the wide
+/// level costs more in clock than it gains, DMTK_SIMD is the opt-out.
 ///
 /// The selection is exposed as a level enum rather than a bare function
 /// pointer so the packing code can agree with the kernel on the register
 /// tile shape (MR x NR) it packs for.
 
 #include <optional>
+#include <string>
 #include <string_view>
 #include <vector>
-
-#include "util/common.hpp"
 
 namespace dmtk::blas {
 
@@ -62,8 +59,8 @@ enum class SimdLevel {
 [[nodiscard]] std::vector<SimdLevel> supported_simd_levels();
 
 /// The DMTK_SIMD override, already clamped to hardware — nullopt when the
-/// variable is unset or unparseable. The wisdom loader checks this so an
-/// explicit env override always beats a profile's preference.
+/// variable is unset or unparseable (`dmtk info --cpu` reports the active
+/// level's source from it).
 [[nodiscard]] std::optional<SimdLevel> simd_env_override();
 
 /// The level GEMM currently dispatches to (env override applied on first
@@ -75,13 +72,8 @@ enum class SimdLevel {
 /// installed.
 SimdLevel set_simd_level(SimdLevel level);
 
-/// Register-tile extents (MR x NR) a level's kernel packs for, per scalar
-/// width. Informational (dmtk info --cpu, tune reports); the GEMM path
-/// carries the shape inside its selected MicroKernel.
-struct SimdTile {
-  index_t mr;
-  index_t nr;
-};
-[[nodiscard]] SimdTile simd_tile(SimdLevel level, bool fp32);
+/// The CPU's model name from /proc/cpuinfo, or "unknown" where it is
+/// absent (non-Linux, restricted /proc). Informational (dmtk info --cpu).
+[[nodiscard]] std::string cpu_brand();
 
 }  // namespace dmtk::blas

@@ -232,19 +232,19 @@ void macro_tile(const MicroKernel<T>& uk, index_t mc, index_t nc, index_t kc,
 /// C(m x n) <- alpha * op(A) * op(B) + beta * C on one thread, packing into
 /// the caller-carved Ap/Bp blocks.
 template <typename T>
-void gemm_seq(const MicroKernel<T>& uk, const GemmBlocking& bl, Trans ta,
-              Trans tb, index_t m, index_t n, index_t k, T alpha, const T* A,
-              index_t lda, const T* B, index_t ldb, T beta, T* C, index_t ldc,
-              T* Ap, T* Bp) {
+void gemm_seq(const MicroKernel<T>& uk, Trans ta, Trans tb, index_t m,
+              index_t n, index_t k, T alpha, const T* A, index_t lda,
+              const T* B, index_t ldb, T beta, T* C, index_t ldc, T* Ap,
+              T* Bp) {
   scale_columns(m, index_t{0}, n, beta, C, ldc);
   if (m == 0 || n == 0 || k == 0 || alpha == T{0}) return;
-  for (index_t jc = 0; jc < n; jc += bl.nc) {
-    const index_t nc = std::min<index_t>(bl.nc, n - jc);
-    for (index_t pc = 0; pc < k; pc += bl.kc) {
-      const index_t kc = std::min<index_t>(bl.kc, k - pc);
+  for (index_t jc = 0; jc < n; jc += kGemmNC) {
+    const index_t nc = std::min<index_t>(kGemmNC, n - jc);
+    for (index_t pc = 0; pc < k; pc += kGemmKC) {
+      const index_t kc = std::min<index_t>(kGemmKC, k - pc);
       pack_b(uk.nr, kc, nc, B, ldb, tb, pc, jc, Bp, 0, 1);
-      for (index_t ic = 0; ic < m; ic += bl.mc) {
-        const index_t mc = std::min<index_t>(bl.mc, m - ic);
+      for (index_t ic = 0; ic < m; ic += kGemmMC) {
+        const index_t mc = std::min<index_t>(kGemmMC, m - ic);
         pack_a(uk.mr, mc, kc, A, lda, ta, ic, pc, Ap, 0, 1);
         macro_tile(uk, mc, nc, kc, alpha, Ap, Bp, C + ic + jc * ldc, ldc, 0,
                    1);
@@ -268,37 +268,37 @@ void gemm_seq(const MicroKernel<T>& uk, const GemmBlocking& bl, Trans ta,
 /// Every barrier below is executed by every thread of the team (branch
 /// conditions depend only on shapes), so the sequences cannot diverge.
 template <typename T>
-void gemm_team(const MicroKernel<T>& uk, const GemmBlocking& bl, Trans ta,
-               Trans tb, index_t m, index_t n, index_t k, T alpha, const T* A,
-               index_t lda, const T* B, index_t ldb, T beta, T* C, index_t ldc,
-               int nt, T* Bp, T* Aslices, std::size_t a_elems) {
+void gemm_team(const MicroKernel<T>& uk, Trans ta, Trans tb, index_t m,
+               index_t n, index_t k, T alpha, const T* A, index_t lda,
+               const T* B, index_t ldb, T beta, T* C, index_t ldc, int nt,
+               T* Bp, T* Aslices, std::size_t a_elems) {
   parallel_region(nt, [&](int t, int nteam) {
     {
       const Range r = block_range(n, nteam, t);
       scale_columns(m, r.begin, r.end, beta, C, ldc);
     }
     team_barrier();
-    const index_t n_ic = (m + bl.mc - 1) / bl.mc;
+    const index_t n_ic = (m + kGemmMC - 1) / kGemmMC;
     const bool split_ic = n_ic >= static_cast<index_t>(nteam);
     T* my_a = Aslices + static_cast<std::size_t>(t) * a_elems;
-    for (index_t jc = 0; jc < n; jc += bl.nc) {
-      const index_t nc = std::min<index_t>(bl.nc, n - jc);
-      for (index_t pc = 0; pc < k; pc += bl.kc) {
-        const index_t kc = std::min<index_t>(bl.kc, k - pc);
+    for (index_t jc = 0; jc < n; jc += kGemmNC) {
+      const index_t nc = std::min<index_t>(kGemmNC, n - jc);
+      for (index_t pc = 0; pc < k; pc += kGemmKC) {
+        const index_t kc = std::min<index_t>(kGemmKC, k - pc);
         pack_b(uk.nr, kc, nc, B, ldb, tb, pc, jc, Bp, t, nteam);
         team_barrier();
         if (split_ic) {
           for (index_t bi = t; bi < n_ic; bi += nteam) {
-            const index_t ic = bi * bl.mc;
-            const index_t mc = std::min<index_t>(bl.mc, m - ic);
+            const index_t ic = bi * kGemmMC;
+            const index_t mc = std::min<index_t>(kGemmMC, m - ic);
             pack_a(uk.mr, mc, kc, A, lda, ta, ic, pc, my_a, 0, 1);
             macro_tile(uk, mc, nc, kc, alpha, my_a, Bp, C + ic + jc * ldc,
                        ldc, 0, 1);
           }
           team_barrier();  // all reads of Bp done before the next repack
         } else {
-          for (index_t ic = 0; ic < m; ic += bl.mc) {
-            const index_t mc = std::min<index_t>(bl.mc, m - ic);
+          for (index_t ic = 0; ic < m; ic += kGemmMC) {
+            const index_t mc = std::min<index_t>(kGemmMC, m - ic);
             pack_a(uk.mr, mc, kc, A, lda, ta, ic, pc, Aslices, t, nteam);
             team_barrier();
             macro_tile(uk, mc, nc, kc, alpha, Aslices, Bp, C + ic + jc * ldc,
@@ -334,7 +334,6 @@ void gemm_col(Trans ta, Trans tb, index_t m, index_t n, index_t k, T alpha,
     return;
   }
   const MicroKernel<T> uk = select_kernel<T>();
-  const GemmBlocking bl = gemm_blocking();
   const std::size_t b_elems = std::max(packed_b_elems<T>(n, k),
                                        packed_b_elems<T>(m, k));
   const std::size_t a_elems = std::max(packed_a_elems<T>(m, k),
@@ -347,10 +346,10 @@ void gemm_col(Trans ta, Trans tb, index_t m, index_t n, index_t k, T alpha,
   T* Bp = base;
   T* Aslices = base + b_elems;
   if (!team) {
-    gemm_seq(uk, bl, ta, tb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc,
+    gemm_seq(uk, ta, tb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc,
              Aslices, Bp);
   } else {
-    gemm_team(uk, bl, ta, tb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc,
+    gemm_team(uk, ta, tb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc,
               nt, Bp, Aslices, a_elems);
   }
 }
@@ -423,7 +422,6 @@ void gemm_batched(Layout layout, Trans ta, Trans tb, index_t m, index_t n,
 
   const int nt = resolve_threads(threads);
   const MicroKernel<T> uk = select_kernel<T>();
-  const GemmBlocking bl = gemm_blocking();
   // Zero on the rank-panel path, which packs nothing (and never grows
   // the fallback arena).
   const bool panel = gemm_uses_rank_panel(tb, n, k);
@@ -449,7 +447,7 @@ void gemm_batched(Layout layout, Trans ta, Trans tb, index_t m, index_t n,
                              beta_eff, C[i] + i0, ldc);
       return;
     }
-    gemm_seq(uk, bl, ta, tb, mi, n, k, alpha, Ai, lda, B[i], ldb, beta_eff,
+    gemm_seq(uk, ta, tb, mi, n, k, alpha, Ai, lda, B[i], ldb, beta_eff,
              C[i] + i0, ldc, slice + b_elems, slice);
   };
 

@@ -1,7 +1,7 @@
 #pragma once
 /// \file gemm_workspace.hpp
-/// \brief Caller-provided packing workspace + runtime cache blocking for
-/// the blocked GEMM/SYRK path.
+/// \brief Caller-provided packing workspace + cache blocking for the
+/// blocked GEMM/SYRK path.
 ///
 /// The BLIS-style kernel packs operand panels (KC x NC of op(B) shared by
 /// the team, MC x KC of op(A) per thread). PR 1's plan layer guarantees
@@ -25,17 +25,11 @@
 /// time. The rank-panel path (gemm.hpp) packs nothing and is sized at
 /// zero.
 ///
-/// The MC/KC/NC blocking is a process-wide runtime setting (the tune
-/// subsystem's wisdom profiles install measured values at startup; the
-/// kDefault* constants below are the hand-picked fallbacks). Sizing
-/// helpers and the execution path read the same atomics, so a workspace
-/// sized after set_gemm_blocking() always fits the blocks the kernel
-/// packs. Changing the blocking BETWEEN planning and execution is safe but
-/// wasteful: an under-sized caller view makes the kernel fall back to its
-/// internal arena (counted), never overflow.
+/// The MC/KC/NC blocking is a compile-time constant: the sizing helpers
+/// and the packing loops read the same three values, so a workspace sized
+/// by the helpers below always fits the blocks the kernel packs.
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 
 #include "blas/types.hpp"
@@ -43,67 +37,17 @@
 
 namespace dmtk::blas {
 
-/// Hand-picked default cache-blocking parameters (elements, not bytes):
-/// KC x NR B-strips sit in L1 during the micro-kernel, MC x KC packed A in
-/// L2, KC x NC packed B in L3.
-inline constexpr index_t kGemmDefaultMC = 96;
-inline constexpr index_t kGemmDefaultKC = 256;
-inline constexpr index_t kGemmDefaultNC = 1024;
-
-/// Backwards-compatible aliases for the defaults (pre-tune code and tests
-/// refer to these).
-inline constexpr index_t kGemmMC = kGemmDefaultMC;
-inline constexpr index_t kGemmKC = kGemmDefaultKC;
-inline constexpr index_t kGemmNC = kGemmDefaultNC;
+/// Cache-blocking parameters (elements, not bytes): KC x NR B-strips sit
+/// in L1 during the micro-kernel, MC x KC packed A in L2, KC x NC packed B
+/// in L3.
+inline constexpr index_t kGemmMC = 96;
+inline constexpr index_t kGemmKC = 256;
+inline constexpr index_t kGemmNC = 1024;
 
 /// Largest register-tile extents over all dispatchable micro-kernels
 /// (AVX-512 16x16); workspace sizing rounds panel extents up to these.
 inline constexpr index_t kGemmMaxMR = 16;
 inline constexpr index_t kGemmMaxNR = 16;
-
-/// Clamp bounds for set_gemm_blocking: wide enough for any sane sweep,
-/// tight enough that a hostile profile cannot request pathological
-/// workspaces.
-inline constexpr index_t kGemmMinMC = kGemmMaxMR, kGemmMaxMC = 1024;
-inline constexpr index_t kGemmMinKC = 32, kGemmMaxKC = 2048;
-inline constexpr index_t kGemmMinNC = kGemmMaxNR, kGemmMaxNC = 8192;
-
-/// The runtime blocking triple the packing loops and sizing helpers use.
-struct GemmBlocking {
-  index_t mc = kGemmDefaultMC;
-  index_t kc = kGemmDefaultKC;
-  index_t nc = kGemmDefaultNC;
-  [[nodiscard]] bool operator==(const GemmBlocking&) const = default;
-};
-
-namespace detail {
-inline std::atomic<index_t> g_block_mc{kGemmDefaultMC};
-inline std::atomic<index_t> g_block_kc{kGemmDefaultKC};
-inline std::atomic<index_t> g_block_nc{kGemmDefaultNC};
-}  // namespace detail
-
-/// Current process-wide blocking (defaults until a wisdom profile or test
-/// installs something else).
-[[nodiscard]] inline GemmBlocking gemm_blocking() {
-  return {detail::g_block_mc.load(std::memory_order_relaxed),
-          detail::g_block_kc.load(std::memory_order_relaxed),
-          detail::g_block_nc.load(std::memory_order_relaxed)};
-}
-
-/// Install a blocking triple (clamped to the bounds above). Returns what
-/// was actually installed. Intended for startup (wisdom load) and tests —
-/// concurrent calls with in-flight GEMMs are benign (each call snapshots
-/// the triple once) but sizes may mismatch across the change, costing a
-/// counted internal-arena fallback.
-inline GemmBlocking set_gemm_blocking(GemmBlocking b) {
-  b.mc = std::clamp(b.mc, kGemmMinMC, kGemmMaxMC);
-  b.kc = std::clamp(b.kc, kGemmMinKC, kGemmMaxKC);
-  b.nc = std::clamp(b.nc, kGemmMinNC, kGemmMaxNC);
-  detail::g_block_mc.store(b.mc, std::memory_order_relaxed);
-  detail::g_block_kc.store(b.kc, std::memory_order_relaxed);
-  detail::g_block_nc.store(b.nc, std::memory_order_relaxed);
-  return b;
-}
 
 /// Non-owning view of a scratch block, measured in bytes. The kernel
 /// aligns the base up to a cache line internally — the sizing helpers
@@ -142,21 +86,19 @@ template <typename T>
 
 /// Elements of T for one shared packed-B panel of a (m x n x k) GEMM.
 template <typename T>
-[[nodiscard]] inline std::size_t packed_b_elems(index_t n, index_t k) {
-  const GemmBlocking bl = gemm_blocking();
-  const index_t kc = k < bl.kc ? (k > 0 ? k : 1) : bl.kc;
+[[nodiscard]] constexpr std::size_t packed_b_elems(index_t n, index_t k) {
+  const index_t kc = k < kGemmKC ? (k > 0 ? k : 1) : kGemmKC;
   const index_t nc =
-      round_up(n < bl.nc ? (n > 0 ? n : 1) : bl.nc, kGemmMaxNR);
+      round_up(n < kGemmNC ? (n > 0 ? n : 1) : kGemmNC, kGemmMaxNR);
   return ws_align<T>(static_cast<std::size_t>(nc * kc));
 }
 
 /// Elements of T for one per-thread packed-A block of a (m x n x k) GEMM.
 template <typename T>
-[[nodiscard]] inline std::size_t packed_a_elems(index_t m, index_t k) {
-  const GemmBlocking bl = gemm_blocking();
-  const index_t kc = k < bl.kc ? (k > 0 ? k : 1) : bl.kc;
+[[nodiscard]] constexpr std::size_t packed_a_elems(index_t m, index_t k) {
+  const index_t kc = k < kGemmKC ? (k > 0 ? k : 1) : kGemmKC;
   const index_t mc =
-      round_up(m < bl.mc ? (m > 0 ? m : 1) : bl.mc, kGemmMaxMR);
+      round_up(m < kGemmMC ? (m > 0 ? m : 1) : kGemmMC, kGemmMaxMR);
   return ws_align<T>(static_cast<std::size_t>(mc * kc));
 }
 

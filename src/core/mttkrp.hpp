@@ -128,12 +128,4 @@ void mttkrp_acc64(const TensorF& X, std::span<const MatrixF> factors,
 /// mode (internal modes of tensors with N >= 3).
 bool twostep_is_defined(index_t order, index_t mode);
 
-/// The side the 2-step algorithm will use for a given shape: true = left
-/// partial MTTKRP first (I_Ln > I_Rn), false = right first. Exposed for the
-/// ablation benchmark of the side-selection heuristic.
-template <typename T>
-bool twostep_uses_left(const TensorT<T>& X, index_t mode) {
-  return X.left_size(mode) > X.right_size(mode);
-}
-
 }  // namespace dmtk

@@ -64,6 +64,7 @@
 
 #include "baseline/ttb_cp_als.hpp"  // IWYU pragma: export
 #include "blas/blas.hpp"            // IWYU pragma: export
+#include "blas/cpu_features.hpp"    // IWYU pragma: export
 #include "core/cp_als.hpp"          // IWYU pragma: export
 #include "core/cp_nn.hpp"           // IWYU pragma: export
 #include "core/cp_model.hpp"        // IWYU pragma: export
@@ -87,8 +88,6 @@
 #include "sim/fmri.hpp"             // IWYU pragma: export
 #include "sparse/csf.hpp"           // IWYU pragma: export
 #include "sparse/sparse_tensor.hpp" // IWYU pragma: export
-#include "tune/tuner.hpp"           // IWYU pragma: export
-#include "tune/wisdom.hpp"          // IWYU pragma: export
 #include "util/env.hpp"             // IWYU pragma: export
 #include "util/rng.hpp"             // IWYU pragma: export
 #include "util/stats.hpp"           // IWYU pragma: export

@@ -27,6 +27,7 @@
 
 #include "util/aligned_alloc.hpp"
 #include "util/common.hpp"
+#include "util/env.hpp"
 #include "util/fault.hpp"
 #include "util/parallel.hpp"
 
@@ -229,7 +230,7 @@ class ExecContext {
   ExecContext() : ExecContext(0) {}
 
   /// Pin the thread count; <= 0 resolves to the library default now.
-  explicit ExecContext(int threads);
+  explicit ExecContext(int threads) : threads_(resolve_threads(threads)) {}
 
   [[nodiscard]] int threads() const { return threads_; }
 

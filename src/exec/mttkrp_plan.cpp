@@ -7,7 +7,6 @@
 #include "core/multi_index.hpp"
 #include "core/reorder.hpp"
 #include "core/ttv.hpp"
-#include "tune/wisdom.hpp"
 #include "util/parallel.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"
@@ -35,8 +34,7 @@ inline void krp_row_ws(const FactorListT<T>& fl,
 template <typename T>
 MttkrpPlanT<T>::MttkrpPlanT(const ExecContext& ctx,
                             std::span<const index_t> dims, index_t rank,
-                            index_t mode, MttkrpMethod method,
-                            TwoStepSide side)
+                            index_t mode, MttkrpMethod method)
     : ctx_(&ctx),
       dims_(dims.begin(), dims.end()),
       rank_(rank),
@@ -66,18 +64,9 @@ MttkrpPlanT<T>::MttkrpPlanT(const ExecContext& ctx,
     resolved_ = twostep_is_defined(N, mode) ? MttkrpMethod::TwoStep
                                             : MttkrpMethod::OneStep;
   }
-  // Alg. 4's side decision: forced by the caller, else a loaded wisdom
-  // profile's measured preference, else the shape heuristic (left iff the
-  // left co-space is larger).
-  if (side == TwoStepSide::Auto) {
-    switch (tune::wisdom_twostep()) {
-      case tune::TwoStepPref::Left: twostep_left_ = true; break;
-      case tune::TwoStepPref::Right: twostep_left_ = false; break;
-      case tune::TwoStepPref::Heuristic: twostep_left_ = ILn_ > IRn_; break;
-    }
-  } else {
-    twostep_left_ = side == TwoStepSide::Left;
-  }
+  // Alg. 4's side decision: left partial first iff the left co-space is
+  // larger.
+  twostep_left_ = ILn_ > IRn_;
 
   // Factor-list layouts in the product orders of core/krp.cpp.
   for (index_t n = N; n-- > 0;) {

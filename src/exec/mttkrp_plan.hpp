@@ -56,11 +56,6 @@
 
 namespace dmtk {
 
-/// 2-step side policy: Auto applies Alg. 4's heuristic (left partial first
-/// iff I_Ln > I_Rn); Left/Right force an ordering — exposed so the side-
-/// selection ablation can measure both.
-enum class TwoStepSide { Auto, Left, Right };
-
 template <typename T>
 class MttkrpPlanT {
  public:
@@ -71,8 +66,7 @@ class MttkrpPlanT {
   /// outlive the plan.
   MttkrpPlanT(const ExecContext& ctx, std::span<const index_t> dims,
               index_t rank, index_t mode,
-              MttkrpMethod method = MttkrpMethod::Auto,
-              TwoStepSide side = TwoStepSide::Auto);
+              MttkrpMethod method = MttkrpMethod::Auto);
 
   /// Run the planned MTTKRP: M = X(mode) * KRP(factors except mode).
   /// X must have the planned extents and `factors` one conforming matrix
@@ -89,8 +83,9 @@ class MttkrpPlanT {
   [[nodiscard]] MttkrpMethod requested_method() const { return requested_; }
   /// What execute() will actually run (never Auto).
   [[nodiscard]] MttkrpMethod resolved_method() const { return resolved_; }
-  /// 2-step side decision: true = left partial MTTKRP first. Meaningful
-  /// only when resolved_method() == TwoStep on an internal mode.
+  /// 2-step side decision (Alg. 4): true = left partial MTTKRP first,
+  /// iff I_Ln > I_Rn. Meaningful only when resolved_method() == TwoStep
+  /// on an internal mode.
   [[nodiscard]] bool uses_left() const { return twostep_left_; }
   /// Arena bytes one execute() draws (already reserved in the context).
   [[nodiscard]] std::size_t workspace_bytes() const {

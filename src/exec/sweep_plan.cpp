@@ -7,7 +7,6 @@
 #include "blas/blas.hpp"
 #include "core/krp_detail.hpp"
 #include "exec/sparse_mttkrp_plan.hpp"
-#include "tune/wisdom.hpp"
 #include "util/timer.hpp"
 
 namespace dmtk {
@@ -67,9 +66,10 @@ CpAlsSweepPlanT<T>::CpAlsSweepPlanT(const ExecContext& ctx,
     DMTK_CHECK(d >= 1, "sweep plan: extents must be positive");
   }
   nt_ = ctx.threads();
-  // The Auto heuristic (resolve_sweep_scheme): DimTree for N >= 4 unless
-  // an explicit per-mode kernel request pins PerMode. Never a sparse
-  // scheme — those require the sparse constructor.
+  // The Auto heuristic (resolve_sweep_scheme): DimTree for
+  // N >= kAutoDimtreeMinOrder unless an explicit per-mode kernel request
+  // pins PerMode. Never a sparse scheme — those require the sparse
+  // constructor.
   scheme_ = resolve_sweep_scheme(requested_, N, method);
   DMTK_CHECK(scheme_ == SweepScheme::PerMode || scheme_ == SweepScheme::DimTree,
              "sweep plan: sparse scheme requested for a dense tensor — "
@@ -90,9 +90,7 @@ CpAlsSweepPlanT<T>::CpAlsSweepPlanT(const ExecContext& ctx,
     return;
   }
 
-  // max_levels == 0 means "let the plan decide": a loaded wisdom profile
-  // may cap the tree depth (tune::wisdom_dimtree_levels(); 0 = full tree).
-  if (max_levels <= 0) max_levels = tune::wisdom_dimtree_levels();
+  // max_levels <= 0 builds the full tree.
   const int cap = max_levels <= 0 ? std::numeric_limits<int>::max()
                                   : max_levels;
   levels_ = 1;  // the root split below always happens

@@ -83,12 +83,10 @@ class SparseTensorT;
 template <typename U>
 class SparseMttkrpPlanT;
 
-namespace tune {
-/// Wisdom consult (tune/wisdom.hpp): the measured order at which the
-/// dimension tree starts winning. Forward-declared so the plan layer does
-/// not include the tune headers.
-[[nodiscard]] index_t auto_dimtree_min_order();
-}  // namespace tune
+/// The order from which Auto runs the dimension tree on a dense tensor:
+/// from N = 4 the tree's two full-tensor passes per sweep are decisively
+/// ahead of PerMode's N.
+inline constexpr index_t kAutoDimtreeMinOrder = 4;
 
 /// How a CP-ALS driver produces the per-mode MTTKRPs of a sweep. PerMode
 /// and DimTree serve dense tensors; SparseCsf (the mode-rooted CSF kernel)
@@ -109,22 +107,18 @@ enum class SweepScheme { Auto, PerMode, DimTree, SparseCsf, SparseCoo };
 /// What Auto runs on a DENSE tensor of the given order. The single source
 /// of truth for the resolution — the plan constructor and the CLI's
 /// reporting both go through it. The heuristic picks the dimension tree
-/// at order >= tune::auto_dimtree_min_order() — 4 by default (where the
-/// tree's two-full-passes-per-sweep saving is decisively ahead of
-/// PerMode's N passes), but a loaded wisdom profile replaces the constant
-/// with this machine's measured cutover. It never returns a sparse
-/// scheme: sparse input resolves Auto
-/// through resolve_sparse_sweep_scheme below instead. One refinement: an
+/// at order >= kAutoDimtreeMinOrder. It never returns a sparse scheme:
+/// sparse input resolves Auto through resolve_sparse_sweep_scheme below
+/// instead. One refinement: an
 /// explicit (non-Auto) MttkrpMethod pins PerMode under Auto, because the
 /// tree has its own contraction kernels and would silently ignore the
 /// requested one — pass the method so the plan constructor, the CLI
 /// guardrails, and the CLI's report all resolve identically.
-[[nodiscard]] inline SweepScheme resolve_sweep_scheme(
+[[nodiscard]] constexpr SweepScheme resolve_sweep_scheme(
     SweepScheme s, index_t order, MttkrpMethod method = MttkrpMethod::Auto) {
   return s != SweepScheme::Auto
              ? s
-             : (method == MttkrpMethod::Auto &&
-                        order >= tune::auto_dimtree_min_order()
+             : (method == MttkrpMethod::Auto && order >= kAutoDimtreeMinOrder
                     ? SweepScheme::DimTree
                     : SweepScheme::PerMode);
 }

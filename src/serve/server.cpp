@@ -15,11 +15,11 @@
 #include <variant>
 
 #include "blas/blas.hpp"
+#include "blas/cpu_features.hpp"
 #include "core/krp.hpp"
 #include "core/reorder.hpp"
 #include "io/tensor_io.hpp"
 #include "sparse/sparse_tensor.hpp"
-#include "tune/wisdom.hpp"
 #include "util/fault.hpp"
 #include "util/timer.hpp"
 
@@ -75,15 +75,6 @@ Server::~Server() {
 void Server::start() {
   if (started_) return;
   if (opts_.socket.empty()) throw ServeError("serve: socket path required");
-
-  // Explicit wisdom is strict: a server the operator believes is tuned must
-  // not silently run untuned, so a bad profile fails startup.
-  if (!opts_.wisdom.empty()) {
-    std::string why;
-    if (!tune::load_wisdom(opts_.wisdom, &why)) {
-      throw ServeError("serve: --wisdom " + opts_.wisdom + ": " + why);
-    }
-  }
 
   sockaddr_un addr{};
   if (opts_.socket.size() >= sizeof(addr.sun_path)) {
@@ -729,8 +720,6 @@ Json Server::stats_json() const {
   server.set("worker_failures",
              Json(worker_failures_.load(std::memory_order_relaxed)));
   server.set("simd", Json(std::string(blas::to_string(blas::simd_level()))));
-  server.set("wisdom", Json(tune::wisdom_loaded() ? tune::wisdom_source()
-                                                  : std::string()));
   resp.set("server", std::move(server));
 
   PlanCacheStats agg;  // per-worker caps sum: the fleet-wide budget
@@ -778,8 +767,6 @@ Json Server::health_json() const {
            Json(std::chrono::duration<double>(Clock::now() - started_at_)
                     .count()));
   resp.set("workers", Json(static_cast<std::int64_t>(workers_.size())));
-  resp.set("wisdom", Json(tune::wisdom_loaded() ? tune::wisdom_source()
-                                                : std::string()));
 
   const JobQueueStats qs = queue_.stats();
   Json queue;

@@ -81,9 +81,6 @@ struct ServeOptions {
   std::size_t max_batch = 16;    ///< jobs coalesced per batch (>= 1)
   std::size_t cache_entries = 32;        ///< plan-cache entry cap (0=disable)
   std::size_t cache_bytes = 256u << 20;  ///< plan-cache byte budget per worker
-  std::string wisdom;  ///< tuned-profile path loaded at start() ("" = none;
-                       ///< a bad/mismatched file fails startup — explicit
-                       ///< flags are strict, unlike the DMTK_WISDOM env)
 };
 
 /// Thrown by Server::start on socket setup failures (bad path, bind).

@@ -13,9 +13,6 @@
 /// SparseMttkrpPlan (exec/sparse_mttkrp_plan.hpp), sharing the exact
 /// grams/fit/stopping sweep loop of the dense drivers and executing
 /// allocation-free from the context's arena once planned.
-/// `dmtk tune` measures the density crossover where the paper's dense
-/// kernels overtake the sparse one — the quantitative version of the
-/// paper's motivation.
 ///
 /// Like the dense core, the container is templated on the scalar type:
 /// `SparseTensorT<float>` halves the bytes per nonzero the COO/CSF kernels

@@ -59,7 +59,7 @@ void parallel_region(int nthreads, F&& fn) {
 /// dmtk's kernels honor this by construction — the data-parallel phases
 /// between barriers are lock-free (disjoint block_range partitions), and
 /// every Mutex in the tree guards control-plane state (server, fault
-/// registry, wisdom), none of which is touched inside parallel_region.
+/// registry), none of which is touched inside parallel_region.
 inline void team_barrier() {
 #pragma omp barrier
 }

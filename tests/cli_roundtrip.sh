@@ -7,8 +7,9 @@
 # AND sparse), fp32 HALS, the fp64-accumulate fp32 path, the fp32 payload
 # surfacing in `info`, the strict-argument audit (every malformed numeric
 # flag must exit 1 with a usage message, never an uncaught exception,
-# which exits 2), unknown flags per command, and decompose's value-based
-# rules (a spelled-out default passes, a real conflict exits 1).
+# which exits 2), unknown flags and commands, decompose's value-based
+# rules (a spelled-out default passes, a real conflict exits 1), and
+# `info --cpu`'s start-up SIMD level (DMTK_SIMD, else the hardware level).
 
 set -u
 dmtk="$1"
@@ -121,6 +122,25 @@ expect_usage_error "${dmtk}" decompose "${work}/s.tns" --rank 2 --iters 3 \
 expect_grep "method:" "${dmtk}" decompose "${work}/s.tns" --rank 2 \
   --iters 3 --precision float --method acc64
 
+# --- info --cpu: the start-up SIMD level ------------------------------------
+expect_grep "^cpu: " "${dmtk}" info --cpu
+expect_grep "simd ladder: scalar" "${dmtk}" info --cpu
+# DMTK_SIMD picks the start-up level, clamped to the hardware ladder (a
+# narrower runner falls back down the ladder, so accept those names too).
+DMTK_SIMD=avx2 expect_grep '^active level: \(avx2-8x8\|scalar\) (DMTK_SIMD)$' \
+  "${dmtk}" info --cpu
+DMTK_SIMD=avx512 \
+  expect_grep '^active level: \(avx512-16x16\|avx2-8x8\|scalar\) (DMTK_SIMD)$' \
+  "${dmtk}" info --cpu
+# Unset, every kernel starts at the hardware level.
+cpu="$(env -u DMTK_SIMD "${dmtk}" info --cpu 2>&1)"
+hw="$(sed -n 's/^hardware level: //p' <<< "${cpu}")"
+if [[ -z "${hw}" ]] || ! grep -qx "active level: ${hw} (hardware)" <<< "${cpu}"; then
+  echo "FAIL (unset DMTK_SIMD should start at the hardware level)"
+  echo "${cpu}"
+  fails=$((fails + 1))
+fi
+
 # --- strict numeric argument audit ----------------------------------------
 expect_usage_error "${dmtk}" decompose "${work}/x64.dten" --rank abc
 expect_usage_error "${dmtk}" decompose "${work}/x64.dten" --rank 0
@@ -152,6 +172,8 @@ expect_usage_error "${dmtk}" generate --dims 8x8 --rnak 3 \
 expect_usage_error "${dmtk}" serve --sockett "${work}/never.sock"
 expect_usage_error "${dmtk}" client --socket "${work}/never.sock" \
   decompose "${work}/x64.dten" --rnak 3
+# Plan constants are built in: there is no tune command.
+expect_usage_error "${dmtk}" tune
 # The legacy --dimtree alias is gone; --sweep dimtree is the one spelling.
 expect_usage_error "${dmtk}" decompose "${work}/x64.dten" --rank 3 --dimtree
 # Likewise --accumulate: --method acc64 is the one spelling.

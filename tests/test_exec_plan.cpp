@@ -338,26 +338,22 @@ TEST(MttkrpPlan, AutoResolvesToPaperPolicy) {
   }
 }
 
-TEST(MttkrpPlan, TwoStepSideMatchesHeuristicAndCanBeForced) {
+TEST(MttkrpPlan, TwoStepSideMatchesHeuristic) {
+  // Alg. 4 line 4: I_Ln > I_Rn picks the left partial MTTKRP. One shape
+  // skewed each way covers both sides, and each stays exact.
   ExecContext ctx(1);
-  const std::vector<index_t> skew_left{20, 3, 2};   // I_L = 20 > I_R = 2
-  const std::vector<index_t> skew_right{2, 3, 20};  // I_L = 2 < I_R = 20
-  EXPECT_TRUE(
-      MttkrpPlan(ctx, skew_left, 2, 1, MttkrpMethod::TwoStep).uses_left());
-  EXPECT_FALSE(
-      MttkrpPlan(ctx, skew_right, 2, 1, MttkrpMethod::TwoStep).uses_left());
-
-  // Forced sides bypass the heuristic and both stay exact.
   Rng rng(14);
-  Tensor X = Tensor::random_uniform(skew_left, rng);
-  const std::vector<Matrix> fs = random_factors(skew_left, 3, rng);
-  const Matrix ref = mttkrp(X, fs, 1, MttkrpMethod::Reference);
-  for (TwoStepSide side : {TwoStepSide::Left, TwoStepSide::Right}) {
-    MttkrpPlan plan(ctx, skew_left, 3, 1, MttkrpMethod::TwoStep, side);
-    EXPECT_EQ(plan.uses_left(), side == TwoStepSide::Left);
+  for (const std::vector<index_t>& dims :
+       {std::vector<index_t>{20, 3, 2},     // I_L = 20 > I_R = 2
+        std::vector<index_t>{2, 3, 20}}) {  // I_L = 2 < I_R = 20
+    Tensor X = Tensor::random_uniform(dims, rng);
+    const std::vector<Matrix> fs = random_factors(dims, 3, rng);
+    MttkrpPlan plan(ctx, dims, 3, 1, MttkrpMethod::TwoStep);
+    EXPECT_EQ(plan.uses_left(), dims[0] > dims[2]);
     Matrix M;
     plan.execute(X, fs, M);
-    testing::expect_matrix_near(M, ref, 1e-12);
+    testing::expect_matrix_near(M, mttkrp(X, fs, 1, MttkrpMethod::Reference),
+                                1e-12);
   }
 }
 

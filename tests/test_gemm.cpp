@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "blas/gemm.hpp"
+#include "blas/gemm_workspace.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
 
@@ -171,7 +172,8 @@ TEST(Gemm, FloatInstantiationWorks) {
 TEST(Gemm, LargeSingleCallStressesAllBlockLevels) {
   // Exceeds MC, KC and NC simultaneously so every packing path runs.
   Rng rng(77);
-  const index_t m = 200, n = 1100, k = 300;
+  constexpr index_t m = 200, n = 1100, k = 300;
+  static_assert(m > kGemmMC && k > kGemmKC && n > kGemmNC);
   std::vector<double> A(static_cast<std::size_t>(m * k));
   std::vector<double> B(static_cast<std::size_t>(k * n));
   std::vector<double> C(static_cast<std::size_t>(m * n), 0.0);

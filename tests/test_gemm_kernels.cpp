@@ -677,7 +677,7 @@ TEST(SimdLevel, ClampDegradesFamilyByFamily) {
 }
 
 // The level dispatch started at, read during static initialisation: before
-// any test moves it and before an ExecContext could autoload a profile.
+// any test moves it.
 const SimdLevel kStartupLevel = simd_level();
 
 TEST(SimdLevel, SupportedLaddersAreCoherent) {

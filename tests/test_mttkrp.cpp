@@ -98,14 +98,6 @@ std::vector<MttkrpCase> sweep_cases() {
 INSTANTIATE_TEST_SUITE_P(AllMethodsModesShapes, MttkrpSweep,
                          ::testing::ValuesIn(sweep_cases()));
 
-TEST(Mttkrp, TwoStepSideSelectionHeuristic) {
-  // I_Ln > I_Rn must pick the left partial MTTKRP (Alg 4 line 4).
-  Tensor skew_left({20, 3, 2});   // mode 1: I_L = 20 > I_R = 2
-  Tensor skew_right({2, 3, 20});  // mode 1: I_L = 2 < I_R = 20
-  EXPECT_TRUE(twostep_uses_left(skew_left, 1));
-  EXPECT_FALSE(twostep_uses_left(skew_right, 1));
-}
-
 TEST(Mttkrp, TwoStepDefinedOnlyForInternalModes) {
   EXPECT_FALSE(twostep_is_defined(3, 0));
   EXPECT_TRUE(twostep_is_defined(3, 1));

@@ -5,13 +5,13 @@
 // protocol, the zero-allocation contract (arena instrumentation +
 // blas::gemm_internal_allocs) over full dimension-tree sweeps, and the
 // DimTree driver end to end (recovery, convergence, thread invariance,
-// warm start, time vs PerMode, bad rank).
+// warm start, full-tensor passes vs PerMode, bad rank).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
-#include <limits>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -360,31 +360,33 @@ TEST(DimTreeDriver, WarmStartSupported) {
   EXPECT_GT(r.final_fit, 1.0 - 1e-6);
 }
 
-TEST(DimTreeDriver, FewerFullTensorPassesReflectedInTime) {
-  // Not a strict timing test (CI noise), but on a clearly MTTKRP-bound
-  // problem the dimension-tree sweep should not be slower than PerMode.
-  // Each pipeline is timed three times and the MINIMA compared: a single
-  // pass is at the mercy of whatever else ctest -j runs concurrently on a
-  // small box. PerMode is pinned: Auto resolves to DimTree on this 4-way
-  // tensor and would compare the tree with itself.
+TEST(DimTreeDriver, FewerFullTensorPassesPerSweep) {
+  // The tree's saving is a count, not a timing: a depth-0 node contracts
+  // the full tensor, so over S sweeps the tree pays 2·S full passes where
+  // PerMode pays N·S (one per mode plan). PerMode is pinned: Auto resolves
+  // to DimTree on this 4-way tensor.
   Rng rng(46);
-  Tensor X = Tensor::random_uniform({40, 40, 40, 10}, rng);
-  CpAlsOptions dt = dimtree_opts(8, 3, 0.0);
-  dt.compute_fit = false;
-  CpAlsOptions pm = dt;
-  pm.sweep_scheme = SweepScheme::PerMode;
-  auto mttkrp_time = [](const CpAlsResult& r) {
-    double s = 0.0;
-    for (const auto& it : r.iters) s += it.mttkrp_seconds;
-    return s;
-  };
-  double pm_time = std::numeric_limits<double>::infinity();
-  double dt_time = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < 3; ++rep) {
-    pm_time = std::min(pm_time, mttkrp_time(cp_als(X, pm)));
-    dt_time = std::min(dt_time, mttkrp_time(cp_als(X, dt)));
+  const std::vector<index_t> dims{40, 40, 40, 10};
+  Tensor X = Tensor::random_uniform(dims, rng);
+  const std::vector<Matrix> fs = random_factors(dims, 8, rng);
+  const index_t N = X.order();
+  constexpr int kSweeps = 3;
+  ExecContext ctx(2);
+  for (SweepScheme scheme : {SweepScheme::DimTree, SweepScheme::PerMode}) {
+    CpAlsSweepPlan plan(ctx, X.dims(), 8, scheme);
+    Matrix M;
+    for (int s = 0; s < kSweeps; ++s) {
+      plan.begin_sweep(X);
+      for (index_t n = 0; n < N; ++n) plan.mode_mttkrp(n, X, fs, M);
+    }
+    std::int64_t full_passes = 0;
+    for (const SweepNodeTimings& tm : plan.timings().nodes) {
+      if (tm.depth == 0) full_passes += tm.evals;
+    }
+    SCOPED_TRACE(std::string(to_string(scheme)));
+    EXPECT_EQ(full_passes,
+              (scheme == SweepScheme::DimTree ? 2 : N) * kSweeps);
   }
-  EXPECT_LT(dt_time, pm_time * 1.5);  // generous bound; typically < 0.7x
 }
 
 TEST(DimTreeDriver, RejectsBadRank) {

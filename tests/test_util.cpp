@@ -204,13 +204,6 @@ TEST(Timer, ResetRestarts) {
   EXPECT_LT(t.seconds(), 0.015);
 }
 
-TEST(Timer, MedianOfTrialsRuns) {
-  int calls = 0;
-  const double med = time_median(5, [&] { ++calls; });
-  EXPECT_EQ(calls, 5);
-  EXPECT_GE(med, 0.0);
-}
-
 TEST(PhaseTimerTest, AccumulatesIntoSlot) {
   double slot = 0.0;
   {

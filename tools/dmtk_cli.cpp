@@ -31,7 +31,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <iostream>
 #include <cstring>
 #include <map>
 #include <optional>
@@ -61,19 +60,11 @@ using namespace dmtk;
       "  fmri      [--time T] [--subjects S] [--regions R] [--rank C]\n"
       "            [--noise f] [--seed s] [--linearize] --out F\n"
       "  info      <tensor.dten | tensor.tns>\n"
-      "  info      --cpu [--wisdom F]\n"
-      "            (prints the detected SIMD ladder, the chosen default\n"
-      "             dispatch level, the active level, and whether a tuned\n"
-      "             wisdom profile is loaded)\n"
-      "  tune      [--quick] [--out F] [--json] [--threads t] [--trials n]\n"
-      "            (measures this machine: SIMD level x precision GEMM\n"
-      "             sweep, cache-blocking descent, dimtree-vs-permode,\n"
-      "             two-step side, dense/sparse crossover; writes a per-CPU\n"
-      "             wisdom profile, default dmtk_wisdom.json, that\n"
-      "             decompose/serve load via --wisdom or DMTK_WISDOM;\n"
-      "             --quick shrinks every probe to a seconds-long smoke,\n"
-      "             --json prints the full measurement report)\n"
-      "  decompose <tensor.dten> --rank R [--nn] [--wisdom F]\n"
+      "  info      --cpu\n"
+      "            (prints the CPU, the detected SIMD ladder, the hardware\n"
+      "             level, and the active level with its source:\n"
+      "             hardware or DMTK_SIMD)\n"
+      "  decompose <tensor.dten> --rank R [--nn]\n"
       "            [--precision double|float]\n"
       "            [--sweep permode|dimtree|auto] [--levels n]\n"
       "            [--method reference|reorder|1-step-seq|1-step|2-step|\n"
@@ -93,10 +84,7 @@ using namespace dmtk;
       "             but sums every MTTKRP entry in fp64, recovering the\n"
       "             fp64 fit floor at fp32 storage cost — slower per sweep:\n"
       "             the fp64 loop skips the blocked kernels)\n"
-      "            (--wisdom loads a tuned profile STRICTLY: a missing,\n"
-      "             corrupt, or other-CPU profile aborts the run; the\n"
-      "             DMTK_WISDOM env autoloads leniently instead)\n"
-      "  decompose <tensor.tns> --rank R [--sweep csf|coo|auto] [--wisdom F]\n"
+      "  decompose <tensor.tns> --rank R [--sweep csf|coo|auto]\n"
       "            [--precision double|float]\n"
       "            [--iters n] [--tol f] [--seed s] [--threads t]\n"
       "            [--out model.dktn]\n"
@@ -109,8 +97,6 @@ using namespace dmtk;
       "  serve     --socket S [--workers n] [--threads t] [--queue-depth n]\n"
       "            [--queue-timeout-ms n] [--batch-window-ms n]\n"
       "            [--max-batch n] [--cache-entries n] [--cache-mb n]\n"
-      "            [--wisdom F]  (strict: a bad profile fails startup;\n"
-      "             health/stats report the loaded profile path)\n"
       "            (resident decomposition server on a Unix socket:\n"
       "             newline-delimited JSON requests, per-worker plan cache,\n"
       "             bounded job queue, same-shape request batching)\n"
@@ -243,20 +229,6 @@ bool flag_wants_f32(const Flags& f) {
   usage_error("--precision expects double|float, got '" + p + "'");
 }
 
-/// --wisdom F: STRICT tuned-profile load — a missing, corrupt, or
-/// other-CPU profile aborts (exit 2) with the reason. The DMTK_WISDOM env
-/// autoload stays lenient (warn + ignore); an explicit flag must not be.
-void flag_load_wisdom(const Flags& f) {
-  const std::string path = flag_str(f, "wisdom");
-  if (path.empty()) return;
-  std::string why;
-  if (!tune::load_wisdom(path, &why)) {
-    std::fprintf(stderr, "error: --wisdom %s: %s\n", path.c_str(),
-                 why.c_str());
-    std::exit(2);
-  }
-}
-
 int cmd_generate(int argc, char** argv) {
   static const FlagSet kFlags{
       {"dims", "rank", "noise", "seed", "out", "precision", "density", "nnz"},
@@ -377,10 +349,9 @@ int cmd_fmri(int argc, char** argv) {
 }
 
 /// `info --cpu`: the dispatch picture on this machine — detected ladder,
-/// hardware level, the active level with its source, and wisdom status.
-int cmd_info_cpu(const Flags& flags) {
-  flag_load_wisdom(flags);
-  std::printf("cpu: %s\n", tune::cpu_brand().c_str());
+/// hardware level, and the active level with its source.
+int cmd_info_cpu() {
+  std::printf("cpu: %s\n", blas::cpu_brand().c_str());
   std::printf("simd ladder:");
   for (blas::SimdLevel lvl : blas::supported_simd_levels()) {
     std::printf(" %s", std::string(blas::to_string(lvl)).c_str());
@@ -388,47 +359,19 @@ int cmd_info_cpu(const Flags& flags) {
   std::printf("\n");
   const std::string hw(blas::to_string(blas::hardware_simd_level()));
   std::printf("hardware level: %s\n", hw.c_str());
-  // One snapshot, branched on directly — wisdom() copies the profile out
-  // under the registry lock (and performs the DMTK_WISDOM autoload, which
-  // may move the level), so `p` stays valid whatever happens afterwards.
-  const std::optional<tune::WisdomProfile> p = tune::wisdom();
   std::printf("active level: %s (%s)\n",
               std::string(blas::to_string(blas::simd_level())).c_str(),
-              blas::simd_env_override() ? "DMTK_SIMD"
-              : p                       ? "wisdom"
-                                        : "hardware");
-  if (p) {
-    const std::string src = tune::wisdom_source();
-    std::printf(
-        "wisdom: loaded%s%s\n", src.empty() ? "" : " from ", src.c_str());
-    std::printf(
-        "  best f64 %s (%.2f GF/s tuned vs %.2f default), best f32 %s\n",
-        std::string(blas::to_string(p->best_simd_f64)).c_str(),
-        p->tuned_gflops_f64, p->default_gflops_f64,
-        std::string(blas::to_string(p->best_simd_f32)).c_str());
-    std::printf("  blocking MCxKCxNC %lldx%lldx%lld, dimtree min-order %lld "
-                "levels %d, two-step %s, sparse crossover %.3g\n",
-                static_cast<long long>(p->blocking.mc),
-                static_cast<long long>(p->blocking.kc),
-                static_cast<long long>(p->blocking.nc),
-                static_cast<long long>(p->dimtree_min_order),
-                p->dimtree_levels,
-                std::string(tune::to_string(p->twostep)).c_str(),
-                p->sparse_crossover);
-  } else {
-    std::printf("wisdom: none (run `dmtk tune --out F`, then --wisdom F or "
-                "DMTK_WISDOM=F)\n");
-  }
+              blas::simd_env_override() ? "DMTK_SIMD" : "hardware");
   return 0;
 }
 
 int cmd_info(int argc, char** argv) {
-  static const FlagSet kFlags{{"wisdom"}, {"cpu"}};
+  static const FlagSet kFlags{{}, {"cpu"}};
   std::string pos;
   const Flags flags = parse_flags(argc, argv, kFlags, &pos);
   if (flags.count("cpu") != 0) {
     if (!pos.empty()) usage_error("info --cpu takes no tensor path");
-    return cmd_info_cpu(flags);
+    return cmd_info_cpu();
   }
   if (pos.empty()) usage();
   if (is_sparse_tensor_path(pos)) {
@@ -460,32 +403,9 @@ int cmd_info(int argc, char** argv) {
   return 0;
 }
 
-/// `dmtk tune`: run the measurement pass (src/tune/tuner.hpp) and persist
-/// the wisdom profile for --wisdom / DMTK_WISDOM.
-int cmd_tune(int argc, char** argv) {
-  static const FlagSet kFlags{{"out", "threads", "trials"},
-                              {"quick", "json"}};
-  std::string pos;
-  const Flags flags = parse_flags(argc, argv, kFlags, &pos);
-  if (!pos.empty()) usage();
-  tune::TuneOptions to;
-  to.quick = flags.count("quick") != 0;
-  to.threads = static_cast<int>(flag_int(flags, "threads", 0, 0));
-  to.trials = static_cast<int>(flag_int(flags, "trials", 0, 0));
-  to.log = &std::cout;
-  const std::string out = flag_str(flags, "out", "dmtk_wisdom.json");
-
-  const tune::TuneReport rep = tune::run_tune(to);
-  tune::save_wisdom(out, rep.profile);
-  std::printf("wrote %s (best f64 %s, %.2f GF/s tuned vs %.2f default)\n",
-              out.c_str(),
-              std::string(blas::to_string(rep.profile.best_simd_f64)).c_str(),
-              rep.profile.tuned_gflops_f64, rep.profile.default_gflops_f64);
-  if (flags.count("json") != 0) {
-    std::printf("%s\n", tune::report_to_json(rep).c_str());
-  }
-  return 0;
-}
+/// Density from which a sparse decompose prints the advisory that the
+/// dense kernels are expected to be faster.
+constexpr double kSparseCrossoverDensity = 0.10;
 
 /// `dmtk decompose`: flags -> DecomposeSpec -> DecomposeJob -> one report
 /// line. The job owns every rule; its rejections are usage errors (exit 1)
@@ -493,7 +413,7 @@ int cmd_tune(int argc, char** argv) {
 int cmd_decompose(int argc, char** argv) {
   static const FlagSet kFlags{
       {"rank", "iters", "tol", "seed", "threads", "precision", "sweep",
-       "method", "levels", "out", "wisdom", "checkpoint", "checkpoint-every"},
+       "method", "levels", "out", "checkpoint", "checkpoint-every"},
       {"nn", "resume"}};
   std::string pos;
   const Flags flags = parse_flags(argc, argv, kFlags, &pos);
@@ -521,7 +441,6 @@ int cmd_decompose(int argc, char** argv) {
   if (!m) usage_error("--method: unknown MTTKRP method '" + method + "'");
   spec.method = *m;
 
-  flag_load_wisdom(flags);  // before the job resolves Auto against it
   std::optional<DecomposeJob> job;
   try {
     job.emplace(std::move(spec));
@@ -546,7 +465,7 @@ int cmd_decompose(int argc, char** argv) {
               r.iterations, to_string(r.status), r.exec_ms / 1e3);
   if (job->sparse()) {
     // Advisory only: .tns input asked for the sparse path, but above the
-    // measured crossover the dense kernels are expected to win.
+    // crossover density the dense kernels are expected to win.
     const double numel = std::visit(
         [](const auto& K) {
           double n = 1.0;
@@ -555,13 +474,12 @@ int cmd_decompose(int argc, char** argv) {
         },
         r.model);
     const double density = static_cast<double>(r.nnz) / numel;
-    if (density >= tune::wisdom_sparse_crossover()) {
+    if (density >= kSparseCrossoverDensity) {
       std::fprintf(stderr,
-                   "note: density %.3g is at or above the %s dense/sparse "
+                   "note: density %.3g is at or above the dense/sparse "
                    "crossover %.3g — a dense (.dten) decomposition of this "
                    "tensor is expected to be faster\n",
-                   density, tune::wisdom_loaded() ? "tuned" : "default",
-                   tune::wisdom_sparse_crossover());
+                   density, kSparseCrossoverDensity);
     }
   }
   if (r.resumed_sweeps > 0) {
@@ -611,7 +529,7 @@ void serve_signal_handler(int /*sig*/) {
 int cmd_serve(int argc, char** argv) {
   static const FlagSet kFlags{
       {"socket", "workers", "threads", "queue-depth", "queue-timeout-ms",
-       "batch-window-ms", "max-batch", "cache-entries", "cache-mb", "wisdom"},
+       "batch-window-ms", "max-batch", "cache-entries", "cache-mb"},
       {}};
   std::string pos;
   const Flags flags = parse_flags(argc, argv, kFlags, &pos);
@@ -632,7 +550,6 @@ int cmd_serve(int argc, char** argv) {
       static_cast<std::size_t>(flag_int(flags, "cache-entries", 32, 0));
   so.cache_bytes =
       static_cast<std::size_t>(flag_int(flags, "cache-mb", 256, 0)) << 20;
-  so.wisdom = flag_str(flags, "wisdom");
 
   serve::Server server(so);
   server.start();
@@ -789,7 +706,6 @@ int main(int argc, char** argv) {
     if (cmd == "generate") return cmd_generate(argc, argv);
     if (cmd == "fmri") return cmd_fmri(argc, argv);
     if (cmd == "info") return cmd_info(argc, argv);
-    if (cmd == "tune") return cmd_tune(argc, argv);
     if (cmd == "decompose") return cmd_decompose(argc, argv);
     if (cmd == "tucker") return cmd_tucker(argc, argv);
     if (cmd == "export") return cmd_export(argc, argv);

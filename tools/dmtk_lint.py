@@ -38,7 +38,7 @@ the line directly above it; an empty justification is itself an error):
                       ``src/job/`` (the decompose job) may not include
                       ``serve/``; the layers below it
                       (``src/{baseline,blas,core,exec,io,linalg,sim,sparse,
-                      tune,util}``) may include neither ``job/`` nor
+                      util}``) may include neither ``job/`` nor
                       ``serve/``. The front ends (serve/, tools/) build on
                       the job, never the other way round.
 
@@ -100,7 +100,7 @@ INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([a-z_]+)/')
 # Layer -> the src/ directories it must not include.
 JOB_LAYER = "job"
 BELOW_JOB = ("baseline", "blas", "core", "exec", "io", "linalg", "sim",
-             "sparse", "tune", "util")
+             "sparse", "util")
 FORBIDDEN_INCLUDES = {JOB_LAYER: ("serve",)}
 FORBIDDEN_INCLUDES.update({d: (JOB_LAYER, "serve") for d in BELOW_JOB})
 
