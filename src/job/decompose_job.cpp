@@ -38,13 +38,19 @@ DecomposeOutcome outcome_of(CpAlsResultT<T>&& r, SweepScheme scheme,
 }
 
 template <typename T>
+void check_probed_extents(const TensorT<T>& X,
+                          const std::vector<index_t>& probed) {
+  DMTK_CHECK(std::ranges::equal(X.dims(), probed),
+             "decompose: tensor extents changed between probe and read");
+}
+
+template <typename T>
 TensorT<T> read_dense(const std::string& path,
                       const std::vector<index_t>& probed, double* read_ms) {
   WallTimer t;
   TensorT<T> X = io::read_tensor_as<T>(path);
   *read_ms = t.seconds() * 1e3;
-  DMTK_CHECK(std::ranges::equal(X.dims(), probed),
-             "decompose: tensor extents changed between probe and read");
+  check_probed_extents(X, probed);
   return X;
 }
 
@@ -180,22 +186,24 @@ DecomposeOutcome DecomposeJob::run(const ExecContext& ctx) const {
 }
 
 template <typename T>
-DecomposeOutcome DecomposeJob::run(CpAlsSweepPlanT<T>& plan) const {
+DecomposeOutcome DecomposeJob::run(CpAlsSweepPlanT<T>& plan,
+                                   const TensorT<T>& X) const {
   DMTK_CHECK(!sparse_ && !spec_.nn,
              "DecomposeJob: a caller-owned plan runs plain dense cp_als");
   DMTK_CHECK((spec_.f32 == std::is_same_v<T, float>),
              "DecomposeJob: plan precision differs from the job's");
-  double read_ms = 0.0;
-  const TensorT<T> X = read_dense<T>(spec_.tensor, dims_, &read_ms);
+  check_probed_extents(X, dims_);
   // Timings accumulate over a plan's lifetime; reset so they cover this
   // job's sweeps, not the plan's history.
   plan.reset_timings();
   WallTimer t;
   CpAlsResultT<T> r = cp_als(X, options<T>(spec_), plan);
-  return outcome_of(std::move(r), plan.scheme(), read_ms, t.seconds() * 1e3);
+  return outcome_of(std::move(r), plan.scheme(), 0.0, t.seconds() * 1e3);
 }
 
-template DecomposeOutcome DecomposeJob::run<double>(CpAlsSweepPlan&) const;
-template DecomposeOutcome DecomposeJob::run<float>(CpAlsSweepPlanF&) const;
+template DecomposeOutcome DecomposeJob::run<double>(CpAlsSweepPlan&,
+                                                    const Tensor&) const;
+template DecomposeOutcome DecomposeJob::run<float>(CpAlsSweepPlanF&,
+                                                   const TensorF&) const;
 
 }  // namespace dmtk

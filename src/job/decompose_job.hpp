@@ -98,11 +98,14 @@ class DecomposeJob {
   /// through a plan built for this run.
   [[nodiscard]] DecomposeOutcome run(const ExecContext& ctx) const;
 
-  /// As run(ctx), through a caller-owned dense plan built for this job's
-  /// dims(), rank, scheme(), method and levels (the server's plan cache).
-  /// Needs a plain dense cp_als job: no nn.
+  /// Decompose the already-read `X` through a caller-owned dense plan
+  /// built for this job's dims(), rank, scheme(), method and levels (the
+  /// server's plan and tensor caches). X's extents must be the probed
+  /// ones; the outcome's read_ms is left to the caller. Needs a plain
+  /// dense cp_als job: no nn.
   template <typename T>
-  [[nodiscard]] DecomposeOutcome run(CpAlsSweepPlanT<T>& plan) const;
+  [[nodiscard]] DecomposeOutcome run(CpAlsSweepPlanT<T>& plan,
+                                     const TensorT<T>& X) const;
 
  private:
   DecomposeSpec spec_;
@@ -112,8 +115,8 @@ class DecomposeJob {
 };
 
 extern template DecomposeOutcome DecomposeJob::run<double>(
-    CpAlsSweepPlan&) const;
+    CpAlsSweepPlan&, const Tensor&) const;
 extern template DecomposeOutcome DecomposeJob::run<float>(
-    CpAlsSweepPlanF&) const;
+    CpAlsSweepPlanF&, const TensorF&) const;
 
 }  // namespace dmtk

@@ -29,12 +29,15 @@
 /// oldest-job age bound while queued), "io_error" (tensor/model file
 /// problems), "internal" (anything else). Success responses set
 /// "ok": true and carry per-request "timings_ms": "queue" (enqueue to
-/// dequeue), "read" (the checked tensor read alone), "plan", "exec" and
-/// "total". A dense "read" includes summing ‖X‖² over each chunk as it
-/// lands, which the tensor then carries into CP-ALS. For a decompose,
-/// "plan" is the plan-cache lookup or build and "exec" the CP-ALS run.
-/// For an mttkrp, "plan" is the operand set-up (factor draw, mode-n
-/// matricization, transposed KRP) and "exec" the batch's shared GEMM.
+/// dequeue), "read", "plan", "exec" and "total". A dense "read" is the
+/// tensor-cache lookup: a stat() and the lookup on a hit, the checked
+/// read on a miss (or on a cold or sparse request, which skip the cache).
+/// A checked read includes summing ‖X‖² over each chunk as it lands,
+/// which the tensor then carries into CP-ALS. For a decompose, "plan" is
+/// the plan-cache lookup or build and "exec" the CP-ALS run. For an
+/// mttkrp, "plan" is the factor draw plus the MttkrpPlanT construction
+/// (paid by the first member of a batch only) and "exec" that request's
+/// own execute() of the plan.
 
 #include <cstdint>
 #include <stdexcept>
@@ -76,8 +79,9 @@ struct Request {
   DecomposeSpec spec;  ///< tensor path + decompose/mttkrp parameters
   std::string out;           ///< model/matrix output path ("" = none)
   bool inline_model = true;  ///< include the model payload in the response
-  /// Emulate the batch CLI's one-shot cost: run on a fresh ExecContext
-  /// with a transient plan, bypassing the cache and batching. The
+  /// Emulate the batch CLI's one-shot cost: read the file and run on a
+  /// fresh ExecContext with a transient plan, bypassing the tensor cache,
+  /// the plan cache and batching. The
   /// warm-vs-cold benchmark is this flag flipped.
   bool cold = false;
 

@@ -11,16 +11,17 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <thread>
+#include <type_traits>
 #include <utility>
 #include <variant>
 
-#include "blas/blas.hpp"
 #include "blas/cpu_features.hpp"
-#include "core/krp.hpp"
-#include "core/reorder.hpp"
+#include "exec/mttkrp_plan.hpp"
 #include "io/tensor_io.hpp"
 #include "sparse/sparse_tensor.hpp"
 #include "util/fault.hpp"
+#include "util/rng.hpp"
 #include "util/timer.hpp"
 
 namespace dmtk::serve {
@@ -59,10 +60,31 @@ Json batch_json(std::size_t size, std::size_t index) {
   return b;
 }
 
+/// The cached plan of `entry` in precision T (the key's).
+template <typename T>
+CpAlsSweepPlanT<T>& plan_of(PlanCache::Entry& entry) {
+  if constexpr (std::is_same_v<T, float>) {
+    return *entry.f32;
+  } else {
+    return *entry.f64;
+  }
+}
+
 }  // namespace
 
+std::string oversubscription_warning(int workers, int threads, int cores) {
+  const long long asked = static_cast<long long>(workers) * threads;
+  if (cores <= 0 || asked <= cores) return {};  // 0: core count unknown
+  return "dmtk serve: warning: " + std::to_string(workers) + " worker(s) x " +
+         std::to_string(threads) + " thread(s) = " + std::to_string(asked) +
+         " threads on " + std::to_string(cores) +
+         " core(s); the workers will contend for cores";
+}
+
 Server::Server(ServeOptions opts)
-    : opts_(std::move(opts)), queue_(std::max<std::size_t>(1, opts_.queue_depth)) {}
+    : opts_(std::move(opts)),
+      tensors_(opts_.cache_entries, opts_.cache_bytes),
+      queue_(std::max<std::size_t>(1, opts_.queue_depth)) {}
 
 Server::~Server() {
   try {
@@ -114,6 +136,12 @@ void Server::start() {
   for (int i = 0; i < nworkers; ++i) {
     workers_.push_back(std::make_unique<Worker>(
         opts_.threads, opts_.cache_entries, opts_.cache_bytes));
+  }
+  if (const std::string warning = oversubscription_warning(
+          nworkers, workers_.front()->ctx.threads(),
+          static_cast<int>(std::thread::hardware_concurrency()));
+      !warning.empty()) {
+    std::fprintf(stderr, "%s\n", warning.c_str());
   }
   for (auto& w : workers_) {
     worker_threads_.emplace_back(&Server::worker_loop, this, std::ref(*w));
@@ -325,8 +353,8 @@ void Server::handle_line(const std::shared_ptr<Conn>& conn,
     std::string bkey;
     if (job.dense && !job.req.cold) {
       // The batch key: plan identity, plus the mode for mttkrp (two
-      // same-shape mttkrps of different modes must not share a
-      // gemm_batched sweep — their GEMM shapes differ).
+      // same-shape mttkrps of different modes must not share an
+      // MttkrpPlanT — a plan is built for one mode).
       bkey = (job.req.type == RequestType::Mttkrp ? "mk|" : "cp|") +
              job.key.to_string();
       if (job.req.type == RequestType::Mttkrp) {
@@ -452,9 +480,11 @@ bool Server::admit_or_timeout(const Queue::Item& item) {
 void Server::run_decompose_batch(Worker& ws, std::vector<Queue::Item>& jobs) {
   const Job& lead = jobs.front().job;
   // Cold and sparse jobs carry an empty batch key, so they arrive alone.
-  // Sparse jobs run on the warm context (their plans bind the tensor, so
-  // nothing is cached); cold ones pay the batch CLI's one-shot cost — a
-  // fresh context (arena allocation + first touch) and a transient plan.
+  // Both read their file themselves, skipping the tensor cache. Sparse
+  // jobs run on the warm context (their plans bind the tensor, so nothing
+  // is cached); cold ones pay the batch CLI's one-shot cost — a checked
+  // read, a fresh context (arena allocation + first touch) and a
+  // transient plan.
   if (!lead.dense || lead.req.cold) {
     try {
       if (admit_or_timeout(jobs.front())) {
@@ -475,8 +505,18 @@ void Server::run_decompose_batch(Worker& ws, std::vector<Queue::Item>& jobs) {
     return;
   }
 
-  // Warm dense path: the first fresh job acquires the plan (hit or
-  // miss); every later batch member reuses it and reports plan:"batch".
+  if (lead.key.f32) {
+    decompose_warm<float>(ws, jobs);
+  } else {
+    decompose_warm<double>(ws, jobs);
+  }
+}
+
+template <typename T>
+void Server::decompose_warm(Worker& ws, std::vector<Queue::Item>& jobs) {
+  // The first fresh job acquires the plan (hit or miss); every later
+  // batch member reuses it and reports plan:"batch". Every member runs on
+  // its file's resident tensor.
   PlanCache::Entry* entry = nullptr;
   const char* next_tag = "hit";
   double plan_ms = 0.0;
@@ -486,6 +526,10 @@ void Server::run_decompose_batch(Worker& ws, std::vector<Queue::Item>& jobs) {
     try {
       if (!admit_or_timeout(item)) continue;
       const double queue_ms = ms_since(item.enqueued);
+      WallTimer read_t;
+      const std::shared_ptr<const TensorT<T>> X =
+          tensors_.get<T>(job.req.spec.tensor);
+      const double read_ms = read_t.seconds() * 1e3;
       if (entry == nullptr) {
         WallTimer t;
         bool built = false;
@@ -493,22 +537,18 @@ void Server::run_decompose_batch(Worker& ws, std::vector<Queue::Item>& jobs) {
         plan_ms = t.seconds() * 1e3;
         next_tag = entry == nullptr ? "bypass" : (built ? "miss" : "hit");
       }
-      const PlanKey& k = job.key;
       DecomposeOutcome out;
       if (entry != nullptr) {
-        out = k.f32 ? job.decompose->run(*entry->f32)
-                    : job.decompose->run(*entry->f64);
-      } else if (k.f32) {
-        // Cache disabled (--cache-entries 0): every job runs like a warm
-        // context with a transient plan.
-        CpAlsSweepPlanF plan(ws.ctx, k.dims, k.rank, k.scheme, k.method,
-                             k.levels);
-        out = job.decompose->run(plan);
+        out = job.decompose->run(plan_of<T>(*entry), *X);
       } else {
-        CpAlsSweepPlan plan(ws.ctx, k.dims, k.rank, k.scheme, k.method,
-                            k.levels);
-        out = job.decompose->run(plan);
+        // Cache disabled (--cache-entries 0) or degraded: every job runs
+        // like a warm context with a transient plan.
+        const PlanKey& k = job.key;
+        CpAlsSweepPlanT<T> plan(ws.ctx, k.dims, k.rank, k.scheme, k.method,
+                                k.levels);
+        out = job.decompose->run(plan, *X);
       }
+      out.read_ms = read_ms;
       send_decompose(item, out, queue_ms, next_tag, plan_ms, jobs.size(),
                      index);
       next_tag = "batch";
@@ -570,101 +610,59 @@ void Server::run_mttkrp_batch(Worker& ws, std::vector<Queue::Item>& jobs) {
 
 template <typename T>
 void Server::mttkrp_exec(Worker& ws, std::vector<Queue::Item*>& live) {
-  struct Prep {
-    const Queue::Item* item = nullptr;
-    MatrixT<T> Xn;  ///< I_n x J matricization
-    MatrixT<T> Kt;  ///< C x J transposed KRP
-    MatrixT<T> M;   ///< I_n x C output
-    double queue_ms = 0.0;
-    double read_ms = 0.0;
-    double plan_ms = 0.0;  ///< factor draw + matricize + transposed KRP
-  };
-  std::vector<Prep> preps;
-  preps.reserve(live.size());
-  const int nt = ws.ctx.threads();
-
-  for (const Queue::Item* item : live) {
-    const Job& job = item->job;
+  // The batch key pins shape, rank, precision and mode, so one plan built
+  // on the worker's context serves every member back to back; the first
+  // member's "plan" time carries its construction.
+  const Job& lead = live.front()->job;
+  const index_t rank = lead.req.spec.rank;
+  const index_t mode = lead.req.mode;
+  std::optional<MttkrpPlanT<T>> plan;
+  MatrixT<T> M;
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    const Queue::Item& item = *live[i];
+    const Job& job = item.job;
     const Request& r = job.req;
     try {
-      Prep p;
-      p.item = item;
-      p.queue_ms = ms_since(item->enqueued);
+      const double queue_ms = ms_since(item.enqueued);
       WallTimer read_t;
-      const TensorT<T> X = io::read_tensor_as<T>(r.spec.tensor);
-      DMTK_CHECK(std::equal(X.dims().begin(), X.dims().end(),
-                            job.dims.begin(), job.dims.end()),
+      const std::shared_ptr<const TensorT<T>> X =
+          tensors_.get<T>(r.spec.tensor);
+      DMTK_CHECK(std::ranges::equal(X->dims(), job.dims),
                  "mttkrp: tensor extents changed between probe and read");
-      p.read_ms = read_t.seconds() * 1e3;
+      const double read_ms = read_t.seconds() * 1e3;
       WallTimer plan_t;
+      if (!plan) plan.emplace(ws.ctx, job.dims, rank, mode);
       Rng rng(r.spec.seed);
-      const KtensorT<T> F = KtensorT<T>::random(X.dims(), r.spec.rank, rng);
-      const index_t In = X.dim(r.mode);
-      const index_t J = X.numel() / In;
-      p.Xn = MatrixT<T>(In, J);
-      matricize_into(X, r.mode, p.Xn.data(), nt);
-      const FactorListT<T> fl = mttkrp_krp_factors(F.factors, r.mode);
-      krp_transposed_into(fl, p.Kt, KrpVariant::Reuse, nt);
-      p.M = MatrixT<T>(In, r.spec.rank);
-      p.plan_ms = plan_t.seconds() * 1e3;
-      preps.push_back(std::move(p));
-    } catch (...) {
-      send_error_for_exception(job.conn, r.id);
-    }
-  }
-  if (preps.empty()) return;
+      const KtensorT<T> F = KtensorT<T>::random(X->dims(), rank, rng);
+      const double plan_ms = plan_t.seconds() * 1e3;
+      WallTimer exec_t;
+      plan->execute(*X, F.factors, M);
+      const double exec_ms = exec_t.seconds() * 1e3;
 
-  // The whole batch shares one GEMM shape (the batch key pins shape,
-  // rank, precision, and mode), so every request's M = X(n) * K runs in
-  // a single parallel batched-GEMM sweep.
-  const Job& lead = preps.front().item->job;
-  const index_t In = preps.front().Xn.rows();
-  const index_t J = preps.front().Xn.cols();
-  const index_t C = lead.req.spec.rank;
-  std::vector<const T*> A(preps.size());
-  std::vector<const T*> B(preps.size());
-  std::vector<T*> Cp(preps.size());
-  for (std::size_t i = 0; i < preps.size(); ++i) {
-    A[i] = preps[i].Xn.data();
-    B[i] = preps[i].Kt.data();
-    Cp[i] = preps[i].M.data();
-  }
-  WallTimer exec_t;
-  blas::gemm_batched(blas::Layout::ColMajor, blas::Trans::NoTrans,
-                     blas::Trans::Trans, In, C, J, T{1}, A.data(), In,
-                     B.data(), C, T{0}, Cp.data(), In,
-                     static_cast<index_t>(preps.size()), nt);
-  const double exec_ms = exec_t.seconds() * 1e3;
-
-  for (std::size_t i = 0; i < preps.size(); ++i) {
-    const Prep& p = preps[i];
-    const Request& r = p.item->job.req;
-    try {
       Json resp;
       resp.set("ok", Json(true));
       resp.set("type", Json("mttkrp"));
       if (!r.id.is_null()) resp.set("id", r.id);
-      resp.set("rows", Json(In));
-      resp.set("cols", Json(C));
+      resp.set("rows", Json(M.rows()));
+      resp.set("cols", Json(M.cols()));
       resp.set("mode", Json(r.mode));
       resp.set("precision", Json(r.spec.f32 ? "float" : "double"));
-      resp.set("norm", Json(p.M.norm()));
-      resp.set("plan", Json(preps.size() > 1 ? "batch" : "bypass"));
-      resp.set("batch", batch_json(preps.size(), i));
+      resp.set("norm", Json(M.norm()));
+      resp.set("plan", Json(live.size() > 1 ? "batch" : "bypass"));
+      resp.set("batch", batch_json(live.size(), i));
       if (!r.out.empty()) {
         if constexpr (std::is_same_v<T, double>) {
-          io::write_matrix(r.out, p.M);
+          io::write_matrix(r.out, M);
         } else {
-          io::write_matrix(r.out, matrix_cast<double>(p.M));
+          io::write_matrix(r.out, matrix_cast<double>(M));
         }
         resp.set("out", Json(r.out));
       }
-      resp.set("timings_ms",
-               timings_json(p.queue_ms, p.read_ms, p.plan_ms, exec_ms,
-                            ms_since(p.item->job.received)));
-      send_line(p.item->job.conn, resp);
+      resp.set("timings_ms", timings_json(queue_ms, read_ms, plan_ms, exec_ms,
+                                          ms_since(job.received)));
+      send_line(job.conn, resp);
     } catch (...) {
-      send_error_for_exception(p.item->job.conn, r.id);
+      send_error_for_exception(job.conn, r.id);
     }
   }
 }
@@ -742,6 +740,16 @@ Json Server::stats_json() const {
                      : static_cast<double>(agg.hits) /
                            static_cast<double>(lookups)));
   resp.set("cache", std::move(cache));
+
+  const TensorCacheStats ts = tensors_.stats();
+  Json tensors;
+  tensors.set("hits", Json(ts.hits));
+  tensors.set("misses", Json(ts.misses));
+  tensors.set("evictions", Json(ts.evictions));
+  tensors.set("entries", Json(ts.entries));
+  tensors.set("bytes", Json(ts.bytes));
+  tensors.set("max_bytes", Json(ts.max_bytes));
+  resp.set("tensors", std::move(tensors));
 
   const JobQueueStats qs = queue_.stats();
   Json queue;

@@ -6,11 +6,12 @@
 /// process launch, ExecContext construction (arena allocation and first
 /// touch), sweep-plan construction, then the actual sweeps. A resident
 /// server keeps the expensive parts warm — per-worker ExecContexts stay
-/// alive, and a per-worker PlanCache holds constructed CpAlsSweepPlans
-/// keyed on (shape, rank, scheme, method, levels, precision) — so a
-/// repeat request of a shape already seen skips straight to the sweeps.
-/// That is the paper's plan-amortization argument lifted from "many
-/// sweeps per plan" to "many requests per plan".
+/// alive, a per-worker PlanCache holds constructed CpAlsSweepPlans keyed
+/// on (shape, rank, scheme, method, levels, precision), and one shared
+/// TensorCache holds the checked tensors of the files already read — so
+/// a repeat request of a file and shape already seen skips straight to
+/// the sweeps. That is the paper's plan-amortization argument lifted from
+/// "many sweeps per plan" to "many requests per plan".
 ///
 /// Architecture (one process, three thread kinds):
 ///
@@ -26,16 +27,21 @@
 ///  - WORKER threads (--workers) each own a private ExecContext and a
 ///    private PlanCache. A workspace arena is therefore touched by
 ///    exactly one thread for its whole life — the single rule that keeps
-///    the whole server ASan/TSan-clean without locking the hot path.
+///    the whole server ASan/TSan-clean without locking the hot path. The
+///    one structure workers share is the TensorCache, whose entries are
+///    immutable tensors behind shared_ptrs; its lock guards only the map
+///    and LRU list, never a read (see tensor_cache.hpp).
 ///
 /// Batching: when a worker dequeues a compute job it also extracts every
 /// queued job with the same batch key (the plan-cache key, plus the mode
 /// for mttkrp). Same-shape decompose jobs run back to back through ONE
 /// cached plan — construction amortized across the batch, arena already
-/// sized. Same-shape mttkrp jobs coalesce into a single gemm_batched
-/// sweep: one parallel GEMM pass over all matricized tensors instead of
-/// one GEMM per request. `batch_window_ms` optionally lingers before
-/// extraction so closely-spaced clients can coalesce.
+/// sized. Same-shape mttkrp jobs run back to back through ONE
+/// MttkrpPlanT built on the worker's context for the batch: the paper's
+/// kernel (1-step for external modes, 2-step for internal ones), which
+/// reads the tensor in place — no matricized copy, no full KRP.
+/// `batch_window_ms` optionally lingers before extraction so
+/// closely-spaced clients can coalesce.
 ///
 /// Admission control: `queue_depth` bounds queued jobs (excess rejected
 /// "busy" immediately), `queue_timeout_ms` bounds how stale a job may
@@ -67,6 +73,7 @@
 #include "serve/json.hpp"
 #include "serve/plan_cache.hpp"
 #include "serve/protocol.hpp"
+#include "serve/tensor_cache.hpp"
 #include "util/mutex.hpp"
 
 namespace dmtk::serve {
@@ -79,9 +86,19 @@ struct ServeOptions {
   int queue_timeout_ms = 30000;  ///< oldest-job age bound; beyond -> "timeout"
   int batch_window_ms = 0;       ///< linger before same-key extraction
   std::size_t max_batch = 16;    ///< jobs coalesced per batch (>= 1)
-  std::size_t cache_entries = 32;        ///< plan-cache entry cap (0=disable)
-  std::size_t cache_bytes = 256u << 20;  ///< plan-cache byte budget per worker
+  /// Entry cap of each worker's plan cache and of the shared tensor
+  /// cache (0 disables both).
+  std::size_t cache_entries = 32;
+  /// Byte budget of each worker's plan cache and of the shared tensor
+  /// cache.
+  std::size_t cache_bytes = 256u << 20;
 };
+
+/// The line Server::start writes to stderr when `workers` contexts of
+/// `threads` threads each (already resolved: no 0) ask for more threads
+/// than `cores`; empty when they fit or `cores` is unknown (<= 0).
+[[nodiscard]] std::string oversubscription_warning(int workers, int threads,
+                                                   int cores);
 
 /// Thrown by Server::start on socket setup failures (bad path, bind).
 class ServeError : public std::runtime_error {
@@ -119,8 +136,9 @@ class Server {
 
   [[nodiscard]] const ServeOptions& options() const { return opts_; }
 
-  /// The stats-request payload (cache counters aggregated across
-  /// workers) — exposed for in-process tests.
+  /// The stats-request payload (plan-cache counters aggregated across
+  /// workers, the shared tensor cache's counters) — exposed for
+  /// in-process tests.
   [[nodiscard]] Json stats_json() const;
 
   /// The health-request payload: uptime, worker/queue occupancy, the
@@ -179,13 +197,16 @@ class Server {
   Job make_job(Request r, const std::shared_ptr<Conn>& conn);
   void worker_loop(Worker& ws);
   void run_decompose_batch(Worker& ws, std::vector<Queue::Item>& jobs);
+  /// The warm dense decompose path: resident tensors, cached plans.
+  template <typename T>
+  void decompose_warm(Worker& ws, std::vector<Queue::Item>& jobs);
   void run_mttkrp_batch(Worker& ws, std::vector<Queue::Item>& jobs);
   /// Send one finished decompose's success response.
   void send_decompose(const Queue::Item& item, const DecomposeOutcome& out,
                       double queue_ms, const char* plan_tag, double plan_ms,
                       std::size_t batch_size, std::size_t batch_index);
-  /// The coalesced same-shape mttkrp sweep: per-job matricize + KRP,
-  /// then ONE gemm_batched over the whole batch.
+  /// The coalesced same-shape mttkrps: one MttkrpPlanT for the batch,
+  /// every member executed through it on its resident tensor.
   template <typename T>
   void mttkrp_exec(Worker& ws, std::vector<Queue::Item*>& live);
   Json handle_info(const Request& r);
@@ -200,6 +221,7 @@ class Server {
   bool admit_or_timeout(const Queue::Item& item);
 
   ServeOptions opts_;
+  TensorCache tensors_;
   Queue queue_;
   int listen_fd_ = -1;
   std::atomic<bool> stop_requested_{false};

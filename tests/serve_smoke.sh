@@ -6,7 +6,8 @@
 # Starts `dmtk serve` on a temp-dir Unix socket, drives it through `dmtk
 # client` — generate -> info -> decompose (both precisions, warm repeat)
 # -> CLI-vs-served model byte identity (dense f64, dense f32, dense f32
-# acc64, sparse) -> mttkrp -> stats -> shutdown — and requires a clean
+# acc64, sparse) -> mttkrp -> stats (plan and tensor cache hits) ->
+# shutdown — and requires a clean
 # server exit. The sed filter drops the conda activation warning some
 # login shells print on stderr, which would otherwise pollute captured
 # JSON checks.
@@ -119,6 +120,10 @@ check "mttkrp" 0 '"type":"mttkrp"' \
   "${dmtk}" client --socket "${sock}" mttkrp "${work}/cube.dten" --mode 1 \
   --rank 4
 check "stats" 0 '"hits":' \
+  "${dmtk}" client --socket "${sock}" stats
+# The repeated decomposes of cube.dten read it once: the shared tensor
+# cache reports hits.
+check "stats: tensor cache hits" 0 '"tensors":{[^}]*"hits":[1-9]' \
   "${dmtk}" client --socket "${sock}" stats
 check "bad request exits 3" 3 '"code":"invalid_request"' \
   "${dmtk}" client --socket "${sock}" --json '{"type":"nope"}'

@@ -263,7 +263,8 @@ TEST_F(DecomposeJobTest, RunMatchesTheDriverAndThePlanPath) {
   // model file byte for byte.
   CpAlsSweepPlan plan(ctx, job.dims(), spec.rank, job.scheme(), spec.method,
                       spec.levels);
-  const DecomposeOutcome planned = job.run(plan);
+  const DecomposeOutcome planned =
+      job.run(plan, io::read_tensor_as<double>(cube_));
   out.write_model(path("a.dktn"));
   planned.write_model(path("b.dktn"));
   EXPECT_EQ(slurp(path("a.dktn")), slurp(path("b.dktn")));
@@ -296,7 +297,13 @@ TEST_F(DecomposeJobTest, RunsEveryInputKindInItsPrecision) {
   const std::vector<index_t> dims{6, 5, 4};
   CpAlsSweepPlanF plan(ctx, dims, 2, SweepScheme::PerMode, spec.method, 0);
   spec.nn = true;
-  EXPECT_THROW((void)DecomposeJob(spec).run(plan), DimensionError);
+  const TensorF X = io::read_tensor_as<float>(cube_);
+  EXPECT_THROW((void)DecomposeJob(spec).run(plan, X), DimensionError);
+  // And the tensor handed in must have the probed extents.
+  spec.nn = false;
+  Rng rng(3);
+  const TensorF other = TensorF::random_uniform({5, 5, 4}, rng);
+  EXPECT_THROW((void)DecomposeJob(spec).run(plan, other), DimensionError);
 }
 
 }  // namespace

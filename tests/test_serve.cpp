@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -246,9 +247,10 @@ TEST_F(ServeTest, ColdRequestsBypassTheCache) {
   EXPECT_GE(stats.find("cache")->find("bypass")->as_number(), 1.0);
 }
 
-// The serving claim: a resident server amortizes context and plan set-up,
-// so a decompose through the cached plan beats the cold path (a fresh
-// ExecContext and a transient plan per request, the batch CLI's cost).
+// The serving claim: a resident server amortizes context, plan and read
+// set-up, so a decompose through the cached plan on the resident tensor
+// beats the cold path (a checked read, a fresh ExecContext and a transient
+// plan per request, the batch CLI's cost).
 // Cold and warm requests alternate on one connection, each pair swapping
 // which goes first, so host load during the test lands on both sides. The
 // comparison is the server's own service time (read + plan + exec): the
@@ -304,39 +306,234 @@ TEST_F(ServeTest, WarmCacheBeatsColdStartAtTheMedian) {
 // Malformed requests: strict validation, connection survives
 // ---------------------------------------------------------------------------
 
+Json mttkrp_req(const std::string& tensor, index_t rank, index_t mode,
+                std::uint64_t seed, bool f32 = false) {
+  Json r;
+  r.set("type", Json("mttkrp"));
+  r.set("tensor", Json(tensor));
+  r.set("rank", Json(rank));
+  r.set("mode", Json(mode));
+  r.set("seed", Json(seed));
+  if (f32) r.set("precision", Json("float"));
+  return r;
+}
+
+/// ‖mttkrp(X, F, mode)‖ for the factor draw a served mttkrp of `seed`
+/// makes.
+template <typename T>
+double direct_mttkrp_norm(const TensorT<T>& X, index_t rank, index_t mode,
+                          std::uint64_t seed) {
+  Rng rng(seed);
+  const KtensorT<T> F = KtensorT<T>::random(X.dims(), rank, rng);
+  return mttkrp(X, std::span<const MatrixT<T>>(F.factors), mode).norm();
+}
+
+// The served product is the direct MTTKRP on the same factor draw, in
+// every mode of a 3-way f64 and a 4-way f32 tensor: the plan's 1-step
+// (external modes) and 2-step (internal modes) kernels both serve.
 TEST_F(ServeTest, MttkrpTimesOperandSetUpAsPlanNotRead) {
   ServeOptions so;
   so.workers = 1;
   so.threads = 1;
   start(so);
-  const std::string tensor = make_dense("m.dten", {40, 30, 20}, 5);
+  const std::string cube = make_dense("m.dten", {40, 30, 20}, 5);
+  const std::string four = make_dense("h.dten", {9, 8, 7, 6}, 6);
 
-  Json req;
-  req.set("type", Json("mttkrp"));
-  req.set("tensor", Json(tensor));
-  req.set("rank", Json(4));
-  req.set("mode", Json(1));
-  req.set("seed", Json(3));
-  const Json resp = roundtrip(req);
-  ASSERT_TRUE(resp.find("ok")->as_bool()) << resp.dump();
+  const Tensor X = io::read_tensor(cube);
+  const TensorF Y = io::read_tensor_as<float>(four);
+  Client c;
+  c.connect(socket_);
+  const auto check = [&](const Json& resp, double want, double rel) {
+    ASSERT_TRUE(resp.find("ok")->as_bool()) << resp.dump();
+    EXPECT_EQ(resp.find("plan")->as_string(), "bypass");
+    EXPECT_NEAR(resp.find("norm")->as_number(), want, rel * want)
+        << resp.dump();
+    // "read" is the tensor read (a cache lookup once resident); the
+    // factor draw and plan construction are "plan", the plan's execute
+    // is "exec", and the phases fit inside "total".
+    const Json* t = resp.find("timings_ms");
+    ASSERT_NE(t, nullptr) << resp.dump();
+    const double read = t->find("read")->as_number();
+    const double plan = t->find("plan")->as_number();
+    const double exec = t->find("exec")->as_number();
+    EXPECT_GT(read, 0.0) << resp.dump();
+    EXPECT_GT(plan, 0.0) << resp.dump();
+    EXPECT_LE(read + plan + exec, t->find("total")->as_number())
+        << resp.dump();
+  };
+  for (index_t n = 0; n < 3; ++n) {
+    check(c.roundtrip(mttkrp_req(cube, 4, n, 3 + n)),
+          direct_mttkrp_norm(X, 4, n, 3 + n), 1e-12);
+  }
+  for (index_t n = 0; n < 4; ++n) {
+    const Json resp = c.roundtrip(mttkrp_req(four, 3, n, 9 + n, true));
+    EXPECT_EQ(resp.find("precision")->as_string(), "float");
+    check(resp, direct_mttkrp_norm(Y, 3, n, 9 + n), 1e-5);
+  }
 
-  // The served product is the direct MTTKRP on the same factor draw.
-  const Tensor X = io::read_tensor(tensor);
-  Rng rng(3);
-  const Ktensor F = Ktensor::random(X.dims(), 4, rng);
-  const Matrix M = mttkrp(X, std::span<const Matrix>(F.factors), 1);
-  EXPECT_NEAR(resp.find("norm")->as_number(), M.norm(), 1e-9 * M.norm());
+  // One read per file and precision; every other request was a hit.
+  Json stats_req;
+  stats_req.set("type", Json("stats"));
+  const Json stats = c.roundtrip(stats_req);
+  const Json* tensors = stats.find("tensors");
+  ASSERT_NE(tensors, nullptr) << stats.dump();
+  EXPECT_EQ(tensors->find("misses")->as_number(), 2.0);
+  EXPECT_EQ(tensors->find("hits")->as_number(), 5.0);
+  EXPECT_EQ(tensors->find("entries")->as_number(), 2.0);
+}
 
-  // "read" is the checked file read alone; the factor draw, matricization
-  // and KRP are reported as "plan", and the phases fit inside "total".
-  const Json* t = resp.find("timings_ms");
-  ASSERT_NE(t, nullptr) << resp.dump();
-  const double read = t->find("read")->as_number();
-  const double plan = t->find("plan")->as_number();
-  const double exec = t->find("exec")->as_number();
-  EXPECT_GT(read, 0.0);
-  EXPECT_GT(plan, 0.0) << resp.dump();
-  EXPECT_LE(read + plan + exec, t->find("total")->as_number()) << resp.dump();
+// A file rewritten in place (dmtk's writer renames a temp file over it) is
+// read again: the served product follows the new content.
+TEST_F(ServeTest, RewrittenTensorFileIsReadAgain) {
+  ServeOptions so;
+  so.workers = 1;
+  so.threads = 1;
+  start(so);
+  const std::string path = make_dense("m.dten", {10, 9, 8}, 1);
+  Client c;
+  c.connect(socket_);
+  const Json before = c.roundtrip(mttkrp_req(path, 3, 0, 7));
+  ASSERT_TRUE(before.find("ok")->as_bool()) << before.dump();
+  EXPECT_EQ(before.find("norm")->as_number(),
+            c.roundtrip(mttkrp_req(path, 3, 0, 7)).find("norm")->as_number());
+
+  make_dense("m.dten", {10, 9, 8}, 2);
+  const Json after = c.roundtrip(mttkrp_req(path, 3, 0, 7));
+  ASSERT_TRUE(after.find("ok")->as_bool()) << after.dump();
+  EXPECT_NE(after.find("norm")->as_number(), before.find("norm")->as_number());
+  EXPECT_NEAR(after.find("norm")->as_number(),
+              direct_mttkrp_norm(io::read_tensor(path), 3, 0, 7),
+              1e-12 * after.find("norm")->as_number());
+
+  Json stats_req;
+  stats_req.set("type", Json("stats"));
+  const Json stats = c.roundtrip(stats_req);
+  const Json* tensors = stats.find("tensors");
+  ASSERT_NE(tensors, nullptr) << stats.dump();
+  EXPECT_EQ(tensors->find("misses")->as_number(), 2.0);
+  EXPECT_EQ(tensors->find("hits")->as_number(), 1.0);
+}
+
+// Two workers, two connections, one resident file: decompose and mttkrp
+// requests race through the shared tensor cache (the TSan job's target)
+// and every answer matches the direct computation.
+TEST_F(ServeTest, TwoWorkersShareOneResidentTensor) {
+  ServeOptions so;
+  so.workers = 2;
+  so.threads = 1;
+  start(so);
+  const std::string path = make_dense("shared.dten", {14, 12, 10}, 4);
+  const Tensor X = io::read_tensor(path);
+  CpAlsOptions o;
+  o.rank = 3;
+  o.max_iters = 2;
+  o.tol = 0.0;
+  o.seed = 5;
+  o.threads = 1;
+  const double fit = cp_als(X, o).final_fit;
+  std::vector<double> norms;
+  for (index_t n = 0; n < 3; ++n) {
+    norms.push_back(direct_mttkrp_norm(X, 3, n, 7));
+  }
+
+  constexpr int kClients = 2;
+  constexpr int kRequestsEach = 12;
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kClients; ++t) {
+    clients.emplace_back([&, t] {
+      Client c;
+      c.connect(socket_);
+      for (int r = 0; r < kRequestsEach; ++r) {
+        if ((r + t) % 2 == 0) {
+          Json req = decompose_req(path, 3, 2, 5);
+          req.set("inline_model", Json(false));
+          const Json resp = c.roundtrip(req);
+          ASSERT_TRUE(resp.find("ok")->as_bool()) << resp.dump();
+          EXPECT_EQ(resp.find("final_fit")->as_number(), fit);
+        } else {
+          const index_t mode = r % 3;
+          const Json resp = c.roundtrip(mttkrp_req(path, 3, mode, 7));
+          ASSERT_TRUE(resp.find("ok")->as_bool()) << resp.dump();
+          EXPECT_NEAR(resp.find("norm")->as_number(),
+                      norms[static_cast<std::size_t>(mode)],
+                      1e-12 * norms[static_cast<std::size_t>(mode)]);
+        }
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+
+  // Both workers may miss on the first, concurrent requests; every later
+  // request is a hit on the one entry.
+  Json stats_req;
+  stats_req.set("type", Json("stats"));
+  const Json stats = roundtrip(stats_req);
+  const Json* tensors = stats.find("tensors");
+  ASSERT_NE(tensors, nullptr) << stats.dump();
+  const double misses = tensors->find("misses")->as_number();
+  EXPECT_GE(misses, 1.0);
+  EXPECT_LE(misses, 2.0);
+  EXPECT_EQ(tensors->find("hits")->as_number() + misses,
+            kClients * kRequestsEach);
+  EXPECT_EQ(tensors->find("entries")->as_number(), 1.0);
+  EXPECT_EQ(tensors->find("bytes")->as_number(),
+            static_cast<double>(X.numel() * sizeof(double)));
+}
+
+// Same-key mttkrps that coalesce into one batch (one plan, executed per
+// member) return norms bitwise equal to the same requests sent alone.
+TEST_F(ServeTest, CoalescedMttkrpsMatchTheSameRequestsSentAlone) {
+  ServeOptions so;
+  so.workers = 1;
+  so.threads = 1;
+  // The worker lingers this long after its first pop, so pipelined
+  // requests of one key are queued by the time it extracts them; the
+  // margin absorbs a reader thread descheduled under `ctest -j`.
+  so.batch_window_ms = 1000;
+  start(so);
+  const std::string path = make_dense("b.dten", {20, 16, 12}, 8);
+  constexpr int kRequests = 4;
+  const auto request = [&](int i) {
+    Json r = mttkrp_req(path, 5, 1, 100 + static_cast<std::uint64_t>(i));
+    r.set("id", Json(i));
+    return r;
+  };
+
+  std::vector<double> batched(kRequests);
+  double largest_batch = 0.0;
+  {
+    Client c;
+    c.connect(socket_);
+    for (int i = 0; i < kRequests; ++i) c.send_line(request(i).dump());
+    for (int i = 0; i < kRequests; ++i) {
+      const auto line = c.recv_line();
+      ASSERT_TRUE(line.has_value());
+      const Json r = Json::parse(*line);
+      ASSERT_TRUE(r.find("ok")->as_bool()) << *line;
+      const double size = r.find("batch")->find("size")->as_number();
+      largest_batch = std::max(largest_batch, size);
+      EXPECT_EQ(r.find("plan")->as_string(), size > 1 ? "batch" : "bypass");
+      batched[static_cast<std::size_t>(r.find("id")->as_number())] =
+          r.find("norm")->as_number();
+    }
+  }
+  EXPECT_GT(largest_batch, 1.0);
+
+  // Alone: a fresh server without the window, one request at a time.
+  so.batch_window_ms = 0;
+  server_.reset();
+  start(so);
+  Client c;
+  c.connect(socket_);
+  for (int i = 0; i < kRequests; ++i) {
+    const Json alone = c.roundtrip(request(i));
+    ASSERT_TRUE(alone.find("ok")->as_bool()) << alone.dump();
+    EXPECT_EQ(alone.find("batch")->find("size")->as_number(), 1.0);
+    EXPECT_EQ(alone.find("plan")->as_string(), "bypass");
+    EXPECT_EQ(alone.find("norm")->as_number(),
+              batched[static_cast<std::size_t>(i)])
+        << "request " << i;
+  }
 }
 
 TEST_F(ServeTest, MalformedRequestTable) {

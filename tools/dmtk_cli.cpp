@@ -99,7 +99,10 @@ using namespace dmtk;
       "            [--max-batch n] [--cache-entries n] [--cache-mb n]\n"
       "            (resident decomposition server on a Unix socket:\n"
       "             newline-delimited JSON requests, per-worker plan cache,\n"
-      "             bounded job queue, same-shape request batching)\n"
+      "             shared tensor cache, bounded job queue, same-shape\n"
+      "             request batching; --cache-entries and --cache-mb bound\n"
+      "             each plan cache and the tensor cache, 0 entries\n"
+      "             disables both)\n"
       "  client    --socket S [--timeout-ms n] [--retries n]\n"
       "            [--retry-base-ms n] <action>\n"
       "            (--retries re-runs the request on connection failures\n"
