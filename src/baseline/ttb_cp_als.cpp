@@ -5,11 +5,11 @@
 namespace dmtk::baseline {
 
 void ttb_mttkrp(const Tensor& X, std::span<const Matrix> factors, index_t mode,
-                Matrix& M, int threads, MttkrpTimings* timings) {
+                Matrix& M, int threads) {
   // The Tensor-Toolbox kernel IS the library's Reorder method (explicit
   // matricization + column-wise KRP + one GEMM, parallelism only inside
   // the BLAS call); route through the shared one-shot wrapper.
-  mttkrp(X, factors, mode, M, MttkrpMethod::Reorder, threads, timings);
+  mttkrp(X, factors, mode, M, MttkrpMethod::Reorder, threads);
 }
 
 CpAlsResult ttb_cp_als(const Tensor& X, const CpAlsOptions& opts) {

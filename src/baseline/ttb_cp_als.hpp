@@ -16,11 +16,10 @@
 namespace dmtk::baseline {
 
 /// One Tensor-Toolbox-style MTTKRP: explicit matricization + explicit
-/// column-wise KRP + single GEMM. Timings (if given) fill the `reorder`,
-/// `krp`, and `gemm` phases. One-shot wrapper over an
+/// column-wise KRP + single GEMM. One-shot wrapper over an
 /// MttkrpMethod::Reorder plan (see exec/mttkrp_plan.hpp).
 void ttb_mttkrp(const Tensor& X, std::span<const Matrix> factors, index_t mode,
-                Matrix& M, int threads = 0, MttkrpTimings* timings = nullptr);
+                Matrix& M, int threads = 0);
 
 /// CP-ALS with every per-mode MttkrpPlan pinned to the Reorder kernel;
 /// otherwise identical to dmtk::cp_als (same initialization, normalization,

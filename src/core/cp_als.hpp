@@ -94,10 +94,8 @@ inline const char* to_string(CpAlsStatus s) {
 
 /// Per-sweep diagnostics.
 struct CpAlsIterStats {
-  double seconds = 0.0;         ///< whole-sweep wall time
-  double mttkrp_seconds = 0.0;  ///< total MTTKRP time in the sweep
-  double solve_seconds = 0.0;   ///< Gram build + linear solve time
-  double fit = 0.0;             ///< model fit after the sweep (if computed)
+  double seconds = 0.0;  ///< whole-sweep wall time
+  double fit = 0.0;      ///< model fit after the sweep (if computed)
 };
 
 template <typename T>
@@ -113,13 +111,6 @@ struct CpAlsResultT {
   /// (0 for a fresh run); `iterations` counts restored + executed.
   int resumed_sweeps = 0;
   std::vector<CpAlsIterStats> iters;  ///< one entry per sweep
-  /// Phase breakdown summed over the per-mode MttkrpPlans across all
-  /// sweeps (PerMode scheme; zero for DimTree, whose phases live in
-  /// sweep_timings).
-  MttkrpTimings mttkrp_timings;
-  /// Per-node sweep-plan breakdown (tree nodes for DimTree, one leaf per
-  /// mode for PerMode).
-  SweepTimings sweep_timings;
 };
 
 using CpAlsResult = CpAlsResultT<double>;

@@ -245,7 +245,6 @@ void run_als_sweeps(const XT& X, const CpAlsOptionsT<T>& opts,
     for (index_t n = 0; n < N; ++n) {
       MatrixT<T>& M = Ms[static_cast<std::size_t>(n)];
       sweep.mode_mttkrp(n, X, model.factors, M);
-      WallTimer t;
       if (opts.compute_fit && n == N - 1) {
         std::copy(M.span().begin(), M.span().end(), Mlast.span().begin());
       }
@@ -253,9 +252,7 @@ void run_als_sweeps(const XT& X, const CpAlsOptionsT<T>& opts,
       update_mode(n, H, M, iter);
       gram(model.factors[static_cast<std::size_t>(n)],
            grams[static_cast<std::size_t>(n)], nt);
-      stats.solve_seconds += t.seconds();
     }
-    stats.mttkrp_seconds = sweep.last_sweep_seconds();
 
     result.iterations = iter + 1;
     bool stop = false;
@@ -307,9 +304,6 @@ void run_als_sweeps(const XT& X, const CpAlsOptionsT<T>& opts,
     }
     if (stop) break;
   }
-
-  result.sweep_timings = sweep.timings();
-  result.mttkrp_timings = sweep.per_mode_timings();
 }
 
 }  // namespace dmtk::detail

@@ -26,22 +26,7 @@ std::optional<MttkrpMethod> parse_mttkrp_method(std::string_view name) {
         MttkrpMethod::Auto, MttkrpMethod::Acc64}) {
     if (name == to_string(m)) return m;
   }
-  // Friendly aliases used in earlier CLIs and papers' prose.
-  if (name == "onestep" || name == "1step") return MttkrpMethod::OneStep;
-  if (name == "twostep" || name == "2step") return MttkrpMethod::TwoStep;
-  if (name == "onestep-seq" || name == "seq") return MttkrpMethod::OneStepSeq;
   return std::nullopt;
-}
-
-MttkrpTimings& MttkrpTimings::operator+=(const MttkrpTimings& o) {
-  krp += o.krp;
-  krp_lr += o.krp_lr;
-  gemm += o.gemm;
-  gemv += o.gemv;
-  reduce += o.reduce;
-  reorder += o.reorder;
-  total += o.total;
-  return *this;
 }
 
 bool twostep_is_defined(index_t order, index_t mode) {
@@ -51,8 +36,7 @@ bool twostep_is_defined(index_t order, index_t mode) {
 template <typename T>
 void mttkrp(const TensorT<T>& X,
             std::span<const MatrixT<std::type_identity_t<T>>> factors,
-            index_t mode, MatrixT<T>& M, MttkrpMethod method, int threads,
-            MttkrpTimings* timings) {
+            index_t mode, MatrixT<T>& M, MttkrpMethod method, int threads) {
   // One-shot path: a transient context + plan. The plan validates shape,
   // mode, and rank; it reads the rank off the first factor, so check the
   // factor count here first. The transient plan also carves the BLAS
@@ -67,16 +51,14 @@ void mttkrp(const TensorT<T>& X,
   ExecContext ctx(threads);
   MttkrpPlanT<T> plan(ctx, X.dims(), factors[0].cols(), mode, method);
   plan.execute(X, factors, M);
-  if (timings != nullptr) *timings += plan.timings();
 }
 
 template <typename T>
 MatrixT<T> mttkrp(const TensorT<T>& X,
                   std::span<const MatrixT<std::type_identity_t<T>>> factors,
-                  index_t mode, MttkrpMethod method, int threads,
-                  MttkrpTimings* timings) {
+                  index_t mode, MttkrpMethod method, int threads) {
   MatrixT<T> M;
-  mttkrp(X, factors, mode, M, method, threads, timings);
+  mttkrp(X, factors, mode, M, method, threads);
   return M;
 }
 
@@ -86,12 +68,12 @@ void mttkrp_acc64(const TensorF& X, std::span<const MatrixF> factors,
 }
 
 template void mttkrp<double>(const Tensor&, std::span<const Matrix>, index_t,
-                             Matrix&, MttkrpMethod, int, MttkrpTimings*);
+                             Matrix&, MttkrpMethod, int);
 template void mttkrp<float>(const TensorF&, std::span<const MatrixF>, index_t,
-                            MatrixF&, MttkrpMethod, int, MttkrpTimings*);
+                            MatrixF&, MttkrpMethod, int);
 template Matrix mttkrp<double>(const Tensor&, std::span<const Matrix>, index_t,
-                               MttkrpMethod, int, MttkrpTimings*);
+                               MttkrpMethod, int);
 template MatrixF mttkrp<float>(const TensorF&, std::span<const MatrixF>,
-                               index_t, MttkrpMethod, int, MttkrpTimings*);
+                               index_t, MttkrpMethod, int);
 
 }  // namespace dmtk

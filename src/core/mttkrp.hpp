@@ -35,7 +35,8 @@
 /// reused across ALS sweeps). The free functions below are thin ONE-SHOT
 /// wrappers that build a transient plan per call — fine for tests and
 /// occasional calls; hot loops should hold an ExecContext and an
-/// MttkrpPlan per mode instead.
+/// MttkrpPlan per mode instead. Neither records time: a caller that wants
+/// one wraps the call in a WallTimer (util/timer.hpp).
 
 #include <optional>
 #include <span>
@@ -66,23 +67,6 @@ std::string_view to_string(MttkrpMethod m);
 /// unknown names — the single parser shared by the CLI and the server.
 std::optional<MttkrpMethod> parse_mttkrp_method(std::string_view name);
 
-/// Wall-clock breakdown of one MTTKRP call, mirroring the categories of
-/// Figures 6 and 8. Phases that a method does not have stay zero. For
-/// phases executed inside a parallel region the MAX across threads is
-/// recorded (the quantity that determines the critical path).
-struct MttkrpTimings {
-  double krp = 0.0;      ///< full-KRP formation (1-step external; Alg 2)
-  double krp_lr = 0.0;   ///< left/right partial KRP work (1-step internal,
-                         ///< 2-step line 2-3, per-block K tiles)
-  double gemm = 0.0;     ///< matrix-matrix multiply time
-  double gemv = 0.0;     ///< multi-TTV matrix-vector time (2-step)
-  double reduce = 0.0;   ///< parallel reduction of thread-private outputs
-  double reorder = 0.0;  ///< explicit tensor permute (Reorder method only)
-  double total = 0.0;    ///< whole-call wall time
-
-  MttkrpTimings& operator+=(const MttkrpTimings& o);
-};
-
 /// Compute the mode-n MTTKRP of X against the factor matrices. `factors`
 /// must hold one matrix per mode (factors[mode] is ignored but must have
 /// conforming column count). M is resized/overwritten to I_n x C.
@@ -95,28 +79,23 @@ template <typename T>
 void mttkrp(const TensorT<T>& X,
             std::span<const MatrixT<std::type_identity_t<T>>> factors,
             index_t mode, MatrixT<T>& M,
-            MttkrpMethod method = MttkrpMethod::Auto, int threads = 0,
-            MttkrpTimings* timings = nullptr);
+            MttkrpMethod method = MttkrpMethod::Auto, int threads = 0);
 
 /// Convenience overload returning the result.
 template <typename T>
 MatrixT<T> mttkrp(const TensorT<T>& X,
                   std::span<const MatrixT<std::type_identity_t<T>>> factors,
                   index_t mode, MttkrpMethod method = MttkrpMethod::Auto,
-                  int threads = 0, MttkrpTimings* timings = nullptr);
+                  int threads = 0);
 
 extern template void mttkrp<double>(const Tensor&, std::span<const Matrix>,
-                                    index_t, Matrix&, MttkrpMethod, int,
-                                    MttkrpTimings*);
+                                    index_t, Matrix&, MttkrpMethod, int);
 extern template void mttkrp<float>(const TensorF&, std::span<const MatrixF>,
-                                   index_t, MatrixF&, MttkrpMethod, int,
-                                   MttkrpTimings*);
+                                   index_t, MatrixF&, MttkrpMethod, int);
 extern template Matrix mttkrp<double>(const Tensor&, std::span<const Matrix>,
-                                      index_t, MttkrpMethod, int,
-                                      MttkrpTimings*);
+                                      index_t, MttkrpMethod, int);
 extern template MatrixF mttkrp<float>(const TensorF&, std::span<const MatrixF>,
-                                      index_t, MttkrpMethod, int,
-                                      MttkrpTimings*);
+                                      index_t, MttkrpMethod, int);
 
 /// One-shot MttkrpMethod::Acc64 on fp32 storage: fp32 operands, fp64
 /// per-entry sums, one rounding on the store. CP-ALS runs it per sweep

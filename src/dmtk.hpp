@@ -8,8 +8,7 @@
 ///   dmtk::MttkrpPlan        FFTW-style reusable plan: dispatch, thread
 ///                           partitions, and workspace precomputed once per
 ///                           (shape, rank, mode, method); execute() then
-///                           runs allocation-free across ALS sweeps and
-///                           accumulates its own MttkrpTimings
+///                           runs allocation-free across ALS sweeps
 ///   dmtk::MttkrpMethod      a plan's kernel: Auto (the paper's 1-step/
 ///                           2-step policy), the individual algorithms,
 ///                           the Reorder baseline, the Reference oracle,
@@ -19,8 +18,8 @@
 ///                           driver: SweepScheme::PerMode (N independent
 ///                           MttkrpPlans) or SweepScheme::DimTree (multi-
 ///                           level dimension tree sharing partial
-///                           contractions across modes); per-node
-///                           SweepTimings
+///                           contractions across modes); nodes() counts
+///                           each node's contractions
 ///   dmtk::SparseMttkrpPlan  the sparse workload's plan: per-mode CSF
 ///                           trees (or the COO kernel) built once, arena-
 ///                           backed allocation-free execute(); drives
@@ -59,8 +58,8 @@
 ///   Matrix M(X.dim(mode), rank);
 ///   plan.execute(X, factors, M);               // reuse across sweeps
 ///
-/// See README.md for the full quickstart and the migration note from the
-/// legacy (method, threads, timings*) free-function signatures.
+/// See README.md for the full quickstart. Nothing inside the library keeps
+/// time per phase: wrap execute() in a WallTimer to time it.
 
 #include "baseline/ttb_cp_als.hpp"  // IWYU pragma: export
 #include "blas/blas.hpp"            // IWYU pragma: export

@@ -8,8 +8,6 @@
 #include "core/reorder.hpp"
 #include "core/ttv.hpp"
 #include "util/parallel.hpp"
-#include "util/stats.hpp"
-#include "util/timer.hpp"
 
 namespace dmtk {
 
@@ -100,8 +98,6 @@ MttkrpPlanT<T>::MttkrpPlanT(const ExecContext& ctx,
   digits_stride_ = static_cast<std::size_t>(N);
   digits_.assign(static_cast<std::size_t>(nt_) * digits_stride_, 0);
   ref_idx_.assign(static_cast<std::size_t>(N), 0);
-  t_a_.assign(static_cast<std::size_t>(nt_), 0.0);
-  t_b_.assign(static_cast<std::size_t>(nt_), 0.0);
 
   plan_workspace();
   ctx.arena().template reserve<T>(ws_elems_);
@@ -314,7 +310,6 @@ void MttkrpPlanT<T>::execute(const TensorT<T>& X,
   }
   if (M.rows() != In_ || M.cols() != rank_) M = MatrixT<T>(In_, rank_);
 
-  WallTimer total;
   WorkspaceArena::Frame frame(ctx_->arena());
   T* base = ws_elems_ > 0 ? frame.template alloc<T>(ws_elems_) : nullptr;
 
@@ -344,7 +339,6 @@ void MttkrpPlanT<T>::execute(const TensorT<T>& X,
     case MttkrpMethod::Auto:
       break;  // unreachable
   }
-  timings_.total += total.seconds();
 }
 
 // ---------------------------------------------------------------------------
@@ -384,43 +378,34 @@ void MttkrpPlanT<T>::exec_reorder(const TensorT<T>& X,
                                   MatrixT<T>& M, T* base) {
   const index_t C = rank_;
   T* Xn = base + off_xn_;
-  {
-    PhaseTimer pt(&timings_.reorder);
-    matricize_into(X, mode_, Xn, nt_);
-  }
+  matricize_into(X, mode_, Xn, nt_);
   T* K = base + off_kcol_;
-  {
-    PhaseTimer pt(&timings_.krp);
-    // Column c of K is the Kronecker product of the factor columns, built
-    // by repeated expansion exactly like krp_columnwise / Tensor Toolbox's
-    // khatrirao (last factor fastest), with ping-pong accumulators.
-    gather_factors(factors, List::Full, fl_full_);
-    T* acc = base + off_acc_;
-    T* next = acc + WorkspaceArena::aligned_count<T>(
-                        static_cast<std::size_t>(cosize_));
-    for (index_t c = 0; c < C; ++c) {
-      acc[0] = T{1};
-      index_t len = 1;
-      for (const MatrixT<T>* F : fl_full_) {
-        const index_t Jz = F->rows();
-        const T* col = F->col(c).data();
-        index_t o = 0;
-        for (index_t a = 0; a < len; ++a) {
-          for (index_t i = 0; i < Jz; ++i) next[o++] = acc[a] * col[i];
-        }
-        len *= Jz;
-        std::swap(acc, next);
+  // Column c of K is the Kronecker product of the factor columns, built
+  // by repeated expansion exactly like krp_columnwise / Tensor Toolbox's
+  // khatrirao (last factor fastest), with ping-pong accumulators.
+  gather_factors(factors, List::Full, fl_full_);
+  T* acc = base + off_acc_;
+  T* next = acc + WorkspaceArena::aligned_count<T>(
+                      static_cast<std::size_t>(cosize_));
+  for (index_t c = 0; c < C; ++c) {
+    acc[0] = T{1};
+    index_t len = 1;
+    for (const MatrixT<T>* F : fl_full_) {
+      const index_t Jz = F->rows();
+      const T* col = F->col(c).data();
+      index_t o = 0;
+      for (index_t a = 0; a < len; ++a) {
+        for (index_t i = 0; i < Jz; ++i) next[o++] = acc[a] * col[i];
       }
-      blas::copy(len, acc, index_t{1}, K + c * cosize_, index_t{1});
+      len *= Jz;
+      std::swap(acc, next);
     }
+    blas::copy(len, acc, index_t{1}, K + c * cosize_, index_t{1});
   }
-  {
-    PhaseTimer pt(&timings_.gemm);
-    blas::gemm(blas::Layout::ColMajor, blas::Trans::NoTrans,
-               blas::Trans::NoTrans, In_, C, cosize_, T{1}, Xn, In_, K,
-               cosize_, T{0}, M.data(), M.ld(), nt_,
-               blas::typed_workspace(base + off_gemm_ws_, gemm_ws_elems_));
-  }
+  blas::gemm(blas::Layout::ColMajor, blas::Trans::NoTrans,
+             blas::Trans::NoTrans, In_, C, cosize_, T{1}, Xn, In_, K, cosize_,
+             T{0}, M.data(), M.ld(), nt_,
+             blas::typed_workspace(base + off_gemm_ws_, gemm_ws_elems_));
 }
 
 // ---------------------------------------------------------------------------
@@ -432,13 +417,9 @@ void MttkrpPlanT<T>::exec_onestep_seq(const TensorT<T>& X,
                                       MatrixT<T>& M, T* base) {
   const index_t C = rank_;
   T* Kt = base + off_kt_full_;
-  {
-    PhaseTimer pt(&timings_.krp);
-    gather_factors(factors, List::Full, fl_full_);
-    pack(fl_full_, full_, base, packed_full_);
-    krp_transposed_ws(full_, packed_full_, base, off_kt_full_, /*threads=*/1);
-  }
-  PhaseTimer pt(&timings_.gemm);
+  gather_factors(factors, List::Full, fl_full_);
+  pack(fl_full_, full_, base, packed_full_);
+  krp_transposed_ws(full_, packed_full_, base, off_kt_full_, /*threads=*/1);
   const blas::GemmWorkspace gws =
       blas::typed_workspace(base + off_gemm_ws_, gemm_ws_elems_);
   if (mode_ == 0) {
@@ -467,14 +448,8 @@ void MttkrpPlanT<T>::exec_onestep_external(const TensorT<T>& X,
                                            MatrixT<T>& M, T* base) {
   const index_t C = rank_;
   const index_t cols = cosize_;
-  double pack_s = 0.0;
-  {
-    PhaseTimer pt(&pack_s);
-    gather_factors(factors, List::Full, fl_full_);
-    pack(fl_full_, full_, base, packed_full_);
-  }
-  std::fill(t_a_.begin(), t_a_.end(), 0.0);
-  std::fill(t_b_.begin(), t_b_.end(), 0.0);
+  gather_factors(factors, List::Full, fl_full_);
+  pack(fl_full_, full_, base, packed_full_);
 
   // Loop over the PLANNED nt_ partitions, strided by the actual team size:
   // tile sizes and the reduction below assume exactly nt_ blocks, so a
@@ -494,14 +469,10 @@ void MttkrpPlanT<T>::exec_onestep_external(const TensorT<T>& X,
       T* Kt = base + off_thread_kt_ + sb * stride_thread_kt_;
       T* P = base + off_thread_p_ + sb * stride_thread_p_;
       index_t* dg = digits_.data() + sb * digits_stride_;
-      {
-        PhaseTimer pt(&t_a_[sb]);
-        detail::krp_rows_ws<T>(packed_full_, full_.extents, C, r.begin, r.end,
-                               Kt, C, P, dg);
-      }
+      detail::krp_rows_ws<T>(packed_full_, full_.extents, C, r.begin, r.end,
+                             Kt, C, P, dg);
       // Local GEMM against the block's columns of X(n) — line 8. The
       // packing workspace is this block's private slice of the frame.
-      PhaseTimer pt(&t_b_[sb]);
       const blas::GemmWorkspace gws = blas::typed_workspace(
           base + off_gemm_ws_ + sb * stride_gemm_ws_, stride_gemm_ws_);
       if (mode_ == 0) {
@@ -520,9 +491,7 @@ void MttkrpPlanT<T>::exec_onestep_external(const TensorT<T>& X,
       }
     }
   });
-  timings_.krp += pack_s + max_of(t_a_);
-  timings_.gemm += max_of(t_b_);
-  reduce_partials(base, M, &timings_.reduce);
+  reduce_partials(base, M);
 }
 
 template <typename T>
@@ -532,15 +501,11 @@ void MttkrpPlanT<T>::exec_onestep_internal(const TensorT<T>& X,
   const index_t C = rank_;
 
   // Left KRP precomputed in parallel (Alg 3 line 11).
-  {
-    PhaseTimer pt(&timings_.krp_lr);
-    gather_factors(factors, List::Left, fl_left_);
-    pack(fl_left_, left_, base, packed_left_);
-    krp_transposed_ws(left_, packed_left_, base, off_klt_, nt_);
-  }
+  gather_factors(factors, List::Left, fl_left_);
+  pack(fl_left_, left_, base, packed_left_);
+  krp_transposed_ws(left_, packed_left_, base, off_klt_, nt_);
   const T* KLt = base + off_klt_;
   gather_factors(factors, List::Right, fl_right_);
-  std::fill(t_a_.begin(), t_a_.end(), 0.0);
 
   // Materialize every per-block KRP tile: tile j is row j of the right KRP
   // (line 14) Hadamard-scaled against the shared left KRP (line 15), and
@@ -558,7 +523,6 @@ void MttkrpPlanT<T>::exec_onestep_internal(const TensorT<T>& X,
       if (r.empty()) continue;
       T* krrow = base + off_thread_row_ + sb * stride_thread_row_;
       index_t* dg = digits_.data() + sb * digits_stride_;
-      PhaseTimer pt(&t_a_[sb]);
       for (index_t j = r.begin; j < r.end; ++j) {
         T* Ktile = Kt + j * ILn_ * C;
         krp_row_ws(fl_right_, right_.extents, j, C, krrow, dg);
@@ -568,7 +532,6 @@ void MttkrpPlanT<T>::exec_onestep_internal(const TensorT<T>& X,
       }
     }
   });
-  timings_.krp_lr += max_of(t_a_);
 
   // One batched sweep over the I_Rn per-block multiplies (line 16): item j
   // accumulates X(n)[j] * K[j] into the partial owned by j's planned
@@ -577,7 +540,6 @@ void MttkrpPlanT<T>::exec_onestep_internal(const TensorT<T>& X,
   // before. The sweep keeps the whole team busy even when I_Rn < nt
   // (the batched kernel splits rows inside the groups).
   {
-    PhaseTimer pt(&timings_.gemm);
     index_t j = 0;
     for (int b = 0; b < nt_; ++b) {
       const Range r = block_range(IRn_, nt_, b);
@@ -597,7 +559,7 @@ void MttkrpPlanT<T>::exec_onestep_internal(const TensorT<T>& X,
                        blas::typed_workspace(base + off_gemm_ws_,
                                              gemm_ws_elems_));
   }
-  reduce_partials(base, M, &timings_.reduce);
+  reduce_partials(base, M);
 }
 
 // ---------------------------------------------------------------------------
@@ -611,18 +573,15 @@ void MttkrpPlanT<T>::exec_twostep(const TensorT<T>& X,
   const index_t C = rank_;
 
   // Partial KRPs (lines 2-3). External modes have one empty side.
-  {
-    PhaseTimer pt(&timings_.krp_lr);
-    if (mode_ > 0) {
-      gather_factors(factors, List::Left, fl_left_);
-      pack(fl_left_, left_, base, packed_left_);
-      krp_transposed_ws(left_, packed_left_, base, off_klt_, nt_);
-    }
-    if (mode_ < N - 1) {
-      gather_factors(factors, List::Right, fl_right_);
-      pack(fl_right_, right_, base, packed_right_);
-      krp_transposed_ws(right_, packed_right_, base, off_krt_, nt_);
-    }
+  if (mode_ > 0) {
+    gather_factors(factors, List::Left, fl_left_);
+    pack(fl_left_, left_, base, packed_left_);
+    krp_transposed_ws(left_, packed_left_, base, off_klt_, nt_);
+  }
+  if (mode_ < N - 1) {
+    gather_factors(factors, List::Right, fl_right_);
+    pack(fl_right_, right_, base, packed_right_);
+    krp_transposed_ws(right_, packed_right_, base, off_krt_, nt_);
   }
   const T* KLt = base + off_klt_;
   const T* KRt = base + off_krt_;
@@ -631,7 +590,6 @@ void MttkrpPlanT<T>::exec_twostep(const TensorT<T>& X,
 
   if (mode_ == 0) {
     // Degenerate: the right partial MTTKRP IS the answer (full MTTKRP).
-    PhaseTimer pt(&timings_.gemm);
     blas::gemm(blas::Layout::ColMajor, blas::Trans::NoTrans,
                blas::Trans::Trans, In_, C, IRn_, T{1}, X.data(), In_, KRt, C,
                T{0}, M.data(), M.ld(), nt_, gws);
@@ -639,7 +597,6 @@ void MttkrpPlanT<T>::exec_twostep(const TensorT<T>& X,
   }
   if (mode_ == N - 1) {
     // Degenerate: the left partial MTTKRP is the answer.
-    PhaseTimer pt(&timings_.gemm);
     blas::gemm(blas::Layout::ColMajor, blas::Trans::Trans, blas::Trans::Trans,
                In_, C, ILn_, T{1}, X.data(), ILn_, KLt, C, T{0}, M.data(),
                M.ld(), nt_, gws);
@@ -650,24 +607,16 @@ void MttkrpPlanT<T>::exec_twostep(const TensorT<T>& X,
   if (twostep_left_) {
     // L(0:N-n-1) = X(0:n-1)^T * K_L (line 5): X(0:n-1) is I_Ln x (I_n I_Rn)
     // column-major, so the product is one GEMM with A transposed.
-    {
-      PhaseTimer pt(&timings_.gemm);
-      blas::gemm(blas::Layout::ColMajor, blas::Trans::Trans,
-                 blas::Trans::Trans, In_ * IRn_, C, ILn_, T{1}, X.data(),
-                 ILn_, KLt, C, T{0}, inter, In_ * IRn_, nt_, gws);
-    }
-    PhaseTimer pt(&timings_.gemv);
+    blas::gemm(blas::Layout::ColMajor, blas::Trans::Trans, blas::Trans::Trans,
+               In_ * IRn_, C, ILn_, T{1}, X.data(), ILn_, KLt, C, T{0}, inter,
+               In_ * IRn_, nt_, gws);
     multi_ttv_left(inter, In_, IRn_, C, KRt, C, M, nt_);
   } else {
     // R(0:n) = X(0:n) * K_R (line 11): X(0:n) is (I_Ln I_n) x I_Rn
     // column-major.
-    {
-      PhaseTimer pt(&timings_.gemm);
-      blas::gemm(blas::Layout::ColMajor, blas::Trans::NoTrans,
-                 blas::Trans::Trans, ILn_ * In_, C, IRn_, T{1}, X.data(),
-                 ILn_ * In_, KRt, C, T{0}, inter, ILn_ * In_, nt_, gws);
-    }
-    PhaseTimer pt(&timings_.gemv);
+    blas::gemm(blas::Layout::ColMajor, blas::Trans::NoTrans, blas::Trans::Trans,
+               ILn_ * In_, C, IRn_, T{1}, X.data(), ILn_ * In_, KRt, C, T{0},
+               inter, ILn_ * In_, nt_, gws);
     multi_ttv_right(inter, In_, ILn_, C, KLt, C, M, nt_);
   }
 }
@@ -680,19 +629,15 @@ void MttkrpPlanT<T>::exec_acc64(const TensorT<T>& X,
                                 std::span<const MatrixT<T>> factors,
                                 MatrixT<T>& M, T* base) {
   const index_t C = rank_;
-  {
-    PhaseTimer pt(&timings_.krp);
-    gather_factors(factors, List::Full, fl_full_);
-    pack(fl_full_, full_, base, packed_full_);
-    krp_transposed_ws(full_, packed_full_, base, off_kt_full_, nt_);
-  }
+  gather_factors(factors, List::Full, fl_full_);
+  pack(fl_full_, full_, base, packed_full_);
+  krp_transposed_ws(full_, packed_full_, base, off_kt_full_, nt_);
   const T* Kt = base + off_kt_full_;
 
   // Each planned block owns whole output rows i and sums each one across
   // every natural block of X(mode) in its own C-wide fp64 accumulator,
   // widening the stored operands per product. No reduction, and an
   // entry's summation order never depends on the team size.
-  PhaseTimer pt(&timings_.gemm);
   parallel_region(nt_, [&](int t, int nteam) {
     for (int b = t; b < nt_; b += nteam) {
       const std::size_t sb = static_cast<std::size_t>(b);
@@ -721,9 +666,7 @@ void MttkrpPlanT<T>::exec_acc64(const TensorT<T>& X,
 
 /// M = sum_t Mt over the thread-private partials, parallelized by rows.
 template <typename T>
-void MttkrpPlanT<T>::reduce_partials(T* base, MatrixT<T>& M,
-                                     double* reduce_time) {
-  PhaseTimer pt(reduce_time);
+void MttkrpPlanT<T>::reduce_partials(T* base, MatrixT<T>& M) {
   const index_t total = M.size();
   T* out = M.data();
   parallel_region(nt_, [&](int t, int nteam) {

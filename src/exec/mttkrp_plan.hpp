@@ -16,7 +16,7 @@
 ///     in the context's arena up front.
 ///
 /// execute() then draws every large buffer from the arena frame opened for
-/// the call; the small index/timing scratch lives in the plan itself. The
+/// the call; the small index scratch lives in the plan itself. The
 /// paper's methods (OneStepSeq/OneStep/TwoStep/Auto) and the fp64-
 /// accumulate Acc64 kernel run fully heap-free after construction —
 /// INCLUDING the BLAS layer: every gemm/gemm_batched call receives a
@@ -34,10 +34,9 @@
 /// smaller than the team, the batched kernel splits block rows so no
 /// thread idles.
 ///
-/// Per-call wall-clock phases accumulate into the plan's MttkrpTimings
-/// (timings()/reset_timings()), replacing the `MttkrpTimings*` out-pointer
-/// of the legacy free function — which survives as a thin wrapper that
-/// builds a transient plan (see core/mttkrp.hpp).
+/// The plan computes and records nothing else: callers that want a phase
+/// time wrap execute() from outside. The one-shot free function of
+/// core/mttkrp.hpp is a thin wrapper that builds a transient plan.
 ///
 /// The whole plan is templated on the scalar type: MttkrpPlanT<float>
 /// halves the bytes of every matricized pass and KRP, which is the paper's
@@ -92,11 +91,6 @@ class MttkrpPlanT {
     return ws_elems_ * sizeof(T);
   }
 
-  /// Phase breakdown accumulated over every execute() since construction
-  /// or the last reset_timings().
-  [[nodiscard]] const MttkrpTimings& timings() const { return timings_; }
-  void reset_timings() { timings_ = MttkrpTimings{}; }
-
  private:
   // Value-independent description of one KRP factor list: extents in
   // product order, plus the workspace offsets of its packed panels and the
@@ -146,7 +140,7 @@ class MttkrpPlanT {
   void exec_acc64(const TensorT<T>& X, std::span<const MatrixT<T>> factors,
                   MatrixT<T>& M, T* base);
 
-  void reduce_partials(T* base, MatrixT<T>& M, double* reduce_time);
+  void reduce_partials(T* base, MatrixT<T>& M);
 
   const ExecContext* ctx_;
   std::vector<index_t> dims_;
@@ -203,10 +197,6 @@ class MttkrpPlanT {
   std::vector<index_t> digits_;      // nt * max-list-size mixed-radix digits
   std::size_t digits_stride_ = 0;
   std::vector<index_t> ref_idx_;     // Reference-method multi-index
-  std::vector<double> t_a_;          // per-thread phase seconds
-  std::vector<double> t_b_;
-
-  MttkrpTimings timings_;
 };
 
 extern template class MttkrpPlanT<double>;

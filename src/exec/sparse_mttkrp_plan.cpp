@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "blas/blas.hpp"
-#include "util/timer.hpp"
 
 namespace dmtk {
 
@@ -85,7 +84,6 @@ void SparseMttkrpPlanT<T>::execute(index_t mode,
   const index_t In = dims_[static_cast<std::size_t>(mode)];
   if (M.rows() != In || M.cols() != rank_) M = MatrixT<T>(In, rank_);
 
-  WallTimer timer;
   WorkspaceArena::Frame frame(ctx_->arena());
   double* base = ws_doubles_ > 0 ? frame.alloc<double>(ws_doubles_) : nullptr;
   if (kernel_ == SparseMttkrpKernel::Csf) {
@@ -93,7 +91,6 @@ void SparseMttkrpPlanT<T>::execute(index_t mode,
   } else {
     exec_coo(mode, factors, M, base);
   }
-  total_seconds_ += timer.seconds();
 }
 
 template <typename T>

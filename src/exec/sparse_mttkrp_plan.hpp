@@ -91,10 +91,6 @@ class SparseMttkrpPlanT {
   /// structure inspection).
   [[nodiscard]] const sparse::CsfTensorT<T>& csf(index_t mode) const;
 
-  /// Wall seconds accumulated over every execute() since construction.
-  [[nodiscard]] double total_seconds() const { return total_seconds_; }
-  void reset_timings() { total_seconds_ = 0.0; }
-
  private:
   void exec_csf(index_t mode, std::span<const MatrixT<T>> factors,
                 MatrixT<T>& M, double* base);
@@ -121,7 +117,6 @@ class SparseMttkrpPlanT {
   std::size_t stride_row_ = 0;
 
   std::size_t ws_doubles_ = 0;  // fp64 accumulator slots, either scalar
-  double total_seconds_ = 0.0;
 };
 
 extern template class SparseMttkrpPlanT<double>;

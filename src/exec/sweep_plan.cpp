@@ -7,7 +7,6 @@
 #include "blas/blas.hpp"
 #include "core/krp_detail.hpp"
 #include "exec/sparse_mttkrp_plan.hpp"
-#include "util/timer.hpp"
 
 namespace dmtk {
 
@@ -24,10 +23,10 @@ std::string_view to_string(SweepScheme s) {
 
 std::optional<SweepScheme> parse_sweep_scheme(std::string_view name) {
   if (name == "auto") return SweepScheme::Auto;
-  if (name == "permode" || name == "per-mode") return SweepScheme::PerMode;
-  if (name == "dimtree" || name == "dim-tree") return SweepScheme::DimTree;
-  if (name == "csf" || name == "sparse-csf") return SweepScheme::SparseCsf;
-  if (name == "coo" || name == "sparse-coo") return SweepScheme::SparseCoo;
+  if (name == "permode") return SweepScheme::PerMode;
+  if (name == "dimtree") return SweepScheme::DimTree;
+  if (name == "csf") return SweepScheme::SparseCsf;
+  if (name == "coo") return SweepScheme::SparseCoo;
   return std::nullopt;
 }
 
@@ -78,14 +77,9 @@ CpAlsSweepPlanT<T>::CpAlsSweepPlanT(const ExecContext& ctx,
   if (scheme_ == SweepScheme::PerMode) {
     levels_ = 0;
     mode_plans_.reserve(static_cast<std::size_t>(N));
-    timings_.nodes.reserve(static_cast<std::size_t>(N));
     for (index_t n = 0; n < N; ++n) {
       mode_plans_.emplace_back(ctx, dims, rank, n, method);
-      SweepNodeTimings tm;
-      tm.first = n;
-      tm.last = n + 1;
-      tm.leaf = true;
-      timings_.nodes.push_back(tm);
+      node_counts_.push_back({.first = n, .last = n + 1, .leaf = true});
     }
     return;
   }
@@ -114,13 +108,9 @@ CpAlsSweepPlanT<T>::CpAlsSweepPlanT(const ExecContext& ctx,
   plan_node_layout();
   ctx.arena().template reserve<T>(ws_elems_);
 
-  timings_.nodes.resize(nodes_.size());
-  for (std::size_t id = 0; id < nodes_.size(); ++id) {
-    SweepNodeTimings& tm = timings_.nodes[id];
-    tm.first = nodes_[id].a;
-    tm.last = nodes_[id].b;
-    tm.depth = nodes_[id].depth;
-    tm.leaf = nodes_[id].leaf;
+  for (const Node& nd : nodes_) {
+    node_counts_.push_back(
+        {.first = nd.a, .last = nd.b, .depth = nd.depth, .leaf = nd.leaf});
   }
 
   fl_.reserve(static_cast<std::size_t>(N));
@@ -156,13 +146,8 @@ CpAlsSweepPlanT<T>::CpAlsSweepPlanT(const ExecContext& ctx,
       scheme_ == SweepScheme::SparseCsf ? SparseMttkrpKernel::Csf
                                         : SparseMttkrpKernel::Coo);
   sparse_ws_bytes_ = sparse_plan_->workspace_bytes();
-  timings_.nodes.reserve(static_cast<std::size_t>(N));
   for (index_t n = 0; n < N; ++n) {
-    SweepNodeTimings tm;
-    tm.first = n;
-    tm.last = n + 1;
-    tm.leaf = true;
-    timings_.nodes.push_back(tm);
+    node_counts_.push_back({.first = n, .last = n + 1, .leaf = true});
   }
 }
 
@@ -341,7 +326,6 @@ void CpAlsSweepPlanT<T>::begin_sweep(const TensorT<T>& X) {
   }
   next_mode_ = 0;
   sweep_active_ = true;
-  sweep_seconds_ = 0.0;
   if (scheme_ == SweepScheme::DimTree) {
     for (Node& nd : nodes_) nd.fresh = false;
     frame_.reset();  // tolerate an abandoned previous sweep
@@ -366,7 +350,6 @@ void CpAlsSweepPlanT<T>::begin_sweep(const sparse::SparseTensorT<T>& X) {
              "sweep plan: sparse tensor differs from the one planned for");
   next_mode_ = 0;
   sweep_active_ = true;
-  sweep_seconds_ = 0.0;
 }
 
 template <typename T>
@@ -390,9 +373,7 @@ void CpAlsSweepPlanT<T>::check_mode_request(index_t n,
 }
 
 template <typename T>
-void CpAlsSweepPlanT<T>::finish_mode(double seconds) {
-  sweep_seconds_ += seconds;
-  timings_.mttkrp_seconds += seconds;
+void CpAlsSweepPlanT<T>::finish_mode() {
   ++next_mode_;
   if (next_mode_ == static_cast<index_t>(dims_.size())) {
     sweep_active_ = false;
@@ -409,19 +390,16 @@ void CpAlsSweepPlanT<T>::mode_mttkrp(index_t n, const TensorT<T>& X,
              "sweep plan: dense mode_mttkrp on a sparse-scheme plan");
   check_mode_request(n, factors, M);
 
-  WallTimer t;
   if (scheme_ == SweepScheme::PerMode) {
     mode_plans_[static_cast<std::size_t>(n)].execute(X, factors, M);
-    SweepNodeTimings& tm = timings_.nodes[static_cast<std::size_t>(n)];
-    tm.contract_seconds += t.seconds();
-    ++tm.evals;
+    ++node_counts_[static_cast<std::size_t>(n)].evals;
   } else {
     for (int id : leaf_path_[static_cast<std::size_t>(n)]) {
       Node& nd = nodes_[static_cast<std::size_t>(id)];
       if (!nd.fresh) eval_node(id, X, factors, nd.leaf ? &M : nullptr);
     }
   }
-  finish_mode(t.seconds());
+  finish_mode();
 }
 
 template <typename T>
@@ -435,12 +413,9 @@ void CpAlsSweepPlanT<T>::mode_mttkrp(index_t n,
              "sweep plan: sparse tensor differs from the one planned for");
   check_mode_request(n, factors, M);
 
-  WallTimer t;
   sparse_plan_->execute(n, factors, M);
-  SweepNodeTimings& tm = timings_.nodes[static_cast<std::size_t>(n)];
-  tm.contract_seconds += t.seconds();
-  ++tm.evals;
-  finish_mode(t.seconds());
+  ++node_counts_[static_cast<std::size_t>(n)].evals;
+  finish_mode();
 }
 
 template <typename T>
@@ -504,7 +479,6 @@ void CpAlsSweepPlanT<T>::eval_node(int id, const TensorT<T>& X,
                                    std::span<const MatrixT<T>> factors,
                                    MatrixT<T>* M) {
   Node& nd = nodes_[static_cast<std::size_t>(id)];
-  SweepNodeTimings& tm = timings_.nodes[static_cast<std::size_t>(id)];
   T* out = nd.leaf ? M->data() : base_ + nd.off_out;
 
   if (nd.parent < 0) {
@@ -513,10 +487,7 @@ void CpAlsSweepPlanT<T>::eval_node(int id, const TensorT<T>& X,
     // sibling group's transposed KRP.
     const bool right = !nd.right.empty();
     const TrimSpec& trim = right ? nd.right : nd.left;
-    WallTimer tk;
     const T* krp = form_trim_krp(nd, trim, factors);
-    tm.krp_seconds += tk.seconds();
-    WallTimer tg;
     const blas::GemmWorkspace gws = blas::typed_workspace(
         base_ + scratch_base_ + nd.off_gws, nd.gws_elems);
     if (right) {
@@ -532,7 +503,6 @@ void CpAlsSweepPlanT<T>::eval_node(int id, const TensorT<T>& X,
                  X.data(), trim.rows, krp, rank_, T{0}, out,
                  nd.leaf ? M->ld() : nd.out_rows, nt_, gws);
     }
-    tm.contract_seconds += tg.seconds();
   } else {
     const Node& par = nodes_[static_cast<std::size_t>(nd.parent)];
     const T* src = base_ + par.off_out;
@@ -540,52 +510,21 @@ void CpAlsSweepPlanT<T>::eval_node(int id, const TensorT<T>& X,
       const TrimSpec& first = nd.left_first ? nd.left : nd.right;
       const TrimSpec& second = nd.left_first ? nd.right : nd.left;
       T* Tbuf = base_ + scratch_base_ + nd.off_t;
-      WallTimer tk1;
       const T* k1 = form_trim_krp(nd, first, factors);
-      tm.krp_seconds += tk1.seconds();
-      WallTimer tg1;
       contract_batched(nd, src, par.out_rows, first, k1, nd.left_first, Tbuf,
                        nd.t_rows);
-      tm.contract_seconds += tg1.seconds();
-      WallTimer tk2;
       const T* k2 = form_trim_krp(nd, second, factors);
-      tm.krp_seconds += tk2.seconds();
-      WallTimer tg2;
       contract_batched(nd, Tbuf, nd.t_rows, second, k2, !nd.left_first, out,
                        nd.out_rows);
-      tm.contract_seconds += tg2.seconds();
     } else {
       const TrimSpec& trim = nd.right.empty() ? nd.left : nd.right;
-      WallTimer tk;
       const T* krp = form_trim_krp(nd, trim, factors);
-      tm.krp_seconds += tk.seconds();
-      WallTimer tg;
       contract_batched(nd, src, par.out_rows, trim, krp, nd.right.empty(),
                        out, nd.out_rows);
-      tm.contract_seconds += tg.seconds();
     }
   }
   nd.fresh = true;
-  ++tm.evals;
-}
-
-template <typename T>
-MttkrpTimings CpAlsSweepPlanT<T>::per_mode_timings() const {
-  MttkrpTimings total;
-  for (const MttkrpPlanT<T>& p : mode_plans_) total += p.timings();
-  return total;
-}
-
-template <typename T>
-void CpAlsSweepPlanT<T>::reset_timings() {
-  timings_.mttkrp_seconds = 0.0;
-  for (SweepNodeTimings& tm : timings_.nodes) {
-    tm.evals = 0;
-    tm.krp_seconds = 0.0;
-    tm.contract_seconds = 0.0;
-  }
-  for (MttkrpPlanT<T>& p : mode_plans_) p.reset_timings();
-  sweep_seconds_ = 0.0;
+  ++node_counts_[static_cast<std::size_t>(id)].evals;
 }
 
 template class CpAlsSweepPlanT<double>;

@@ -98,8 +98,7 @@ enum class SweepScheme { Auto, PerMode, DimTree, SparseCsf, SparseCoo };
 
 [[nodiscard]] std::string_view to_string(SweepScheme s);
 
-/// Parse "auto" | "permode" | "dimtree" | "csf" | "coo" (aliases:
-/// "per-mode", "dim-tree", "sparse-csf", "sparse-coo"). Returns nullopt
+/// Parse "auto" | "permode" | "dimtree" | "csf" | "coo". Returns nullopt
 /// for unknown names — shared by the CLI and the server.
 [[nodiscard]] std::optional<SweepScheme> parse_sweep_scheme(
     std::string_view name);
@@ -136,24 +135,16 @@ enum class SweepScheme { Auto, PerMode, DimTree, SparseCsf, SparseCoo };
 [[nodiscard]] index_t sweep_balanced_split(std::span<const index_t> dims,
                                            index_t a, index_t b);
 
-/// Per-node wall-clock record of a sweep plan. PerMode plans expose one
-/// leaf node per mode; DimTree plans one entry per tree node (internal
-/// nodes are the shared partial contractions).
-struct SweepNodeTimings {
-  index_t first = 0;     ///< mode interval [first, last)
+/// One node of a sweep plan and how often it has been contracted. PerMode
+/// and sparse plans expose one leaf node per mode; DimTree plans one entry
+/// per tree node (internal nodes are the shared partial contractions), so
+/// the depth-0 evals count the sweep's full-tensor passes.
+struct SweepNode {
+  index_t first = 0;       ///< mode interval [first, last)
   index_t last = 0;
-  int depth = 0;         ///< 0 = child of the root (the full-tensor passes)
-  bool leaf = false;     ///< true when the node yields a mode's MTTKRP
-  std::int64_t evals = 0;        ///< contractions performed so far
-  double krp_seconds = 0.0;      ///< transposed-KRP formation for the node
-  double contract_seconds = 0.0; ///< GEMM / batched-GEMM contraction time
-};
-
-/// Lifetime timing breakdown of a CpAlsSweepPlan — the structured
-/// replacement for the drivers' ad-hoc per-call MTTKRP stopwatches.
-struct SweepTimings {
-  double mttkrp_seconds = 0.0;        ///< total MTTKRP production time
-  std::vector<SweepNodeTimings> nodes;
+  int depth = 0;           ///< 0 = child of the root (the full-tensor passes)
+  bool leaf = false;       ///< true when the node yields a mode's MTTKRP
+  std::int64_t evals = 0;  ///< contractions performed since construction
 };
 
 /// A planned ALS sweep executor. Construction resolves the scheme, builds
@@ -234,14 +225,10 @@ class CpAlsSweepPlanT {
   /// Sparse schemes only: the underlying per-mode sparse plan.
   [[nodiscard]] const SparseMttkrpPlanT<T>& sparse_plan() const;
 
-  /// MTTKRP seconds of the current (or most recently completed) sweep.
-  [[nodiscard]] double last_sweep_seconds() const { return sweep_seconds_; }
-  /// Lifetime per-node breakdown since construction or reset_timings().
-  [[nodiscard]] const SweepTimings& timings() const { return timings_; }
-  /// PerMode only: the per-phase MttkrpTimings summed over the mode plans
-  /// (zeros for DimTree, whose phases live in timings().nodes).
-  [[nodiscard]] MttkrpTimings per_mode_timings() const;
-  void reset_timings();
+  /// The plan's nodes with their lifetime contraction counts.
+  [[nodiscard]] std::span<const SweepNode> nodes() const {
+    return node_counts_;
+  }
 
  private:
   /// One contracted factor interval [u, v) of a node evaluation, with the
@@ -307,8 +294,8 @@ class CpAlsSweepPlanT {
   /// resizes M. Returns once the request is valid.
   void check_mode_request(index_t n, std::span<const MatrixT<T>> factors,
                           MatrixT<T>& M);
-  /// Shared bookkeeping after a mode is served (timing + protocol state).
-  void finish_mode(double seconds);
+  /// Shared protocol bookkeeping after a mode is served.
+  void finish_mode();
 
   // PerMode state.
   std::vector<MttkrpPlanT<T>> mode_plans_;
@@ -338,8 +325,7 @@ class CpAlsSweepPlanT {
   bool sweep_active_ = false;
   index_t next_mode_ = 0;
 
-  SweepTimings timings_;
-  double sweep_seconds_ = 0.0;
+  std::vector<SweepNode> node_counts_;
 };
 
 extern template class CpAlsSweepPlanT<double>;

@@ -193,9 +193,6 @@ DecomposeOutcome DecomposeJob::run(CpAlsSweepPlanT<T>& plan,
   DMTK_CHECK((spec_.f32 == std::is_same_v<T, float>),
              "DecomposeJob: plan precision differs from the job's");
   check_probed_extents(X, dims_);
-  // Timings accumulate over a plan's lifetime; reset so they cover this
-  // job's sweeps, not the plan's history.
-  plan.reset_timings();
   WallTimer t;
   CpAlsResultT<T> r = cp_als(X, options<T>(spec_), plan);
   return outcome_of(std::move(r), plan.scheme(), 0.0, t.seconds() * 1e3);

@@ -10,7 +10,6 @@
 #include "exec/sweep_plan.hpp"
 #include "util/env.hpp"
 #include "util/parallel.hpp"
-#include "util/timer.hpp"
 
 namespace dmtk::sparse {
 

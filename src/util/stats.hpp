@@ -1,54 +1,22 @@
 #pragma once
 /// \file stats.hpp
-/// \brief Summary statistics for benchmark sample vectors.
+/// \brief Median of a sample of measurements (examples and tests report
+/// the median of repeated timings).
 
 #include <algorithm>
-#include <cmath>
 #include <span>
 #include <vector>
 
-#include "util/common.hpp"
-
 namespace dmtk {
 
-/// Arithmetic mean; 0 for an empty sample.
-inline double mean(std::span<const double> xs) {
-  if (xs.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : xs) s += x;
-  return s / static_cast<double>(xs.size());
-}
-
-/// Median (averaging the two middle elements for even sizes).
+/// Median (averaging the two middle elements for even sizes); 0 for an
+/// empty sample.
 inline double median(std::span<const double> xs) {
   if (xs.empty()) return 0.0;
   std::vector<double> v(xs.begin(), xs.end());
   std::sort(v.begin(), v.end());
   const std::size_t n = v.size();
   return (n % 2 == 1) ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
-}
-
-/// Sample standard deviation (n-1 denominator); 0 for fewer than 2 samples.
-inline double stddev(std::span<const double> xs) {
-  if (xs.size() < 2) return 0.0;
-  const double m = mean(xs);
-  double s = 0.0;
-  for (double x : xs) s += (x - m) * (x - m);
-  return std::sqrt(s / static_cast<double>(xs.size() - 1));
-}
-
-/// Minimum; +inf for an empty sample.
-inline double min_of(std::span<const double> xs) {
-  double m = std::numeric_limits<double>::infinity();
-  for (double x : xs) m = std::min(m, x);
-  return m;
-}
-
-/// Maximum; -inf for an empty sample.
-inline double max_of(std::span<const double> xs) {
-  double m = -std::numeric_limits<double>::infinity();
-  for (double x : xs) m = std::max(m, x);
-  return m;
 }
 
 }  // namespace dmtk

@@ -1,7 +1,8 @@
 #pragma once
 /// \file timer.hpp
-/// \brief Wall-clock timing utilities: the per-phase instrumentation
-/// inside the MTTKRP kernels and the request timings of the server.
+/// \brief Wall-clock stopwatch for callers: the request phases of the job,
+/// the server and the CLI, and the whole-sweep time of the CP-ALS driver.
+/// The kernels themselves read no clock.
 
 #include <chrono>
 
@@ -23,31 +24,6 @@ class WallTimer {
  private:
   using clock = std::chrono::steady_clock;
   clock::time_point start_;
-};
-
-/// Accumulates seconds into a slot only if the slot pointer is non-null.
-/// Lets kernels be instrumented with zero overhead when timing is off.
-class PhaseTimer {
- public:
-  explicit PhaseTimer(double* slot) : slot_(slot) {
-    if (slot_ != nullptr) timer_.reset();
-  }
-  ~PhaseTimer() { stop(); }
-
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-
-  /// Stop early (idempotent); otherwise the destructor stops.
-  void stop() {
-    if (slot_ != nullptr) {
-      *slot_ += timer_.seconds();
-      slot_ = nullptr;
-    }
-  }
-
- private:
-  double* slot_;
-  WallTimer timer_;
 };
 
 }  // namespace dmtk

@@ -159,6 +159,15 @@ expect_usage_error "${dmtk}" generate --dims 8x8 --density 2 \
 expect_usage_error "${dmtk}" generate --dims 8x8 --nnz abc \
   --out "${work}/bad.tns"
 expect_usage_error "${dmtk}" tucker "${work}/x64.dten" --ranks 4xqx4
+# Out-of-range integers are usage errors, never a silent wrap: 2^32 + 1
+# sweeps would wrap to 1 in an int, and 2^44 + 1 MiB to 1 MiB of bytes.
+expect_usage_error "${dmtk}" decompose "${work}/x64.dten" --rank 3 \
+  --iters 4294967297
+expect_grep "must be <=" "${dmtk}" decompose "${work}/x64.dten" --rank 3 \
+  --iters 4294967297
+# A regression here would start a server, so bound its lifetime.
+expect_usage_error timeout 10 "${dmtk}" serve --socket "${work}/never.sock" \
+  --cache-mb 17592186044417
 
 # --- unknown flags ----------------------------------------------------------
 # A misspelled flag is a usage error naming it, never a silently defaulted

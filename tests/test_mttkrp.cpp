@@ -1,7 +1,7 @@
 // The heart of the test suite: every MTTKRP algorithm must agree with the
 // element-wise reference on every mode of tensors with 2..6 modes, across
 // ranks and thread counts. Additional tests pin the algorithm-selection
-// logic, the timing instrumentation, and input validation.
+// logic and input validation.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/mttkrp.hpp"
+#include "exec/mttkrp_plan.hpp"
 #include "test_helpers.hpp"
 
 namespace dmtk {
@@ -122,59 +123,20 @@ TEST(Mttkrp, BothTwoStepSidesAgree) {
 }
 
 TEST(Mttkrp, AutoPolicyMatchesPaper) {
-  // Auto = 1-step on external modes, 2-step internally. Verify via the
-  // timing categories each method populates: 2-step fills gemv, external
-  // 1-step fills krp + reduce.
-  Rng rng(56);
-  Tensor X = Tensor::random_uniform({6, 7, 8}, rng);
-  const std::vector<Matrix> fs = random_factors(X.dims(), 3, rng);
-
-  MttkrpTimings t0;
-  (void)mttkrp(X, fs, 0, MttkrpMethod::Auto, 2, &t0);
-  EXPECT_GT(t0.reduce, 0.0);  // external -> 1-step's reduction ran
-  EXPECT_EQ(t0.gemv, 0.0);
-
-  MttkrpTimings t1;
-  (void)mttkrp(X, fs, 1, MttkrpMethod::Auto, 2, &t1);
-  EXPECT_GT(t1.gemv, 0.0);  // internal -> 2-step's multi-TTV ran
-  EXPECT_EQ(t1.reduce, 0.0);
-}
-
-TEST(Mttkrp, TimingsSumApproximatelyToTotal) {
-  Rng rng(57);
-  Tensor X = Tensor::random_uniform({20, 21, 22}, rng);
-  const std::vector<Matrix> fs = random_factors(X.dims(), 10, rng);
-  MttkrpTimings t;
-  (void)mttkrp(X, fs, 1, MttkrpMethod::TwoStep, 1, &t);
-  EXPECT_GT(t.total, 0.0);
-  const double parts = t.krp + t.krp_lr + t.gemm + t.gemv + t.reduce +
-                       t.reorder;
-  EXPECT_LE(parts, t.total * 1.5 + 1e-3);
-  EXPECT_GT(parts, 0.0);
-}
-
-TEST(Mttkrp, TimingsAccumulateAcrossCalls) {
-  Rng rng(58);
-  Tensor X = Tensor::random_uniform({6, 6, 6}, rng);
-  const std::vector<Matrix> fs = random_factors(X.dims(), 2, rng);
-  MttkrpTimings t;
-  (void)mttkrp(X, fs, 0, MttkrpMethod::OneStep, 1, &t);
-  const double total1 = t.total;
-  (void)mttkrp(X, fs, 0, MttkrpMethod::OneStep, 1, &t);
-  EXPECT_GT(t.total, total1);
-}
-
-TEST(Mttkrp, TimingsPlusEquals) {
-  MttkrpTimings a, b;
-  a.krp = 1;
-  a.total = 2;
-  b.krp = 3;
-  b.gemv = 4;
-  b.total = 5;
-  a += b;
-  EXPECT_DOUBLE_EQ(a.krp, 4);
-  EXPECT_DOUBLE_EQ(a.gemv, 4);
-  EXPECT_DOUBLE_EQ(a.total, 7);
+  // Auto = 1-step on external modes, 2-step internally, with Alg. 4's
+  // side rule: the left partial MTTKRP first iff I_Ln > I_Rn.
+  const std::vector<index_t> dims{6, 7, 8, 5};
+  ExecContext ctx(2);
+  for (index_t mode = 0; mode < 4; ++mode) {
+    MttkrpPlan plan(ctx, dims, 3, mode);
+    const bool external = mode == 0 || mode == 3;
+    EXPECT_EQ(plan.resolved_method(),
+              external ? MttkrpMethod::OneStep : MttkrpMethod::TwoStep)
+        << "mode " << mode;
+    if (!external) {
+      EXPECT_EQ(plan.uses_left(), mode == 2) << "mode " << mode;
+    }
+  }
 }
 
 TEST(Mttkrp, OutputResizedAutomatically) {

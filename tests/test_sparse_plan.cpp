@@ -24,7 +24,6 @@
 #include "sparse/sparse_tensor.hpp"
 #include "test_helpers.hpp"
 #include "util/env.hpp"
-#include "util/timer.hpp"
 
 namespace dmtk {
 namespace {
@@ -482,11 +481,20 @@ TEST(SparseCpAlsPlan, CsfMatchesCooIteratesAndDenseCpAls) {
     EXPECT_LT(csf_r.model.factors[n].max_abs_diff(dense_r.model.factors[n]),
               1e-7);
   }
-  // The plan populated the shared sweep diagnostics, one leaf per mode.
-  ASSERT_EQ(csf_r.sweep_timings.nodes.size(), 3u);
-  for (const SweepNodeTimings& tm : csf_r.sweep_timings.nodes) {
-    EXPECT_TRUE(tm.leaf);
-    EXPECT_EQ(tm.evals, csf_r.iterations);
+  // A CSF sweep plan exposes one leaf node per mode, each contracted once
+  // a sweep.
+  const std::vector<Matrix> fs = random_factors(S.dims(), 2, rng);
+  ExecContext ctx(2);
+  CpAlsSweepPlan plan(ctx, S, 2, SweepScheme::SparseCsf);
+  Matrix M;
+  for (int s = 0; s < csf_r.iterations; ++s) {
+    plan.begin_sweep(S);
+    for (index_t n = 0; n < S.order(); ++n) plan.mode_mttkrp(n, S, fs, M);
+  }
+  ASSERT_EQ(plan.nodes().size(), 3u);
+  for (const SweepNode& nd : plan.nodes()) {
+    EXPECT_TRUE(nd.leaf);
+    EXPECT_EQ(nd.evals, csf_r.iterations);
   }
 }
 

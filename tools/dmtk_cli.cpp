@@ -28,7 +28,9 @@
 ///
 /// Exit code 0 on success, 1 on usage errors, 2 on runtime failures.
 
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -185,9 +187,9 @@ Flags parse_flags(int argc, char** argv, const FlagSet& allowed,
 }
 
 /// Strict integer flag: default when absent, usage error on a malformed
-/// value or one below `min`.
+/// value or one outside [min, max].
 long long flag_int(const Flags& f, const char* k, long long def,
-                   long long min) {
+                   long long min, long long max = LLONG_MAX) {
   auto it = f.find(k);
   if (it == f.end()) return def;
   const auto v = parse_ll(it->second);
@@ -199,7 +201,17 @@ long long flag_int(const Flags& f, const char* k, long long def,
     usage_error(std::string("--") + k + " must be >= " + std::to_string(min) +
                 ", got " + it->second);
   }
+  if (*v > max) {
+    usage_error(std::string("--") + k + " must be <= " + std::to_string(max) +
+                ", got " + it->second);
+  }
   return *v;
+}
+
+/// A flag stored in an int: the strict parse, capped at INT_MAX so a large
+/// value is a usage error instead of a silent wrap.
+int flag_i32(const Flags& f, const char* k, int def, int min) {
+  return static_cast<int>(flag_int(f, k, def, min, INT_MAX));
 }
 
 /// Strict floating flag: default when absent, usage error on a malformed
@@ -426,14 +438,14 @@ int cmd_decompose(int argc, char** argv) {
   spec.f32 = flag_wants_f32(flags);
   spec.nn = flags.count("nn") != 0;
   spec.rank = static_cast<index_t>(flag_int(flags, "rank", spec.rank, 1));
-  spec.iters = static_cast<int>(flag_int(flags, "iters", spec.iters, 1));
+  spec.iters = flag_i32(flags, "iters", spec.iters, 1);
   spec.tol = flag_double(flags, "tol", spec.tol, 0.0);
   spec.seed = static_cast<std::uint64_t>(
       flag_int(flags, "seed", static_cast<long long>(spec.seed), 0));
-  spec.levels = static_cast<int>(flag_int(flags, "levels", spec.levels, 0));
+  spec.levels = flag_i32(flags, "levels", spec.levels, 0);
   spec.checkpoint = flag_str(flags, "checkpoint");
-  spec.checkpoint_every = static_cast<int>(
-      flag_int(flags, "checkpoint-every", spec.checkpoint_every, 1));
+  spec.checkpoint_every =
+      flag_i32(flags, "checkpoint-every", spec.checkpoint_every, 1);
   spec.resume = flags.count("resume") != 0;
   const std::string sweep = flag_str(flags, "sweep", "auto");
   const auto scheme = parse_sweep_scheme(sweep);
@@ -451,7 +463,7 @@ int cmd_decompose(int argc, char** argv) {
     usage_error(e.what());
   }
   const DecomposeSpec& s = job->spec();
-  const ExecContext ctx(static_cast<int>(flag_int(flags, "threads", 0, 0)));
+  const ExecContext ctx(flag_i32(flags, "threads", 0, 0));
   const DecomposeOutcome r = job->run(ctx);
 
   const char* driver =
@@ -540,19 +552,20 @@ int cmd_serve(int argc, char** argv) {
   serve::ServeOptions so;
   so.socket = flag_str(flags, "socket");
   if (so.socket.empty()) usage_error("serve needs --socket <path>");
-  so.workers = static_cast<int>(flag_int(flags, "workers", 1, 1));
-  so.threads = static_cast<int>(flag_int(flags, "threads", 0, 0));
+  so.workers = flag_i32(flags, "workers", 1, 1);
+  so.threads = flag_i32(flags, "threads", 0, 0);
   so.queue_depth =
       static_cast<std::size_t>(flag_int(flags, "queue-depth", 64, 1));
-  so.queue_timeout_ms =
-      static_cast<int>(flag_int(flags, "queue-timeout-ms", 30000, 0));
-  so.batch_window_ms =
-      static_cast<int>(flag_int(flags, "batch-window-ms", 0, 0));
+  so.queue_timeout_ms = flag_i32(flags, "queue-timeout-ms", 30000, 0);
+  so.batch_window_ms = flag_i32(flags, "batch-window-ms", 0, 0);
   so.max_batch = static_cast<std::size_t>(flag_int(flags, "max-batch", 16, 1));
   so.cache_entries =
       static_cast<std::size_t>(flag_int(flags, "cache-entries", 32, 0));
-  so.cache_bytes =
-      static_cast<std::size_t>(flag_int(flags, "cache-mb", 256, 0)) << 20;
+  // MiB -> bytes: cap the MiB count so the shift cannot overflow size_t.
+  constexpr auto kMaxCacheMb = static_cast<long long>(SIZE_MAX >> 20);
+  so.cache_bytes = static_cast<std::size_t>(
+                       flag_int(flags, "cache-mb", 256, 0, kMaxCacheMb))
+                   << 20;
 
   serve::Server server(so);
   server.start();
@@ -583,8 +596,7 @@ int cmd_client(int argc, char** argv) {
   const std::string tensor = pos.size() < 2 ? std::string() : pos[1];
   const std::string socket = flag_str(flags, "socket");
   if (socket.empty()) usage_error("client needs --socket <path>");
-  const int timeout_ms =
-      static_cast<int>(flag_int(flags, "timeout-ms", 5000, 0));
+  const int timeout_ms = flag_i32(flags, "timeout-ms", 5000, 0);
   const std::string raw = flag_str(flags, "json");
   if (!raw.empty() && !action.empty()) {
     usage_error("--json replaces the action word; give one or the other");
@@ -656,13 +668,12 @@ int cmd_client(int argc, char** argv) {
     line = req.dump();
   }
 
-  const int retries = static_cast<int>(flag_int(flags, "retries", 0, 0));
+  const int retries = flag_i32(flags, "retries", 0, 0);
   std::string resp;
   if (retries > 0) {
     serve::RetryPolicy pol;
     pol.retries = retries;
-    pol.base_ms =
-        static_cast<int>(flag_int(flags, "retry-base-ms", 100, 1));
+    pol.base_ms = flag_i32(flags, "retry-base-ms", 100, 1);
     pol.connect_timeout_ms = timeout_ms;
     // ClientError after the last attempt -> main's handler, exit 2.
     resp = serve::request_with_retry(socket, line, pol);

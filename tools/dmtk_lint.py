@@ -13,6 +13,11 @@ the line directly above it; an empty justification is itself an error):
                       construction allocations are fine but must say so
                       in a waiver, so every allocation in a hot file is
                       either absent or justified.
+  hot-clock           A clock read (any ``*Timer`` stopwatch such as
+                      ``WallTimer``, ``std::chrono``, ``omp_get_wtime``)
+                      in the hot files. The kernels compute and nothing
+                      else; a caller that wants a time wraps the call
+                      from outside.
   reinterpret-cast    ``reinterpret_cast`` anywhere in src/ or tools/.
                       The arena's byte->T carve-outs and checked_io's
                       memcpy footer made every cast removable; the POSIX
@@ -78,6 +83,7 @@ WAIVER_RE = re.compile(r"//\s*dmtk-lint:\s*allow\(([a-z-]+)\):\s*(.*)")
 VECTOR_DECL_RE = re.compile(r"std::vector<[^;]*>(?!\s*[&*])\s+[A-Za-z_]")
 NEW_RE = re.compile(r"\bnew\b(?!\w)")
 MALLOC_RE = re.compile(r"\b(?:malloc|calloc|realloc)\s*\(")
+CLOCK_RE = re.compile(r"\b\w*Timer\b|\bstd::chrono\b|\bomp_get_wtime\b")
 
 FAULT_LITERAL_RE = re.compile(
     r"(?:DMTK_FAULT_POINT|should_fail|fail_point)\s*\(\s*\"([^\"]+)\"")
@@ -195,6 +201,10 @@ def check_file(root: str, path: str, known_sites: set[str],
                      "heap allocation in a hot file (plans execute "
                      "allocation-free; waive with a justification if this "
                      "is construction-time)")
+            if CLOCK_RE.search(code):
+                emit("hot-clock",
+                     "clock read in a hot file (kernels are not "
+                     "instrumented; time the call from outside)")
 
         if "reinterpret_cast" in code:
             emit("reinterpret-cast",
@@ -254,6 +264,10 @@ SELF_TEST_SEEDS = {
     "hot-alloc": (
         "src/core/mttkrp.cpp",
         "void f() { std::vector<double> tmp(100); }\n",
+    ),
+    "hot-clock": (
+        "src/exec/mttkrp_plan.cpp",
+        "void f() { WallTimer t; }\n",
     ),
     "reinterpret-cast": (
         "src/core/bad_cast.cpp",
