@@ -43,8 +43,9 @@ struct CpAlsOptionsT {
   /// How the sweep's per-mode MTTKRPs are produced (see exec/sweep_plan.hpp):
   /// PerMode = independent per-mode kernels selected by `method`; DimTree =
   /// multi-level dimension-tree reuse across modes (`method` is then
-  /// ignored — the tree has its own contraction kernels). Auto currently
-  /// resolves to PerMode for N <= 3 and DimTree for N >= 4.
+  /// ignored — the tree has its own contraction kernels). Auto resolves to
+  /// DimTree at every order unless `method` names a kernel, which pins
+  /// PerMode.
   SweepScheme sweep_scheme = SweepScheme::Auto;
 
   /// DimTree only: cap on the tree's binary-split depth. 0 = full tree

@@ -161,20 +161,10 @@ void MttkrpPlanT<T>::plan_workspace() {
       break;
     case MttkrpMethod::OneStep:
       if (mode_ == 0 || mode_ == N - 1) {
-        plan_packed(full_);
-        p_need(full_);
-        stride_thread_kt_ = WorkspaceArena::aligned_count<T>(
-            static_cast<std::size_t>(C * ctx_->max_block(cosize_)));
-        off_thread_kt_ = take(snt * stride_thread_kt_);
-        // Each worker runs a private sequential GEMM on its column block;
-        // blocks differ by one column, so size for the shortest and the
-        // longest (only one of them may fall short of the rank-panel shape).
-        stride_gemm_ws_ = WorkspaceArena::aligned_count<T>(std::max(
-            blas::gemm_workspace_elems<T>(blas::Trans::Trans, In_, C,
-                                          cosize_ / nt_, 1),
-            blas::gemm_workspace_elems<T>(blas::Trans::Trans, In_, C,
-                                          ctx_->max_block(cosize_), 1)));
-        off_gemm_ws_ = take(snt * stride_gemm_ws_);
+        // The shared external-mode kernel lays out the whole frame
+        // (exec/onestep_external.hpp).
+        external_.emplace(*ctx_, dims_, rank_, mode_);
+        top = external_->workspace_elems();
       } else {
         plan_packed(left_);
         p_need(left_);
@@ -190,10 +180,10 @@ void MttkrpPlanT<T>::plan_workspace() {
         gemm_ws_elems_ = blas::gemm_batched_workspace_elems<T>(
             blas::Trans::Trans, In_, C, ILn_, nt_);
         off_gemm_ws_ = take(gemm_ws_elems_);
+        stride_partial_ = WorkspaceArena::aligned_count<T>(
+            static_cast<std::size_t>(In_ * C));
+        off_partials_ = take(snt * stride_partial_);
       }
-      stride_partial_ =
-          WorkspaceArena::aligned_count<T>(static_cast<std::size_t>(In_ * C));
-      off_partials_ = take(snt * stride_partial_);
       break;
     case MttkrpMethod::TwoStep:
       if (mode_ > 0) {
@@ -325,7 +315,7 @@ void MttkrpPlanT<T>::execute(const TensorT<T>& X,
       break;
     case MttkrpMethod::OneStep:
       if (mode_ == 0 || mode_ == N - 1) {
-        exec_onestep_external(X, factors, M, base);
+        external_->run(X, factors, M, base);
       } else {
         exec_onestep_internal(X, factors, M, base);
       }
@@ -440,60 +430,9 @@ void MttkrpPlanT<T>::exec_onestep_seq(const TensorT<T>& X,
 }
 
 // ---------------------------------------------------------------------------
-// Algorithm 3: parallel 1-step.
+// Algorithm 3: parallel 1-step, internal modes (the external ones run the
+// kernel of exec/onestep_external.cpp).
 // ---------------------------------------------------------------------------
-template <typename T>
-void MttkrpPlanT<T>::exec_onestep_external(const TensorT<T>& X,
-                                           std::span<const MatrixT<T>> factors,
-                                           MatrixT<T>& M, T* base) {
-  const index_t C = rank_;
-  const index_t cols = cosize_;
-  gather_factors(factors, List::Full, fl_full_);
-  pack(fl_full_, full_, base, packed_full_);
-
-  // Loop over the PLANNED nt_ partitions, strided by the actual team size:
-  // tile sizes and the reduction below assume exactly nt_ blocks, so a
-  // smaller-than-requested OpenMP team (nested parallelism, thread limits)
-  // must still produce every block — each sized as planned.
-  parallel_region(nt_, [&](int t, int nteam) {
-    for (int b = t; b < nt_; b += nteam) {
-      const std::size_t sb = static_cast<std::size_t>(b);
-      const Range r = block_range(cols, nt_, b);
-      T* Mt = base + off_partials_ + sb * stride_partial_;
-      if (r.empty()) {
-        // Still participates in the reduction: must read as zero.
-        std::fill(Mt, Mt + In_ * C, T{0});
-        continue;
-      }
-      // Block-local KRP rows [r.begin, r.end) — Alg 3 line 7.
-      T* Kt = base + off_thread_kt_ + sb * stride_thread_kt_;
-      T* P = base + off_thread_p_ + sb * stride_thread_p_;
-      index_t* dg = digits_.data() + sb * digits_stride_;
-      detail::krp_rows_ws<T>(packed_full_, full_.extents, C, r.begin, r.end,
-                             Kt, C, P, dg);
-      // Local GEMM against the block's columns of X(n) — line 8. The
-      // packing workspace is this block's private slice of the frame.
-      const blas::GemmWorkspace gws = blas::typed_workspace(
-          base + off_gemm_ws_ + sb * stride_gemm_ws_, stride_gemm_ws_);
-      if (mode_ == 0) {
-        // Column block of the column-major X(0): contiguous panel.
-        blas::gemm(blas::Layout::ColMajor, blas::Trans::NoTrans,
-                   blas::Trans::Trans, In_, C, r.size(), T{1},
-                   X.data() + r.begin * In_, In_, Kt, C, T{0}, Mt, In_,
-                   /*threads=*/1, gws);
-      } else {
-        // mode == N-1: X(N-1) is In x cols row-major (ld = cols); a column
-        // block is a row block of its column-major transpose view.
-        blas::gemm(blas::Layout::ColMajor, blas::Trans::Trans,
-                   blas::Trans::Trans, In_, C, r.size(), T{1},
-                   X.data() + r.begin, cols, Kt, C, T{0}, Mt, In_,
-                   /*threads=*/1, gws);
-      }
-    }
-  });
-  reduce_partials(base, M);
-}
-
 template <typename T>
 void MttkrpPlanT<T>::exec_onestep_internal(const TensorT<T>& X,
                                            std::span<const MatrixT<T>> factors,
@@ -559,7 +498,7 @@ void MttkrpPlanT<T>::exec_onestep_internal(const TensorT<T>& X,
                        blas::typed_workspace(base + off_gemm_ws_,
                                              gemm_ws_elems_));
   }
-  reduce_partials(base, M);
+  reduce_partials(base + off_partials_, stride_partial_, nt_, M);
 }
 
 // ---------------------------------------------------------------------------
@@ -660,23 +599,6 @@ void MttkrpPlanT<T>::exec_acc64(const TensorT<T>& X,
         // One rounding per output entry: fp64 accumulator -> T.
         for (index_t c = 0; c < C; ++c) M(i, c) = static_cast<T>(acc[c]);
       }
-    }
-  });
-}
-
-/// M = sum_t Mt over the thread-private partials, parallelized by rows.
-template <typename T>
-void MttkrpPlanT<T>::reduce_partials(T* base, MatrixT<T>& M) {
-  const index_t total = M.size();
-  T* out = M.data();
-  parallel_region(nt_, [&](int t, int nteam) {
-    const Range r = block_range(total, nteam, t);
-    if (r.empty()) return;
-    std::fill(out + r.begin, out + r.end, T{0});
-    for (int p = 0; p < nt_; ++p) {
-      const T* src =
-          base + off_partials_ + static_cast<std::size_t>(p) * stride_partial_;
-      for (index_t i = r.begin; i < r.end; ++i) out[i] += src[i];
     }
   });
 }

@@ -27,6 +27,10 @@
 /// O(tensor) buffers in the arena too but may use transient O(N) index
 /// scratch inside matricize_into.
 ///
+/// External-mode 1-step (modes 0 and N-1) runs the kernel of
+/// exec/onestep_external.hpp, which the dimension tree's depth-0 leaves
+/// share.
+///
 /// Internal-mode 1-step executes its per-block multiplies (Alg 3 line 16)
 /// as ONE gemm_batched sweep: the per-block KRP tiles are materialized in
 /// parallel from the shared left KRP, then the IRn sub-cutoff GEMMs run
@@ -44,6 +48,7 @@
 /// workspace offsets are in elements of T; the arena allocation is the
 /// byte-sized typed carve-out of exec_context.hpp.
 
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -52,6 +57,7 @@
 #include "core/mttkrp.hpp"
 #include "core/tensor.hpp"
 #include "exec/exec_context.hpp"
+#include "exec/onestep_external.hpp"
 
 namespace dmtk {
 
@@ -129,9 +135,6 @@ class MttkrpPlanT {
   void exec_onestep_seq(const TensorT<T>& X,
                         std::span<const MatrixT<T>> factors, MatrixT<T>& M,
                         T* base);
-  void exec_onestep_external(const TensorT<T>& X,
-                             std::span<const MatrixT<T>> factors,
-                             MatrixT<T>& M, T* base);
   void exec_onestep_internal(const TensorT<T>& X,
                              std::span<const MatrixT<T>> factors,
                              MatrixT<T>& M, T* base);
@@ -139,8 +142,6 @@ class MttkrpPlanT {
                     MatrixT<T>& M, T* base);
   void exec_acc64(const TensorT<T>& X, std::span<const MatrixT<T>> factors,
                   MatrixT<T>& M, T* base);
-
-  void reduce_partials(T* base, MatrixT<T>& M);
 
   const ExecContext* ctx_;
   std::vector<index_t> dims_;
@@ -168,8 +169,6 @@ class MttkrpPlanT {
   std::size_t off_krt_ = 0;          // C x IRn transposed right partial KRP
   std::size_t off_partials_ = 0;     // nt thread-private In x C outputs
   std::size_t stride_partial_ = 0;
-  std::size_t off_thread_kt_ = 0;    // per-thread KRP tile
-  std::size_t stride_thread_kt_ = 0;
   std::size_t off_thread_p_ = 0;     // per-thread partial-Hadamard table
   std::size_t stride_thread_p_ = 0;
   std::size_t off_thread_row_ = 0;   // per-thread right-KRP row (C)
@@ -181,8 +180,10 @@ class MttkrpPlanT {
   std::size_t off_kcol_ = 0;         // Reorder: column-wise KRP (J x C)
   std::size_t off_acc_ = 0;          // Reorder: two Kronecker accumulators
   std::size_t off_gemm_ws_ = 0;      // BLAS packing workspace block
-  std::size_t gemm_ws_elems_ = 0;    // its size (whole-team calls)
-  std::size_t stride_gemm_ws_ = 0;   // per-thread slice (worker-local GEMMs)
+  std::size_t gemm_ws_elems_ = 0;    // its size
+
+  // OneStep on an external mode runs the shared Alg. 3 kernel.
+  std::optional<OneStepExternalT<T>> external_;
 
   // Small preallocated scratch so execute() itself never allocates.
   FactorListT<T> fl_full_;

@@ -1,0 +1,85 @@
+#pragma once
+/// \file onestep_external.hpp
+/// \brief The paper's parallel 1-step MTTKRP for an external mode
+/// (Algorithm 3, modes 0 and N-1), planned once and run from a caller's
+/// workspace.
+///
+/// X(n) of an external mode is a plain column-major (mode 0) or row-major
+/// (mode N-1) matrix, so the kernel needs no reordering: the nt planned
+/// column blocks of X(n) (block_range) each generate their own KRP rows
+/// from packed factor panels, multiply them against the block on one
+/// thread into a private In x C partial, and the partials are summed in
+/// slot order (reduce_partials). The output never depends on how many
+/// OpenMP threads actually showed up, only on the planned block count.
+///
+/// Two callers run this one kernel: MttkrpPlanT (its OneStep method on an
+/// external mode) and CpAlsSweepPlanT (a dimension-tree leaf at depth 0,
+/// which is always mode 0 or N-1 — exactly this MTTKRP). Sharing it is what
+/// makes the tree's depth-0 leaves bitwise equal to the per-mode plan.
+
+#include <cstddef>
+#include <span>
+#include <vector>
+
+#include "core/krp.hpp"
+#include "core/matrix.hpp"
+#include "core/tensor.hpp"
+#include "exec/exec_context.hpp"
+
+namespace dmtk {
+
+/// M = sum_p partials[p] for p in [0, planned), the slot-ordered
+/// reduction of the 1-step kernels' thread-private In x C outputs
+/// (`stride` elements apart), parallelized over M's entries.
+template <typename T>
+void reduce_partials(const T* partials, std::size_t stride, int planned,
+                     MatrixT<T>& M);
+
+template <typename T>
+class OneStepExternalT {
+ public:
+  /// Plan the mode-`mode` MTTKRP (mode 0 or N-1) of a tensor with extents
+  /// `dims` at rank `rank`, over ctx.threads() planned column blocks.
+  OneStepExternalT(const ExecContext& ctx, std::span<const index_t> dims,
+                   index_t rank, index_t mode);
+
+  /// Elements of T one run() uses from its workspace base.
+  [[nodiscard]] std::size_t workspace_elems() const { return ws_elems_; }
+
+  /// M (In x C, resized by the caller) = X(mode) * KRP(factors but mode).
+  /// `base` is a line-aligned block of workspace_elems() elements.
+  void run(const TensorT<T>& X, std::span<const MatrixT<T>> factors,
+           MatrixT<T>& M, T* base);
+
+ private:
+  index_t rank_ = 0;
+  index_t mode_ = 0;
+  index_t In_ = 0;      // I_n
+  index_t cosize_ = 0;  // I / I_n: the columns of X(n)
+  int nt_ = 1;
+
+  std::vector<index_t> extents_;  // KRP factor extents, mode 0 fastest
+  std::vector<std::size_t> packed_off_;
+
+  // Workspace offsets (elements of T from the run base).
+  std::size_t ws_elems_ = 0;
+  std::size_t off_kt_ = 0;  // per-block KRP tile
+  std::size_t stride_kt_ = 0;
+  std::size_t off_gemm_ws_ = 0;  // per-block BLAS packing workspace
+  std::size_t stride_gemm_ws_ = 0;
+  std::size_t off_partials_ = 0;  // per-block In x C outputs
+  std::size_t stride_partial_ = 0;
+  std::size_t off_p_ = 0;  // per-block partial-Hadamard table
+  std::size_t stride_p_ = 0;
+
+  // Small preallocated scratch so run() never allocates.
+  FactorListT<T> fl_;
+  std::vector<const T*> packed_;
+  std::vector<index_t> digits_;  // nt * Z mixed-radix digits
+  std::size_t digits_stride_ = 0;
+};
+
+extern template class OneStepExternalT<double>;
+extern template class OneStepExternalT<float>;
+
+}  // namespace dmtk

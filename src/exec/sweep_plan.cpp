@@ -65,11 +65,10 @@ CpAlsSweepPlanT<T>::CpAlsSweepPlanT(const ExecContext& ctx,
     DMTK_CHECK(d >= 1, "sweep plan: extents must be positive");
   }
   nt_ = ctx.threads();
-  // The Auto heuristic (resolve_sweep_scheme): DimTree for
-  // N >= kAutoDimtreeMinOrder unless an explicit per-mode kernel request
-  // pins PerMode. Never a sparse scheme — those require the sparse
-  // constructor.
-  scheme_ = resolve_sweep_scheme(requested_, N, method);
+  // Auto resolves to DimTree unless an explicit per-mode kernel request
+  // pins PerMode (resolve_sweep_scheme). Never a sparse scheme — those
+  // require the sparse constructor.
+  scheme_ = resolve_sweep_scheme(requested_, method);
   DMTK_CHECK(scheme_ == SweepScheme::PerMode || scheme_ == SweepScheme::DimTree,
              "sweep plan: sparse scheme requested for a dense tensor — "
              "construct the plan from a SparseTensor instead");
@@ -238,25 +237,38 @@ void CpAlsSweepPlanT<T>::plan_node_layout() {
                  WorkspaceArena::aligned_count<T>(
                      static_cast<std::size_t>(nd.out_rows * C)));
   }
+  // level_base[d] = start of slot d; level_base[max_depth + 1] = the end.
   // dmtk-lint: allow(hot-alloc): plan construction (see above).
-  std::vector<std::size_t> level_base(slot.size(), 0);
-  std::size_t top = 0;
+  std::vector<std::size_t> level_base(slot.size() + 1, 0);
   for (std::size_t d = 0; d < slot.size(); ++d) {
-    level_base[d] = top;
-    top += slot[d];
+    level_base[d + 1] = level_base[d] + slot[d];
   }
-  inter_elems_ = top;
+  ws_elems_ = level_base.back();
   for (Node& nd : nodes_) {
     if (!nd.leaf) nd.off_out = level_base[static_cast<std::size_t>(nd.depth)];
   }
 
-  // Per-evaluation scratch region, reused serially across nodes: packed
-  // factor panels + transposed-KRP buffer per trim, the two-trim mid
-  // intermediate, per-thread partial-Hadamard scratch, and the GEMM
-  // packing workspace.
-  scratch_base_ = inter_elems_;
-  std::size_t scratch_max = 0;
+  // Per-evaluation scratch, laid out by liveness. While a node at depth d
+  // evaluates, only its ancestors' slots (depth < d) hold live data: the
+  // in-order sweep is done with every node left of it and has not reached
+  // any node right of it. So an internal node's scratch starts after its
+  // own output slot d, and a leaf's (whose output is the caller's M) at
+  // slot d. A depth-0 leaf overlaps everything.
   for (Node& nd : nodes_) {
+    const std::size_t d = static_cast<std::size_t>(nd.depth);
+    nd.off_scratch = nd.leaf ? level_base[d] : level_base[d + 1];
+    if (nd.leaf && nd.parent < 0) {
+      // Mode 0 or N-1 against the whole tensor: the external-mode 1-step
+      // kernel, bitwise the PerMode plan's.
+      nd.onestep = static_cast<int>(onestep_.size());
+      onestep_.emplace_back(*ctx_, dims_, rank_, nd.a);
+      nd.scratch_elems = onestep_.back().workspace_elems();
+      ws_elems_ = std::max(ws_elems_, nd.off_scratch + nd.scratch_elems);
+      continue;
+    }
+    // Packed factor panels + transposed-KRP buffer per trim, the two-trim
+    // mid intermediate, per-thread partial-Hadamard scratch, and the GEMM
+    // packing workspace.
     std::size_t off = 0;
     auto take = [&off](std::size_t elems) {
       const std::size_t at = off;
@@ -309,9 +321,8 @@ void CpAlsSweepPlanT<T>::plan_node_layout() {
     }
     nd.off_gws = take(nd.gws_elems);
     nd.scratch_elems = off;
-    scratch_max = std::max(scratch_max, off);
+    ws_elems_ = std::max(ws_elems_, nd.off_scratch + off);
   }
-  ws_elems_ = inter_elems_ + scratch_max;
 }
 
 template <typename T>
@@ -423,7 +434,7 @@ const T* CpAlsSweepPlanT<T>::form_trim_krp(const Node& nd,
                                            const TrimSpec& trim,
                                            std::span<const MatrixT<T>> factors) {
   const index_t C = rank_;
-  T* scratch = base_ + scratch_base_;
+  T* scratch = base_ + nd.off_scratch;
   const std::size_t Z = trim.extents.size();
   fl_.resize(Z);
   std::size_t i = 0;
@@ -464,7 +475,7 @@ void CpAlsSweepPlanT<T>::contract_batched(const Node& nd, const T* src,
     batch_c_[sc] = dst + c * dst_rows;
   }
   const blas::GemmWorkspace gws = blas::typed_workspace(
-      base_ + scratch_base_ + nd.off_gws, nd.gws_elems);
+      base_ + nd.off_scratch + nd.off_gws, nd.gws_elems);
   blas::gemm_batched(blas::Layout::ColMajor,
                      contract_left ? blas::Trans::Trans
                                    : blas::Trans::NoTrans,
@@ -481,27 +492,31 @@ void CpAlsSweepPlanT<T>::eval_node(int id, const TensorT<T>& X,
   Node& nd = nodes_[static_cast<std::size_t>(id)];
   T* out = nd.leaf ? M->data() : base_ + nd.off_out;
 
-  if (nd.parent < 0) {
-    // Child of the root: the sweep's only full-tensor passes, as one plain
-    // GEMM of X (viewed as its multi-mode matricization) against the
-    // sibling group's transposed KRP.
+  if (nd.onestep >= 0) {
+    // A depth-0 leaf: the external mode's 1-step MTTKRP, a full-tensor pass.
+    onestep_[static_cast<std::size_t>(nd.onestep)].run(X, factors, *M,
+                                                        base_ + nd.off_scratch);
+  } else if (nd.parent < 0) {
+    // An internal child of the root: a full-tensor pass, as one plain GEMM
+    // of X (viewed as its multi-mode matricization) against the sibling
+    // group's transposed KRP.
     const bool right = !nd.right.empty();
     const TrimSpec& trim = right ? nd.right : nd.left;
     const T* krp = form_trim_krp(nd, trim, factors);
     const blas::GemmWorkspace gws = blas::typed_workspace(
-        base_ + scratch_base_ + nd.off_gws, nd.gws_elems);
+        base_ + nd.off_scratch + nd.off_gws, nd.gws_elems);
     if (right) {
       // [0, s): X(0:s-1) is out_rows x trim.rows column-major.
       blas::gemm(blas::Layout::ColMajor, blas::Trans::NoTrans,
                  blas::Trans::Trans, nd.out_rows, rank_, trim.rows, T{1},
-                 X.data(), nd.out_rows, krp, rank_, T{0}, out,
-                 nd.leaf ? M->ld() : nd.out_rows, nt_, gws);
+                 X.data(), nd.out_rows, krp, rank_, T{0}, out, nd.out_rows,
+                 nt_, gws);
     } else {
       // [s, N): the transpose view of the same matricization.
       blas::gemm(blas::Layout::ColMajor, blas::Trans::Trans,
                  blas::Trans::Trans, nd.out_rows, rank_, trim.rows, T{1},
-                 X.data(), trim.rows, krp, rank_, T{0}, out,
-                 nd.leaf ? M->ld() : nd.out_rows, nt_, gws);
+                 X.data(), trim.rows, krp, rank_, T{0}, out, nd.out_rows,
+                 nt_, gws);
     }
   } else {
     const Node& par = nodes_[static_cast<std::size_t>(nd.parent)];
@@ -509,7 +524,7 @@ void CpAlsSweepPlanT<T>::eval_node(int id, const TensorT<T>& X,
     if (!nd.left.empty() && !nd.right.empty()) {
       const TrimSpec& first = nd.left_first ? nd.left : nd.right;
       const TrimSpec& second = nd.left_first ? nd.right : nd.left;
-      T* Tbuf = base_ + scratch_base_ + nd.off_t;
+      T* Tbuf = base_ + nd.off_scratch + nd.off_t;
       const T* k1 = form_trim_krp(nd, first, factors);
       contract_batched(nd, src, par.out_rows, first, k1, nd.left_first, Tbuf,
                        nd.t_rows);

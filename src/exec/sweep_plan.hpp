@@ -33,13 +33,19 @@
 /// versions exact ALS requires — already-updated for modes left of the
 /// node's interval, not-yet-updated for modes right of it.
 ///
+/// A depth-0 leaf — a root child holding one mode, which is always mode 0
+/// or N-1 — is exactly that mode's external MTTKRP, so it runs the paper's
+/// parallel 1-step kernel (exec/onestep_external.hpp) that MttkrpPlan runs
+/// for the same mode, and gives the same bits.
+///
 /// Cost: the root split is chosen to balance the two group sizes, so the
-/// tree touches all I tensor entries twice per sweep instead of ~N times,
-/// at an extra memory cost of about max(I_L, I_R) x C elements for the
-/// deepest simultaneously-live intermediates (one per tree level; nodes at
-/// the same level reuse one slot because the in-order traversal keeps at
-/// most one alive). The expected per-sweep MTTKRP saving is ~N/2x for
-/// N >= 4 (paper Section 6 projects ~1.5x at N = 3, ~2x at N = 4).
+/// tree touches all I tensor entries twice per sweep instead of N times.
+/// Memory is laid out by liveness: when a node at depth d evaluates, only
+/// its ancestors' intermediates (one slot per depth above d) are live, so
+/// its scratch overlaps every deeper slot, and a leaf's scratch overlaps
+/// slot d too. A 3-way tree's peak is therefore about the largest per-mode
+/// plan's, not its intermediate plus its KRP scratch. README, "Sweep
+/// schemes", has the measured sweep times against PerMode.
 ///
 /// Sweep protocol (drivers in core/ follow it through
 /// detail::run_als_sweeps):
@@ -73,6 +79,7 @@
 #include "core/tensor.hpp"
 #include "exec/exec_context.hpp"
 #include "exec/mttkrp_plan.hpp"
+#include "exec/onestep_external.hpp"
 
 namespace dmtk {
 
@@ -82,11 +89,6 @@ class SparseTensorT;
 }  // namespace sparse
 template <typename U>
 class SparseMttkrpPlanT;
-
-/// The order from which Auto runs the dimension tree on a dense tensor:
-/// from N = 4 the tree's two full-tensor passes per sweep are decisively
-/// ahead of PerMode's N.
-inline constexpr index_t kAutoDimtreeMinOrder = 4;
 
 /// How a CP-ALS driver produces the per-mode MTTKRPs of a sweep. PerMode
 /// and DimTree serve dense tensors; SparseCsf (the mode-rooted CSF kernel)
@@ -103,23 +105,18 @@ enum class SweepScheme { Auto, PerMode, DimTree, SparseCsf, SparseCoo };
 [[nodiscard]] std::optional<SweepScheme> parse_sweep_scheme(
     std::string_view name);
 
-/// What Auto runs on a DENSE tensor of the given order. The single source
-/// of truth for the resolution — the plan constructor and the CLI's
-/// reporting both go through it. The heuristic picks the dimension tree
-/// at order >= kAutoDimtreeMinOrder. It never returns a sparse scheme:
-/// sparse input resolves Auto through resolve_sparse_sweep_scheme below
-/// instead. One refinement: an
-/// explicit (non-Auto) MttkrpMethod pins PerMode under Auto, because the
-/// tree has its own contraction kernels and would silently ignore the
-/// requested one — pass the method so the plan constructor, the CLI
-/// guardrails, and the CLI's report all resolve identically.
+/// What Auto runs on a DENSE tensor: the dimension tree, at every order.
+/// The single source of truth for the resolution — the plan constructor,
+/// the decompose job's validation and the CLI's report all go through it.
+/// It never returns a sparse scheme: sparse input resolves Auto through
+/// resolve_sparse_sweep_scheme below instead. An explicit (non-Auto)
+/// MttkrpMethod pins PerMode under Auto, because the tree has its own
+/// contraction kernels and would silently ignore the requested one.
 [[nodiscard]] constexpr SweepScheme resolve_sweep_scheme(
-    SweepScheme s, index_t order, MttkrpMethod method = MttkrpMethod::Auto) {
-  return s != SweepScheme::Auto
-             ? s
-             : (method == MttkrpMethod::Auto && order >= kAutoDimtreeMinOrder
-                    ? SweepScheme::DimTree
-                    : SweepScheme::PerMode);
+    SweepScheme s, MttkrpMethod method = MttkrpMethod::Auto) {
+  if (s != SweepScheme::Auto) return s;
+  return method == MttkrpMethod::Auto ? SweepScheme::DimTree
+                                      : SweepScheme::PerMode;
 }
 
 /// What Auto runs on a SPARSE tensor: the CSF kernel. Shared by the
@@ -210,9 +207,10 @@ class CpAlsSweepPlanT {
   [[nodiscard]] SweepScheme scheme() const { return scheme_; }
   /// Deepest internal (splitting) level of the tree; 0 for PerMode.
   [[nodiscard]] int levels() const { return levels_; }
-  /// Arena bytes a DimTree sweep holds at its peak (0 for PerMode, whose
-  /// per-mode plans size their own frames; the sparse schemes report their
-  /// SparseMttkrpPlan's per-execute footprint).
+  /// Arena bytes a DimTree sweep holds at its peak, the depth-0 leaves'
+  /// 1-step workspace included (0 for PerMode, whose per-mode plans size
+  /// their own frames; the sparse schemes report their SparseMttkrpPlan's
+  /// per-execute footprint).
   [[nodiscard]] std::size_t workspace_bytes() const {
     return sparse_ws_bytes_ > 0 ? sparse_ws_bytes_ : ws_elems_ * sizeof(T);
   }
@@ -263,7 +261,9 @@ class CpAlsSweepPlanT {
     std::size_t stride_p = 0;
     std::size_t off_gws = 0;  ///< GEMM packing workspace
     std::size_t gws_elems = 0;
+    std::size_t off_scratch = 0;  ///< evaluation scratch base (absolute)
     std::size_t scratch_elems = 0;
+    int onestep = -1;  ///< depth-0 leaf: index into onestep_
   };
 
   int build_tree(index_t a, index_t b, int depth, int parent, int max_levels);
@@ -307,8 +307,7 @@ class CpAlsSweepPlanT {
   // DimTree state.
   std::vector<Node> nodes_;
   std::vector<std::vector<int>> leaf_path_;  ///< per mode: node ids, top down
-  std::size_t inter_elems_ = 0;     ///< intermediates region (front)
-  std::size_t scratch_base_ = 0;    ///< per-eval scratch region (back)
+  std::vector<OneStepExternalT<T>> onestep_;  ///< depth-0 leaf kernels
   std::size_t ws_elems_ = 0;
   std::optional<WorkspaceArena::Frame> frame_;
   T* base_ = nullptr;

@@ -163,9 +163,8 @@ DecomposeJob::DecomposeJob(DecomposeSpec spec) : spec_(std::move(spec)) {
   // Header probe: extents without payload traffic (IoError when the file
   // is missing or not a dmtk tensor).
   dims_ = io::tensor_extents(s.tensor);
-  const auto order = static_cast<index_t>(dims_.size());
-  if (order < 2) reject("tensor", "needs at least 2 modes");
-  scheme_ = resolve_sweep_scheme(s.sweep, order, s.method);
+  if (dims_.size() < 2) reject("tensor", "needs at least 2 modes");
+  scheme_ = resolve_sweep_scheme(s.sweep, s.method);
   if (s.method != MttkrpMethod::Auto && scheme_ == SweepScheme::DimTree) {
     reject("method", "selects per-mode kernels; the dimtree sweep has its "
                      "own");

@@ -34,10 +34,11 @@ PlanCacheStats& PlanCacheStats::operator+=(const PlanCacheStats& o) {
 
 std::size_t PlanCache::estimate_bytes(const PlanKey& key,
                                       std::size_t workspace_bytes) {
-  // Workspace reservation (DimTree intermediates / sparse scratch; zero
-  // for PerMode whose per-mode plans size their own frames) plus the
-  // factor-shaped working set the plan's sweeps traffic (one MTTKRP
-  // output and one factor per mode), plus fixed structural overhead.
+  // Workspace reservation (the DimTree peak, leaf kernels included /
+  // sparse scratch; zero for PerMode whose per-mode plans size their own
+  // frames) plus the factor-shaped working set the plan's sweeps traffic
+  // (one MTTKRP output and one factor per mode), plus fixed structural
+  // overhead.
   const std::size_t scalar = key.f32 ? sizeof(float) : sizeof(double);
   std::size_t factor_elems = 0;
   for (const index_t d : key.dims) {

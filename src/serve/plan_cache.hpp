@@ -48,10 +48,9 @@
 namespace dmtk::serve {
 
 /// Everything that determines a dense sweep plan's construction. `scheme`
-/// must be RESOLVED (never Auto): the resolver depends on the order, so
-/// keying on the request's literal scheme would alias a 3-way "auto"
-/// (PerMode) with a 3-way "permode" under one key while splitting
-/// identical plans under another.
+/// must be RESOLVED (never Auto): keying on the request's literal scheme
+/// would split identical plans under two keys ("auto" and "dimtree" build
+/// the same tree, as do "auto" with a named method and "permode").
 struct PlanKey {
   std::vector<index_t> dims;
   index_t rank = 0;

@@ -54,8 +54,8 @@ class DecomposeJobTest : public ::testing::Test {
   }
 
   std::string dir_;
-  std::string cube_;  ///< 3-way dense: Auto resolves to PerMode
-  std::string four_;  ///< 4-way dense: Auto resolves to DimTree
+  std::string cube_;  ///< 3-way dense: Auto resolves to DimTree
+  std::string four_;  ///< 4-way dense: Auto resolves to DimTree too
   std::string tns_;   ///< sparse
 };
 
@@ -137,8 +137,6 @@ TEST_F(DecomposeJobTest, EveryRuleRejectsByFieldName) {
          s.sweep = SweepScheme::PerMode;
          s.levels = 1;
        }},
-      {"levels on a 3-way auto (resolves to permode)", "levels",
-       [](DecomposeSpec& s) { s.levels = 2; }},
       {"levels with a method on a 4-way auto (resolves to permode)",
        "levels",
        [this](DecomposeSpec& s) {
@@ -187,6 +185,7 @@ TEST_F(DecomposeJobTest, SpellingOutADefaultIsNeverAnError) {
         s.tensor = four_;
         s.levels = 1;  // Auto resolves to DimTree here
       },
+      [](DecomposeSpec& s) { s.levels = 2; },  // and on the 3-way cube
       [](DecomposeSpec& s) {
         s.f32 = true;
         s.method = MttkrpMethod::Acc64;
@@ -205,7 +204,7 @@ TEST_F(DecomposeJobTest, ResolvesTheSchemeAtConstruction) {
   spec.tensor = cube_;
   const DecomposeJob cube(spec);
   EXPECT_FALSE(cube.sparse());
-  EXPECT_EQ(cube.scheme(), SweepScheme::PerMode);
+  EXPECT_EQ(cube.scheme(), SweepScheme::DimTree);
   EXPECT_EQ(cube.dims(), (std::vector<index_t>{6, 5, 4}));
 
   spec.tensor = four_;
@@ -257,7 +256,7 @@ TEST_F(DecomposeJobTest, RunMatchesTheDriverAndThePlanPath) {
   }
   EXPECT_EQ(out.fit, direct.final_fit);
   EXPECT_EQ(out.iterations, 4);
-  EXPECT_EQ(out.scheme, SweepScheme::PerMode);
+  EXPECT_EQ(out.scheme, SweepScheme::DimTree);
 
   // The caller-owned plan path (the server's plan cache) writes the same
   // model file byte for byte.

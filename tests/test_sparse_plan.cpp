@@ -471,7 +471,7 @@ TEST(SparseCpAlsPlan, CsfMatchesCooIteratesAndDenseCpAls) {
   coo.sweep_scheme = SweepScheme::SparseCoo;
   const CpAlsResult csf_r = sparse::cp_als(S, csf);
   const CpAlsResult coo_r = sparse::cp_als(S, coo);
-  const CpAlsResult dense_r = cp_als(X, opts);  // Auto -> PerMode at N=3
+  const CpAlsResult dense_r = cp_als(X, opts);  // Auto -> DimTree
   ASSERT_EQ(csf_r.iterations, coo_r.iterations);
   EXPECT_NEAR(csf_r.final_fit, coo_r.final_fit, 1e-9);
   EXPECT_NEAR(csf_r.final_fit, dense_r.final_fit, 1e-9);

@@ -5,7 +5,8 @@
 // protocol, the zero-allocation contract (arena instrumentation +
 // blas::gemm_internal_allocs) over full dimension-tree sweeps, and the
 // DimTree driver end to end (recovery, convergence, thread invariance,
-// warm start, full-tensor passes vs PerMode, bad rank).
+// warm start, full-tensor passes vs PerMode, bad rank), and the depth-0
+// leaves' one-kernel and arena-peak guarantees.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include "core/cp_nn.hpp"
 #include "core/mttkrp.hpp"
 #include "exec/exec_context.hpp"
+#include "exec/mttkrp_plan.hpp"
 #include "exec/sweep_plan.hpp"
 #include "test_helpers.hpp"
 
@@ -124,48 +126,50 @@ TEST(SweepPlanDimTree, LevelsMetadata) {
   CpAlsSweepPlan permode(ctx, dims, 2, SweepScheme::PerMode);
   EXPECT_EQ(permode.levels(), 0);
   EXPECT_EQ(permode.scheme(), SweepScheme::PerMode);
-  // Auto heuristic: DimTree for N >= 4, PerMode below.
+  // Auto runs the tree at every dense order.
   CpAlsSweepPlan auto6(ctx, dims, 2, SweepScheme::Auto);
   EXPECT_EQ(auto6.requested_scheme(), SweepScheme::Auto);
   EXPECT_EQ(auto6.scheme(), SweepScheme::DimTree);
   CpAlsSweepPlan auto3(ctx, {std::vector<index_t>{4, 5, 6}}, 2,
                        SweepScheme::Auto);
-  EXPECT_EQ(auto3.scheme(), SweepScheme::PerMode);
-  // An explicit per-mode kernel pins PerMode under Auto even at N >= 4 —
-  // the tree would silently discard the requested method otherwise.
+  EXPECT_EQ(auto3.scheme(), SweepScheme::DimTree);
+  EXPECT_EQ(auto3.levels(), 2);  // {0} | {1, 2}, then {1} | {2}
+  // An explicit per-mode kernel pins PerMode under Auto — the tree would
+  // silently discard the requested method otherwise.
   CpAlsSweepPlan pinned(ctx, dims, 2, SweepScheme::Auto,
                         MttkrpMethod::TwoStep);
   EXPECT_EQ(pinned.scheme(), SweepScheme::PerMode);
 }
 
-TEST(SweepSchemeAuto, HeuristicPicksDimTreeForHighOrderDenseOnly) {
-  // The resolution rule itself: PerMode through order 3, DimTree from 4 —
-  // and never a sparse scheme for dense input (sparse resolution happens
-  // in the sparse plan constructor, not here).
-  EXPECT_EQ(resolve_sweep_scheme(SweepScheme::Auto, 2), SweepScheme::PerMode);
-  EXPECT_EQ(resolve_sweep_scheme(SweepScheme::Auto, 3), SweepScheme::PerMode);
-  EXPECT_EQ(resolve_sweep_scheme(SweepScheme::Auto, 4), SweepScheme::DimTree);
-  EXPECT_EQ(resolve_sweep_scheme(SweepScheme::Auto, 6), SweepScheme::DimTree);
-  // An explicit per-mode kernel pins PerMode under Auto at any order.
-  EXPECT_EQ(
-      resolve_sweep_scheme(SweepScheme::Auto, 5, MttkrpMethod::TwoStep),
-      SweepScheme::PerMode);
-  EXPECT_EQ(resolve_sweep_scheme(SweepScheme::DimTree, 5,
-                                 MttkrpMethod::TwoStep),
+TEST(SweepSchemeAuto, PicksDimTreeForEveryDenseOrder) {
+  // The resolution rule itself: the tree unless a per-mode kernel is
+  // named — and never a sparse scheme for dense input (sparse resolution
+  // happens in the sparse plan constructor, not here).
+  EXPECT_EQ(resolve_sweep_scheme(SweepScheme::Auto), SweepScheme::DimTree);
+  // An explicit per-mode kernel pins PerMode under Auto, acc64 included.
+  for (MttkrpMethod m : {MttkrpMethod::TwoStep, MttkrpMethod::OneStep,
+                         MttkrpMethod::Acc64}) {
+    EXPECT_EQ(resolve_sweep_scheme(SweepScheme::Auto, m),
+              SweepScheme::PerMode);
+  }
+  EXPECT_EQ(resolve_sweep_scheme(SweepScheme::DimTree, MttkrpMethod::TwoStep),
             SweepScheme::DimTree);  // explicit scheme still wins
   // The sparse resolver: Auto -> CSF, explicit schemes pass through.
   EXPECT_EQ(resolve_sparse_sweep_scheme(SweepScheme::Auto),
             SweepScheme::SparseCsf);
   EXPECT_EQ(resolve_sparse_sweep_scheme(SweepScheme::SparseCoo),
             SweepScheme::SparseCoo);
-  // Explicit requests pass through untouched at any order.
-  for (index_t order : {index_t{2}, index_t{5}}) {
-    EXPECT_EQ(resolve_sweep_scheme(SweepScheme::PerMode, order),
-              SweepScheme::PerMode);
-    EXPECT_EQ(resolve_sweep_scheme(SweepScheme::DimTree, order),
-              SweepScheme::DimTree);
-    EXPECT_EQ(resolve_sweep_scheme(SweepScheme::SparseCsf, order),
-              SweepScheme::SparseCsf);
+  // Explicit requests pass through untouched.
+  for (SweepScheme s : {SweepScheme::PerMode, SweepScheme::DimTree,
+                        SweepScheme::SparseCsf}) {
+    EXPECT_EQ(resolve_sweep_scheme(s), s);
+  }
+  // Every dense order plans a tree under Auto, from N = 2.
+  ExecContext ctx(1);
+  for (const std::vector<index_t>& dims :
+       {std::vector<index_t>{5, 4}, std::vector<index_t>{5, 4, 6},
+        std::vector<index_t>{3, 4, 2, 5}}) {
+    EXPECT_EQ(CpAlsSweepPlan(ctx, dims, 2).scheme(), SweepScheme::DimTree);
   }
 }
 
@@ -361,29 +365,126 @@ TEST(DimTreeDriver, WarmStartSupported) {
 TEST(DimTreeDriver, FewerFullTensorPassesPerSweep) {
   // The tree's saving is a count, not a timing: a depth-0 node contracts
   // the full tensor, so over S sweeps the tree pays 2·S full passes where
-  // PerMode pays N·S (one per mode plan). PerMode is pinned: Auto resolves
-  // to DimTree on this 4-way tensor.
-  Rng rng(46);
-  const std::vector<index_t> dims{40, 40, 40, 10};
-  Tensor X = Tensor::random_uniform(dims, rng);
-  const std::vector<Matrix> fs = random_factors(dims, 8, rng);
-  const index_t N = X.order();
+  // PerMode pays N·S (one per mode plan). Checked on a 4-way tensor and on
+  // a 3-way one, whose tree is {0} | {1, 2}: its mode-0 leaf is one of the
+  // two passes. Auto resolves to the tree on both; PerMode is pinned.
   constexpr int kSweeps = 3;
   ExecContext ctx(2);
-  for (SweepScheme scheme : {SweepScheme::DimTree, SweepScheme::PerMode}) {
-    CpAlsSweepPlan plan(ctx, X.dims(), 8, scheme);
+  for (const std::vector<index_t>& dims :
+       {std::vector<index_t>{40, 40, 40, 10},
+        std::vector<index_t>{30, 30, 30}}) {
+    Rng rng(46);
+    Tensor X = Tensor::random_uniform(dims, rng);
+    const std::vector<Matrix> fs = random_factors(dims, 8, rng);
+    const index_t N = X.order();
+    for (SweepScheme scheme : {SweepScheme::Auto, SweepScheme::PerMode}) {
+      CpAlsSweepPlan plan(ctx, X.dims(), 8, scheme);
+      Matrix M;
+      for (int s = 0; s < kSweeps; ++s) {
+        plan.begin_sweep(X);
+        for (index_t n = 0; n < N; ++n) plan.mode_mttkrp(n, X, fs, M);
+      }
+      std::int64_t full_passes = 0;
+      for (const SweepNode& nd : plan.nodes()) {
+        if (nd.depth == 0) full_passes += nd.evals;
+      }
+      SCOPED_TRACE(std::string(to_string(plan.scheme())) + " N=" +
+                   std::to_string(N));
+      EXPECT_EQ(full_passes,
+                (plan.scheme() == SweepScheme::DimTree ? 2 : N) * kSweeps);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// One kernel: a depth-0 leaf (mode 0 or N-1 as a child of the root) runs
+// the external-mode 1-step kernel of MttkrpPlan, so its output is the
+// per-mode plan's to the bit, under real thread teams.
+// ---------------------------------------------------------------------------
+
+TEST(SweepPlanDimTree, TwoWayTreeIsBitwisePerMode) {
+  // Both leaves of a 2-way tree sit at depth 0.
+  const std::vector<index_t> dims{157, 93};
+  Rng rng(60);
+  Tensor X = Tensor::random_uniform(dims, rng);
+  const std::vector<Matrix> fs = random_factors(dims, 7, rng);
+  for (int threads : {1, 4}) {
+    ExecContext ctx(threads);
+    CpAlsSweepPlan tree(ctx, dims, 7);
+    CpAlsSweepPlan permode(ctx, dims, 7, SweepScheme::PerMode);
+    ASSERT_EQ(tree.scheme(), SweepScheme::DimTree);
+    // One sweep at a time: the tree holds its arena frame until its last
+    // mode is served.
+    std::array<Matrix, 2> Mt;
+    std::array<Matrix, 2> Mp;
+    tree.begin_sweep(X);
+    for (index_t n = 0; n < 2; ++n) {
+      tree.mode_mttkrp(n, X, fs, Mt[static_cast<std::size_t>(n)]);
+    }
+    permode.begin_sweep(X);
+    for (index_t n = 0; n < 2; ++n) {
+      permode.mode_mttkrp(n, X, fs, Mp[static_cast<std::size_t>(n)]);
+    }
+    for (std::size_t n = 0; n < 2; ++n) {
+      EXPECT_EQ(Mt[n].max_abs_diff(Mp[n]), 0.0)
+          << "mode " << n << " threads " << threads;
+    }
+  }
+}
+
+TEST(SweepPlanDimTree, ThreeWayModeZeroIsBitwiseMttkrpPlan) {
+  // The 3-way tree is {0} | {1, 2}: mode 0 is its depth-0 leaf.
+  const std::vector<index_t> dims{37, 29, 31};
+  Rng rng(61);
+  Tensor X = Tensor::random_uniform(dims, rng);
+  const std::vector<Matrix> fs = random_factors(dims, 6, rng);
+  for (int threads : {1, 4}) {
+    ExecContext ctx(threads);
+    CpAlsSweepPlan tree(ctx, dims, 6);
+    MttkrpPlan mode0(ctx, dims, 6, 0);
+    Matrix Mt;
     Matrix M;
-    for (int s = 0; s < kSweeps; ++s) {
-      plan.begin_sweep(X);
-      for (index_t n = 0; n < N; ++n) plan.mode_mttkrp(n, X, fs, M);
+    tree.begin_sweep(X);
+    tree.mode_mttkrp(0, X, fs, Mt);
+    // Finish the sweep (it closes the tree's arena frame) before the plan
+    // draws from the same arena.
+    for (index_t n = 1; n < 3; ++n) tree.mode_mttkrp(n, X, fs, M);
+    Matrix Mp;
+    mode0.execute(X, fs, Mp);
+    EXPECT_EQ(Mt.max_abs_diff(Mp), 0.0) << "threads " << threads;
+  }
+}
+
+TEST(SweepPlanDimTree, ThreeWayPeakIsTheLargestPerModePlan) {
+  // Liveness layout: the mode-0 leaf's 1-step workspace overlaps the
+  // {1, 2} intermediate, so the tree's arena peak is about the largest
+  // per-mode plan's, not their sum. workspace_bytes() is the true peak
+  // (leaf kernel included), and a sweep draws no more than it.
+  const index_t I = 48;
+  const index_t C = 12;
+  const std::vector<index_t> dims{I, I, I};
+  Rng rng(62);
+  Tensor X = Tensor::random_uniform(dims, rng);
+  const std::vector<Matrix> fs = random_factors(dims, C, rng);
+  for (int threads : {1, 4}) {
+    ExecContext ctx(threads);
+    std::size_t per_mode_max = 0;
+    for (index_t n = 0; n < 3; ++n) {
+      per_mode_max = std::max(per_mode_max,
+                              MttkrpPlan(ctx, dims, C, n).workspace_bytes());
     }
-    std::int64_t full_passes = 0;
-    for (const SweepNode& nd : plan.nodes()) {
-      if (nd.depth == 0) full_passes += nd.evals;
-    }
-    SCOPED_TRACE(std::string(to_string(scheme)));
-    EXPECT_EQ(full_passes,
-              (scheme == SweepScheme::DimTree ? 2 : N) * kSweeps);
+    CpAlsSweepPlan tree(ctx, dims, C);
+    ASSERT_EQ(tree.scheme(), SweepScheme::DimTree);
+    Matrix M;
+    tree.begin_sweep(X);
+    for (index_t n = 0; n < 3; ++n) tree.mode_mttkrp(n, X, fs, M);
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const double bound = 1.05 * static_cast<double>(per_mode_max);
+    EXPECT_LE(static_cast<double>(tree.workspace_bytes()), bound);
+    // The per-mode plans never executed on this context, so the high
+    // water is the sweep's alone; it is exactly the planned peak.
+    EXPECT_LE(static_cast<double>(ctx.arena().high_water()), bound);
+    EXPECT_EQ(ctx.arena().high_water(), tree.workspace_bytes());
   }
 }
 

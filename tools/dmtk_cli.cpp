@@ -79,9 +79,10 @@ using namespace dmtk;
       "             interrupted run from it, bit-identical to uninterrupted)\n"
       "            (--sweep dimtree shares partial MTTKRPs across modes;\n"
       "             --levels caps the tree depth, 0 = full tree; auto picks\n"
-      "             dimtree for 4-way-and-up tensors; --precision float\n"
-      "             runs the whole ALS pipeline in fp32 — half the memory\n"
-      "             bandwidth, fit accurate to ~1e-4; --method acc64 (with\n"
+      "             dimtree unless --method names a kernel, which pins\n"
+      "             permode; --precision float runs the whole ALS\n"
+      "             pipeline in fp32 — half the memory bandwidth, fit\n"
+      "             accurate to ~1e-4; --method acc64 (with\n"
       "             --precision float, per-mode sweep) keeps fp32 storage\n"
       "             but sums every MTTKRP entry in fp64, recovering the\n"
       "             fp64 fit floor at fp32 storage cost — slower per sweep:\n"

@@ -64,6 +64,7 @@ import tempfile
 HOT_FILES = (
     "src/core/mttkrp.cpp",
     "src/exec/mttkrp_plan.cpp",
+    "src/exec/onestep_external.cpp",
     "src/exec/sweep_plan.cpp",
     "src/exec/sparse_mttkrp_plan.cpp",
     "src/blas/gemm.cpp",
