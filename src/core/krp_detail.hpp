@@ -123,7 +123,7 @@ inline void pack_factor_transposed(const MatrixT<T>& F, index_t C, T* P) {
 /// smaller-than-planned OpenMP team (nested parallelism, thread limits)
 /// still produces every block with its planned scratch slot: block b uses
 /// P_base + b * p_stride partial-Hadamard elements and dg_base +
-/// b * dg_stride digits. Shared by MttkrpPlan and CpAlsSweepPlan.
+/// b * dg_stride digits. Shared by MttkrpPlan and DimTreeT.
 template <typename T>
 inline void krp_transposed_blocks(std::span<const T* const> packed,
                                   std::span<const index_t> extents, index_t C,

@@ -21,9 +21,13 @@
 ///               with the left or right partial KRP, whichever minimizes
 ///               second-step work) followed by a multi-TTV. Parallelism
 ///               lives inside the BLAS calls.
-///  - Auto:      the paper's CP-ALS policy — 1-step for external modes
-///               (where 2-step degenerates to it anyway) and 2-step for
-///               internal modes.
+///  - Auto:      the mode's root-to-leaf path through the dense
+///               dimension tree (exec/dim_tree.hpp): the 1-step kernel
+///               alone when the tree holds the mode alone under its root
+///               (mode 0 or N-1), else one full-tensor GEMM of X in place
+///               at the balanced split — the 2-step's partial MTTKRP on
+///               the multi-mode matricization — plus small batched
+///               contractions. Bitwise what a DimTree sweep serves.
 ///  - Acc64:     full KRP, then a direct row-owned inner product with one
 ///               fp64 accumulator per output row, rounded once on the
 ///               store: fp32 storage with fp64 sums (the dense analogue of

@@ -9,8 +9,9 @@
 ///                           partitions, and workspace precomputed once per
 ///                           (shape, rank, mode, method); execute() then
 ///                           runs allocation-free across ALS sweeps
-///   dmtk::MttkrpMethod      a plan's kernel: Auto (the paper's 1-step/
-///                           2-step policy), the individual algorithms,
+///   dmtk::MttkrpMethod      a plan's kernel: Auto (the mode's root-to-
+///                           leaf path through the dimension tree), the
+///                           individual algorithms,
 ///                           the Reorder baseline, the Reference oracle,
 ///                           and Acc64 (fp32 storage, fp64 sums; the
 ///                           CP-ALS drivers take it via options.method)
@@ -20,6 +21,9 @@
 ///                           level dimension tree sharing partial
 ///                           contractions across modes); nodes() counts
 ///                           each node's contractions
+///   dmtk::DimTreeT          the dense dimension tree itself, planned once:
+///                           a DimTree sweep drives it lazily, an Auto
+///                           MttkrpPlan evaluates one root-to-leaf path
 ///   dmtk::SparseMttkrpPlan  the sparse workload's plan: per-mode CSF
 ///                           trees (or the COO kernel) built once, arena-
 ///                           backed allocation-free execute(); drives
@@ -75,6 +79,7 @@
 #include "core/tensor.hpp"          // IWYU pragma: export
 #include "core/ttv.hpp"             // IWYU pragma: export
 #include "core/tucker.hpp"          // IWYU pragma: export
+#include "exec/dim_tree.hpp"        // IWYU pragma: export
 #include "exec/exec_context.hpp"    // IWYU pragma: export
 #include "exec/mttkrp_plan.hpp"     // IWYU pragma: export
 #include "exec/sparse_mttkrp_plan.hpp"  // IWYU pragma: export

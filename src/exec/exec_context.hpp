@@ -23,7 +23,7 @@
 /// concurrently.
 
 #include <cstddef>
-#include <vector>
+#include <new>
 
 #include "util/aligned_alloc.hpp"
 #include "util/common.hpp"
@@ -73,7 +73,7 @@ namespace dmtk {
 ///
 /// ASan poisoning (DMTK_ASAN builds only; zero cost otherwise): a bump
 /// arena hides buffer-overflow bugs from AddressSanitizer — every byte of
-/// the backing vector is "valid" heap memory, so an overrun of one
+/// the backing block is "valid" heap memory, so an overrun of one
 /// carve-out into the next, or a read past the frame top, is invisible.
 /// The arena therefore maintains the shadow state itself: bytes between
 /// top_ and capacity are poisoned, Frame::alloc unpoisons exactly the
@@ -104,23 +104,27 @@ class WorkspaceArena {
     return (elems + kLine - 1) / kLine * kLine;
   }
 
-  /// Grow capacity to at least `bytes` (never shrinks). Invalidates
-  /// outstanding frame pointers, so call only while no frame is open —
-  /// plans do this once, at construction.
+  /// Grow capacity to at least `bytes` (never shrinks). Growth moves the
+  /// storage, so it is refused while a frame is open — plans reserve once,
+  /// at construction.
   void reserve_bytes(std::size_t bytes) {
-    if (bytes > buf_.size()) {
-      // Fault site `arena.alloc`: the deterministic stand-in for
-      // std::bad_alloc on workspace growth — how the serve plan cache's
-      // degrade-to-bypass path is exercised (see util/fault.hpp).
-      DMTK_FAULT_POINT("arena.alloc");
-      // The resize copies the old block into the new one and frees it —
-      // both require the old bytes addressable, so lift the poison first
-      // and re-poison everything past the live allocations afterwards.
-      unpoison_shadow(0, buf_.size());
-      buf_.resize(bytes);
-      ++grow_count_;
-      poison_shadow(top_, buf_.size());
-    }
+    if (bytes <= capacity_) return;
+    DMTK_CHECK(top_ == 0,
+               "WorkspaceArena: growth would move the storage under an "
+               "open frame");
+    // Fault site `arena.alloc`: the deterministic stand-in for
+    // std::bad_alloc on workspace growth — how the serve plan cache's
+    // degrade-to-bypass path is exercised (see util/fault.hpp).
+    DMTK_FAULT_POINT("arena.alloc");
+    // No frame is open, so nothing in the old block is live: take a fresh
+    // uninitialised block (no copy, no zero-fill) and free the old one.
+    auto* fresh = static_cast<std::byte*>(
+        ::operator new(bytes, std::align_val_t{kAlignBytes}));
+    release();
+    buf_ = fresh;
+    capacity_ = bytes;
+    ++grow_count_;
+    poison_shadow(0, capacity_);
   }
 
   /// Typed reserve: capacity for `elems` elements of T.
@@ -130,7 +134,7 @@ class WorkspaceArena {
   }
 
   /// Capacity / usage in bytes.
-  [[nodiscard]] std::size_t capacity() const { return buf_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] std::size_t in_use() const { return top_; }
   /// Number of heap (re)allocations the arena has performed.
   [[nodiscard]] std::size_t grow_count() const { return grow_count_; }
@@ -165,9 +169,9 @@ class WorkspaceArena {
     [[nodiscard]] T* alloc(std::size_t elems) {
       const std::size_t payload = elems * sizeof(T);
       const std::size_t need = aligned_bytes(payload);
-      DMTK_CHECK(arena_.top_ + need <= arena_.buf_.size(),
+      DMTK_CHECK(arena_.top_ + need <= arena_.capacity_,
                  "WorkspaceArena: frame exceeds reserved capacity");
-      std::byte* p = arena_.buf_.data() + arena_.top_;
+      std::byte* p = arena_.buf_ + arena_.top_;
       // Unpoison exactly the payload; the line round-up tail stays
       // poisoned and is this block's redzone against the next carve-out.
       // (p is line-aligned, hence ASan-granule-aligned, by construction.)
@@ -183,21 +187,27 @@ class WorkspaceArena {
   };
 
   WorkspaceArena() = default;
-  ~WorkspaceArena() {
-    // The allocator is about to free the block; hand it back clean (ASan
-    // dislikes manually-poisoned bytes reaching the deallocator).
-    unpoison_shadow(0, buf_.size());
-  }
+  ~WorkspaceArena() { release(); }
   WorkspaceArena(const WorkspaceArena&) = delete;
   WorkspaceArena& operator=(const WorkspaceArena&) = delete;
 
  private:
+  /// Free the block. Hand it back clean first: ASan dislikes
+  /// manually-poisoned bytes reaching the deallocator.
+  void release() {
+    if (buf_ == nullptr) return;
+    unpoison_shadow(0, capacity_);
+    ::operator delete(buf_, std::align_val_t{kAlignBytes});
+    buf_ = nullptr;
+    capacity_ = 0;
+  }
+
   /// Shadow-memory helpers: no-ops outside DMTK_ASAN builds. `begin`/
   /// `end` are byte offsets into buf_.
   void poison_shadow(std::size_t begin, std::size_t end) const {
 #if DMTK_ASAN
     if (end > begin)
-      __asan_poison_memory_region(buf_.data() + begin, end - begin);
+      __asan_poison_memory_region(buf_ + begin, end - begin);
 #else
     (void)begin;
     (void)end;
@@ -206,14 +216,15 @@ class WorkspaceArena {
   void unpoison_shadow(std::size_t begin, std::size_t end) const {
 #if DMTK_ASAN
     if (end > begin)
-      __asan_unpoison_memory_region(buf_.data() + begin, end - begin);
+      __asan_unpoison_memory_region(buf_ + begin, end - begin);
 #else
     (void)begin;
     (void)end;
 #endif
   }
 
-  std::vector<std::byte, AlignedAllocator<std::byte>> buf_;
+  std::byte* buf_ = nullptr;  ///< line-aligned, from ::operator new
+  std::size_t capacity_ = 0;
   std::size_t top_ = 0;
   std::size_t grow_count_ = 0;
   std::size_t high_water_ = 0;

@@ -56,12 +56,20 @@ MttkrpPlanT<T>::MttkrpPlanT(const ExecContext& ctx,
   cosize_ = ILn_ * IRn_;
   nt_ = ctx.threads();
 
-  resolved_ = requested_;
-  if (resolved_ == MttkrpMethod::Auto) {
-    // The paper's CP-ALS policy: 1-step for external modes, 2-step inside.
-    resolved_ = twostep_is_defined(N, mode) ? MttkrpMethod::TwoStep
-                                            : MttkrpMethod::OneStep;
+  if (requested_ == MttkrpMethod::Auto) {
+    // The dimension tree's root-to-leaf path for this mode: one
+    // full-tensor GEMM at the balanced split plus the small contractions
+    // below it, or the 1-step kernel alone when the mode is a child of the
+    // root. Reported as the method it amounts to.
+    tree_.emplace(ctx, dims_, rank_);
+    resolved_ = tree_->root_leaf(mode) ? MttkrpMethod::OneStep
+                                       : MttkrpMethod::TwoStep;
+    twostep_left_ = tree_->contracts_left(mode);
+    ws_elems_ = tree_->workspace_elems();
+    ctx.arena().template reserve<T>(ws_elems_);
+    return;
   }
+  resolved_ = requested_;
   // Alg. 4's side decision: left partial first iff the left co-space is
   // larger.
   twostep_left_ = ILn_ > IRn_;
@@ -223,7 +231,7 @@ void MttkrpPlanT<T>::plan_workspace() {
       off_thread_acc_ = take(snt * stride_thread_acc_);
       break;
     case MttkrpMethod::Auto:
-      break;  // unreachable: resolved at construction
+      break;  // unreachable: Auto plans run the tree
   }
   if (p_elems > 0) {
     stride_thread_p_ = WorkspaceArena::aligned_count<T>(p_elems);
@@ -303,6 +311,11 @@ void MttkrpPlanT<T>::execute(const TensorT<T>& X,
   WorkspaceArena::Frame frame(ctx_->arena());
   T* base = ws_elems_ > 0 ? frame.template alloc<T>(ws_elems_) : nullptr;
 
+  if (tree_) {
+    tree_->begin(base);
+    tree_->mttkrp(mode_, X, factors, M);
+    return;
+  }
   switch (resolved_) {
     case MttkrpMethod::Reference:
       exec_reference(X, factors, M);
@@ -327,7 +340,7 @@ void MttkrpPlanT<T>::execute(const TensorT<T>& X,
       exec_acc64(X, factors, M, base);
       break;
     case MttkrpMethod::Auto:
-      break;  // unreachable
+      break;  // unreachable: Auto plans run the tree
   }
 }
 

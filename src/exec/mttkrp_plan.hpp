@@ -5,9 +5,8 @@
 /// A plan is built once per (tensor shape, rank, mode, method) against an
 /// ExecContext and then executed once per ALS sweep. Construction does all
 /// the work that does not depend on tensor/factor VALUES:
-///   - method dispatch (Auto resolves to the paper's policy: 1-step for
-///     external modes, 2-step for internal ones) and the 2-step side
-///     selection (left vs right partial MTTKRP, Alg. 4's heuristic);
+///   - method dispatch and the 2-step side selection (left vs right
+///     partial MTTKRP, Alg. 4's heuristic);
 ///   - the thread partition geometry (per-thread KRP row blocks, the
 ///     I_Rn natural-block split of internal modes);
 ///   - the complete workspace layout: full/partial transposed-KRP buffers,
@@ -17,8 +16,8 @@
 ///
 /// execute() then draws every large buffer from the arena frame opened for
 /// the call; the small index scratch lives in the plan itself. The
-/// paper's methods (OneStepSeq/OneStep/TwoStep/Auto) and the fp64-
-/// accumulate Acc64 kernel run fully heap-free after construction —
+/// paper's methods (OneStepSeq/OneStep/TwoStep), the Auto tree path and
+/// the fp64-accumulate Acc64 kernel run fully heap-free after construction —
 /// INCLUDING the BLAS layer: every gemm/gemm_batched call receives a
 /// GemmWorkspace carved from the same arena frame, so the packing panels
 /// of the blocked kernel never touch the heap either (the arena
@@ -26,6 +25,17 @@
 /// tests). The Reorder baseline and the Reference oracle keep their
 /// O(tensor) buffers in the arena too but may use transient O(N) index
 /// scratch inside matricize_into.
+///
+/// Auto runs the mode's root-to-leaf path through the dense dimension
+/// tree of exec/dim_tree.hpp, the same tree a DimTree sweep drives: every
+/// node on the path is evaluated on each execute(), with no reuse across
+/// calls. A mode the tree holds alone under the root (a depth-0 leaf,
+/// always mode 0 or N-1) is the external-mode 1-step kernel alone; any
+/// other mode is one full-tensor GEMM of X in place at the balanced split
+/// (the 2-step's partial MTTKRP, but against the multi-mode matricization)
+/// followed by small batched contractions. So an Auto plan gives the same
+/// bits as a DimTree sweep's mode_mttkrp on unchanged factors, and needs
+/// no per-thread KRP of the full co-space.
 ///
 /// External-mode 1-step (modes 0 and N-1) runs the kernel of
 /// exec/onestep_external.hpp, which the dimension tree's depth-0 leaves
@@ -56,6 +66,7 @@
 #include "core/matrix.hpp"
 #include "core/mttkrp.hpp"
 #include "core/tensor.hpp"
+#include "exec/dim_tree.hpp"
 #include "exec/exec_context.hpp"
 #include "exec/onestep_external.hpp"
 
@@ -86,11 +97,14 @@ class MttkrpPlanT {
   [[nodiscard]] int threads() const { return nt_; }
   /// The method the caller asked for (possibly Auto).
   [[nodiscard]] MttkrpMethod requested_method() const { return requested_; }
-  /// What execute() will actually run (never Auto).
+  /// What execute() will actually run (never Auto). An Auto plan reports
+  /// OneStep when the mode is a depth-0 leaf of the tree (the shared
+  /// kernel, bitwise the named OneStep plan) and TwoStep otherwise.
   [[nodiscard]] MttkrpMethod resolved_method() const { return resolved_; }
-  /// 2-step side decision (Alg. 4): true = left partial MTTKRP first,
-  /// iff I_Ln > I_Rn. Meaningful only when resolved_method() == TwoStep
-  /// on an internal mode.
+  /// 2-step side decision: true = the left group is contracted first. For
+  /// TwoStep, Alg. 4's rule, iff I_Ln > I_Rn (meaningful on an internal
+  /// mode); for Auto, whether the tree's full-tensor GEMM contracts the
+  /// left group (the mode lies in the root's right group).
   [[nodiscard]] bool uses_left() const { return twostep_left_; }
   /// Arena bytes one execute() draws (already reserved in the context).
   [[nodiscard]] std::size_t workspace_bytes() const {
@@ -184,6 +198,8 @@ class MttkrpPlanT {
 
   // OneStep on an external mode runs the shared Alg. 3 kernel.
   std::optional<OneStepExternalT<T>> external_;
+  // Auto runs the mode's path through the dimension tree.
+  std::optional<DimTreeT<T>> tree_;
 
   // Small preallocated scratch so execute() itself never allocates.
   FactorListT<T> fl_full_;

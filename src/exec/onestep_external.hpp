@@ -13,9 +13,9 @@
 /// OpenMP threads actually showed up, only on the planned block count.
 ///
 /// Two callers run this one kernel: MttkrpPlanT (its OneStep method on an
-/// external mode) and CpAlsSweepPlanT (a dimension-tree leaf at depth 0,
-/// which is always mode 0 or N-1 — exactly this MTTKRP). Sharing it is what
-/// makes the tree's depth-0 leaves bitwise equal to the per-mode plan.
+/// external mode) and DimTreeT (a dimension-tree leaf at depth 0, which is
+/// always mode 0 or N-1 — exactly this MTTKRP). Sharing it is what makes
+/// the tree's depth-0 leaves bitwise equal to the named OneStep plan.
 
 #include <cstddef>
 #include <span>

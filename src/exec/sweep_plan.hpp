@@ -14,38 +14,15 @@
 /// CP-ALS through the exact same sweep loop. The dense schemes:
 ///
 ///  - PerMode: N independent MttkrpPlans (the paper's per-mode kernels,
-///    Algorithms 2-4). Every mode pays one pass over the full tensor.
+///    Algorithms 2-4). Every mode pays one pass over the full tensor. With
+///    no method named, each mode runs the paper's CP-ALS policy: 1-step on
+///    the external modes, 2-step on the internal ones.
 ///
-///  - DimTree: a multi-level binary dimension tree over the modes (the
-///    paper's Section 6 direction, after Phan, Tichavsky & Cichocki). The
-///    root is the tensor itself; its two children are the only FULL-tensor
-///    contractions of the sweep (two big GEMMs against partial KRPs);
-///    every deeper node contracts its parent's arena-resident intermediate
-///    against the KRP of the sibling interval's factors, and each leaf
-///    yields one mode's MTTKRP. Node contractions run as per-component
-///    gemm_batched sweeps (batch = rank, rows split across the team inside
-///    each component when rank < threads), with GemmWorkspaces carved from
-///    the same arena — no scalar TTV chains, no per-call heap traffic.
-///
-/// Laziness gives exactness: a node's intermediate is (re)computed the
-/// first time a leaf below it is requested in the sweep. With the in-order
-/// mode discipline (enforced), the factors it contracts are exactly the
-/// versions exact ALS requires — already-updated for modes left of the
-/// node's interval, not-yet-updated for modes right of it.
-///
-/// A depth-0 leaf — a root child holding one mode, which is always mode 0
-/// or N-1 — is exactly that mode's external MTTKRP, so it runs the paper's
-/// parallel 1-step kernel (exec/onestep_external.hpp) that MttkrpPlan runs
-/// for the same mode, and gives the same bits.
-///
-/// Cost: the root split is chosen to balance the two group sizes, so the
-/// tree touches all I tensor entries twice per sweep instead of N times.
-/// Memory is laid out by liveness: when a node at depth d evaluates, only
-/// its ancestors' intermediates (one slot per depth above d) are live, so
-/// its scratch overlaps every deeper slot, and a leaf's scratch overlaps
-/// slot d too. A 3-way tree's peak is therefore about the largest per-mode
-/// plan's, not its intermediate plus its KRP scratch. README, "Sweep
-/// schemes", has the measured sweep times against PerMode.
+///  - DimTree: the dense dimension tree of exec/dim_tree.hpp, driven
+///    lazily under the in-order mode discipline (enforced), which is what
+///    makes its shared intermediates exact ALS. The tree touches all I
+///    tensor entries twice per sweep instead of N times. README, "Sweep
+///    schemes", has the measured sweep times against PerMode.
 ///
 /// Sweep protocol (drivers in core/ follow it through
 /// detail::run_als_sweeps):
@@ -66,20 +43,18 @@
 /// CpAlsSweepPlanF built on a SparseTensorF runs the fp32 CSF/COO kernels
 /// (fp64 accumulators, half the streamed bytes per nonzero).
 
-#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
 
-#include "core/krp.hpp"
 #include "core/matrix.hpp"
 #include "core/mttkrp.hpp"
 #include "core/tensor.hpp"
+#include "exec/dim_tree.hpp"
 #include "exec/exec_context.hpp"
 #include "exec/mttkrp_plan.hpp"
-#include "exec/onestep_external.hpp"
 
 namespace dmtk {
 
@@ -125,24 +100,6 @@ enum class SweepScheme { Auto, PerMode, DimTree, SparseCsf, SparseCoo };
     SweepScheme s) {
   return s == SweepScheme::Auto ? SweepScheme::SparseCsf : s;
 }
-
-/// Balanced binary split of the mode interval [a, b): the s in (a, b) that
-/// minimizes max(prod dims[a, s), prod dims[s, b)) — the paper's rule for
-/// bounding the dimension-tree intermediates, applied recursively here.
-[[nodiscard]] index_t sweep_balanced_split(std::span<const index_t> dims,
-                                           index_t a, index_t b);
-
-/// One node of a sweep plan and how often it has been contracted. PerMode
-/// and sparse plans expose one leaf node per mode; DimTree plans one entry
-/// per tree node (internal nodes are the shared partial contractions), so
-/// the depth-0 evals count the sweep's full-tensor passes.
-struct SweepNode {
-  index_t first = 0;       ///< mode interval [first, last)
-  index_t last = 0;
-  int depth = 0;           ///< 0 = child of the root (the full-tensor passes)
-  bool leaf = false;       ///< true when the node yields a mode's MTTKRP
-  std::int64_t evals = 0;  ///< contractions performed since construction
-};
 
 /// A planned ALS sweep executor. Construction resolves the scheme, builds
 /// the dimension tree (DimTree) or the per-mode MttkrpPlans (PerMode),
@@ -206,13 +163,13 @@ class CpAlsSweepPlanT {
   /// What the plan actually runs (never Auto).
   [[nodiscard]] SweepScheme scheme() const { return scheme_; }
   /// Deepest internal (splitting) level of the tree; 0 for PerMode.
-  [[nodiscard]] int levels() const { return levels_; }
+  [[nodiscard]] int levels() const { return tree_ ? tree_->levels() : 0; }
   /// Arena bytes a DimTree sweep holds at its peak, the depth-0 leaves'
   /// 1-step workspace included (0 for PerMode, whose per-mode plans size
   /// their own frames; the sparse schemes report their SparseMttkrpPlan's
   /// per-execute footprint).
   [[nodiscard]] std::size_t workspace_bytes() const {
-    return sparse_ws_bytes_ > 0 ? sparse_ws_bytes_ : ws_elems_ * sizeof(T);
+    return tree_ ? tree_->workspace_elems() * sizeof(T) : sparse_ws_bytes_;
   }
 
   /// True for the SparseCsf / SparseCoo schemes.
@@ -225,70 +182,15 @@ class CpAlsSweepPlanT {
 
   /// The plan's nodes with their lifetime contraction counts.
   [[nodiscard]] std::span<const SweepNode> nodes() const {
-    return node_counts_;
+    return tree_ ? tree_->nodes() : std::span<const SweepNode>(node_counts_);
   }
 
  private:
-  /// One contracted factor interval [u, v) of a node evaluation, with the
-  /// scratch offsets (relative to the node's scratch base) of its packed
-  /// factor panels and transposed-KRP buffer.
-  struct TrimSpec {
-    index_t u = 0, v = 0;
-    index_t rows = 1;                ///< prod dims[u, v)
-    std::vector<index_t> extents;    ///< J_z per factor, mode u fastest last
-    std::vector<std::size_t> packed_off;
-    std::size_t off_krp = 0;
-    [[nodiscard]] bool empty() const { return u >= v; }
-  };
-
-  /// A non-root tree node: mode interval, parent link, the one or two
-  /// sibling-interval trims that derive it from its parent, and the arena
-  /// offsets of its output intermediate and evaluation scratch.
-  struct Node {
-    index_t a = 0, b = 0;  ///< mode interval [a, b)
-    int depth = 0;         ///< 0 = child of the root
-    int parent = -1;       ///< node id; -1 = the root tensor X
-    index_t out_rows = 1;  ///< prod dims[a, b)
-    bool leaf = false;
-    bool fresh = false;    ///< intermediate computed this sweep
-    TrimSpec left;         ///< contracts [parent.a, a)
-    TrimSpec right;        ///< contracts [b, parent.b)
-    bool left_first = false;  ///< two-trim order: contract larger side first
-    index_t t_rows = 0;       ///< rows of the two-trim mid intermediate
-    std::size_t off_out = 0;  ///< intermediate offset (internal nodes)
-    std::size_t off_t = 0;    ///< two-trim mid intermediate offset (scratch)
-    std::size_t off_p = 0;    ///< per-thread partial-Hadamard scratch
-    std::size_t stride_p = 0;
-    std::size_t off_gws = 0;  ///< GEMM packing workspace
-    std::size_t gws_elems = 0;
-    std::size_t off_scratch = 0;  ///< evaluation scratch base (absolute)
-    std::size_t scratch_elems = 0;
-    int onestep = -1;  ///< depth-0 leaf: index into onestep_
-  };
-
-  int build_tree(index_t a, index_t b, int depth, int parent, int max_levels);
-  void plan_node_layout();
-  void eval_node(int id, const TensorT<T>& X,
-                 std::span<const MatrixT<T>> factors, MatrixT<T>* M);
-  /// Form the transposed KRP (C x trim.rows) of factors [trim.u, trim.v)
-  /// in the node's scratch; returns the buffer.
-  const T* form_trim_krp(const Node& nd, const TrimSpec& trim,
-                         std::span<const MatrixT<T>> factors);
-  /// One-sided batched contraction of `src` (src_rows x C, component-major)
-  /// against the trim's KRP: contract_left=true removes the
-  /// fastest-varying (leading) trim.rows index of each component block,
-  /// else the slowest (trailing) one.
-  void contract_batched(const Node& nd, const T* src, index_t src_rows,
-                        const TrimSpec& trim, const T* krp,
-                        bool contract_left, T* dst, index_t dst_rows);
-
   const ExecContext* ctx_;
   std::vector<index_t> dims_;
   index_t rank_ = 0;
-  int nt_ = 1;
   SweepScheme requested_ = SweepScheme::Auto;
   SweepScheme scheme_ = SweepScheme::PerMode;
-  int levels_ = 0;
 
   /// Shared mode_mttkrp protocol: in-order discipline + factor checks;
   /// resizes M. Returns once the request is valid.
@@ -304,26 +206,15 @@ class CpAlsSweepPlanT {
   std::unique_ptr<SparseMttkrpPlanT<T>> sparse_plan_;
   std::size_t sparse_ws_bytes_ = 0;
 
-  // DimTree state.
-  std::vector<Node> nodes_;
-  std::vector<std::vector<int>> leaf_path_;  ///< per mode: node ids, top down
-  std::vector<OneStepExternalT<T>> onestep_;  ///< depth-0 leaf kernels
-  std::size_t ws_elems_ = 0;
+  // DimTree state: the tree and the arena frame of the current sweep.
+  std::optional<DimTreeT<T>> tree_;
   std::optional<WorkspaceArena::Frame> frame_;
-  T* base_ = nullptr;
-  // Preallocated small scratch so sweeps never allocate.
-  FactorListT<T> fl_;
-  std::vector<const T*> packed_;
-  std::vector<index_t> digits_;
-  std::size_t digits_stride_ = 0;
-  std::vector<const T*> batch_a_;
-  std::vector<const T*> batch_b_;
-  std::vector<T*> batch_c_;
 
   // Sweep protocol state.
   bool sweep_active_ = false;
   index_t next_mode_ = 0;
 
+  // PerMode and sparse node counts (one leaf per mode).
   std::vector<SweepNode> node_counts_;
 };
 

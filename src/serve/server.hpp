@@ -37,9 +37,10 @@
 /// for mttkrp). Same-shape decompose jobs run back to back through ONE
 /// cached plan — construction amortized across the batch, arena already
 /// sized. Same-shape mttkrp jobs run back to back through ONE
-/// MttkrpPlanT built on the worker's context for the batch: the paper's
-/// kernel (1-step for external modes, 2-step for internal ones), which
-/// reads the tensor in place — no matricized copy, no full KRP.
+/// Auto MttkrpPlanT built on the worker's context for the batch: the
+/// mode's root-to-leaf path through the dimension tree, which reads the
+/// tensor in place — no matricized copy, no full KRP — and needs no more
+/// arena than a cached tree decompose of the same shape already reserved.
 /// `batch_window_ms` optionally lingers before extraction so
 /// closely-spaced clients can coalesce.
 ///

@@ -306,7 +306,8 @@ TEST(CpAls, FitEqualsTheFormulaWithAFreshModelNorm) {
       o.sweep_scheme = SweepScheme::PerMode;
       o.exec = &ctx;
       const CpAlsResult r = cp_als(X, o);
-      MttkrpPlan last(ctx, X.dims(), C, X.order() - 1);
+      // The PerMode sweep runs the paper's 1-step kernel on mode N-1.
+      MttkrpPlan last(ctx, X.dims(), C, X.order() - 1, MttkrpMethod::OneStep);
       Matrix Mlast(X.dim(X.order() - 1), C);
       last.execute(X, r.model.factors, Mlast);
       EXPECT_EQ(r.final_fit,

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "core/mttkrp.hpp"
 #include "exec/exec_context.hpp"
 #include "exec/mttkrp_plan.hpp"
+#include "exec/sweep_plan.hpp"
 #include "test_helpers.hpp"
 
 namespace dmtk {
@@ -102,6 +104,26 @@ TEST(WorkspaceArena, FrameAllocBeyondReserveThrows) {
   WorkspaceArena::Frame f(arena);
   (void)f.alloc<double>(8);
   EXPECT_THROW((void)f.alloc<double>(1024), DimensionError);
+}
+
+TEST(WorkspaceArena, GrowthUnderAnOpenFrameThrows) {
+  // Growth moves the storage, so it would leave an open frame's pointers
+  // dangling: it is refused, and allowed again once the frame closes.
+  WorkspaceArena arena;
+  arena.reserve<double>(8);
+  {
+    WorkspaceArena::Frame f(arena);
+    (void)f.alloc<double>(8);
+    arena.reserve<double>(8);  // fits: no growth, no error
+    EXPECT_THROW(arena.reserve<double>(1024), DimensionError);
+  }
+  EXPECT_EQ(arena.grow_count(), 1u);
+  arena.reserve<double>(1024);
+  EXPECT_EQ(arena.grow_count(), 2u);
+  WorkspaceArena::Frame f(arena);
+  double* p = f.alloc<double>(1024);
+  p[1023] = 1.0;
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % kDefaultAlignment, 0u);
 }
 
 TEST(ExecContext, ResolvesAndPinsThreads) {
@@ -323,18 +345,104 @@ TEST(MttkrpPlan, GemmDominatedMethodsAreHeapFreeInsideBlas) {
 }
 
 // ---------------------------------------------------------------------------
+// Auto is the dimension tree's root-to-leaf path: bitwise what a DimTree
+// sweep serves on unchanged factors, drawn from the same arena footprint.
+// ---------------------------------------------------------------------------
+
+template <typename T>
+void expect_auto_is_tree_path(const std::vector<index_t>& dims, int threads,
+                              double tol) {
+  const index_t rank = 5;
+  const index_t N = static_cast<index_t>(dims.size());
+  Rng rng(400 + static_cast<std::uint64_t>(dims[0]) +
+          static_cast<std::uint64_t>(N));
+  const TensorT<T> X = TensorT<T>::random_uniform(dims, rng);
+  const std::vector<MatrixT<T>> fs = random_factors<T>(dims, rank, rng);
+  ExecContext ctx(threads);
+  CpAlsSweepPlanT<T> sweep(ctx, dims, rank);
+  ASSERT_EQ(sweep.scheme(), SweepScheme::DimTree);
+  std::vector<MatrixT<T>> tree_out(dims.size());
+  sweep.begin_sweep(X);
+  for (index_t n = 0; n < N; ++n) {
+    sweep.mode_mttkrp(n, X, fs, tree_out[static_cast<std::size_t>(n)]);
+  }
+
+  // An Auto plan after a sweep plan of the same shape and rank needs no
+  // more arena than the sweep: the mttkrp-after-decompose pattern of a
+  // served worker.
+  const std::size_t grows = ctx.arena().grow_count();
+  for (index_t n = 0; n < N; ++n) {
+    SCOPED_TRACE("dims[0]=" + std::to_string(dims[0]) + " N=" +
+                 std::to_string(N) + " threads=" + std::to_string(threads) +
+                 " mode=" + std::to_string(n));
+    MttkrpPlanT<T> plan(ctx, dims, rank, n);
+    EXPECT_EQ(ctx.arena().grow_count(), grows);
+    EXPECT_EQ(plan.workspace_bytes(), sweep.workspace_bytes());
+    MatrixT<T> M;
+    plan.execute(X, fs, M);
+    const MatrixT<T>& Mt = tree_out[static_cast<std::size_t>(n)];
+    ASSERT_EQ(M.rows(), Mt.rows());
+    for (index_t j = 0; j < M.cols(); ++j) {
+      for (index_t i = 0; i < M.rows(); ++i) {
+        ASSERT_EQ(M(i, j), Mt(i, j)) << "at (" << i << ", " << j << ")";
+      }
+    }
+    testing::expect_matrix_near(
+        M, mttkrp(X, fs, n, MttkrpMethod::Reference), tol);
+  }
+}
+
+TEST(MttkrpPlanAuto, IsTheDimTreePathBitwise) {
+  const std::vector<std::vector<index_t>> shapes = {
+      {24, 24, 24},       // tie: {0, 1} | {2}, mode 2 a depth-0 leaf
+      {37, 29, 31},       // no tie: {0} | {1, 2}, mode 0 a depth-0 leaf
+      {15, 7, 8, 6},      // {0, 1} | {2, 3}: no depth-0 leaf
+      {6, 5, 4, 5, 6},    // tie at the root: {0, 1, 2} | {3, 4}
+  };
+  for (const std::vector<index_t>& dims : shapes) {
+    for (int threads : {1, 4}) {
+      expect_auto_is_tree_path<double>(dims, threads, 1e-12);
+      expect_auto_is_tree_path<float>(dims, threads, 1e-5);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Plan metadata.
 // ---------------------------------------------------------------------------
 
-TEST(MttkrpPlan, AutoResolvesToPaperPolicy) {
+TEST(MttkrpPlan, AutoResolvesThroughTheDimTree) {
+  // Auto runs the mode's root-to-leaf path of the dimension tree. A mode
+  // the tree holds alone under the root reports OneStep (the shared
+  // external kernel); any other mode reports TwoStep, and uses_left() says
+  // whether the full-tensor GEMM contracts the left group.
+  struct Case {
+    std::vector<index_t> dims;
+    std::vector<MttkrpMethod> method;  // per mode
+    std::vector<bool> left;            // per TwoStep mode
+  };
+  using M = MttkrpMethod;
+  const std::vector<Case> cases = {
+      // 4*5 = 20 > 6: the tree is {0, 1} | {2}; mode 2 is a depth-0 leaf.
+      {{4, 5, 6}, {M::TwoStep, M::TwoStep, M::OneStep}, {false, false, false}},
+      // 37 < 29*31: {0} | {1, 2}; mode 0 is a depth-0 leaf.
+      {{37, 29, 31}, {M::OneStep, M::TwoStep, M::TwoStep}, {false, true, true}},
+      // A tie (48 | 48*48 against 48*48 | 48) takes the later split.
+      {{48, 48, 48}, {M::TwoStep, M::TwoStep, M::OneStep}, {false, false, false}},
+  };
   ExecContext ctx(1);
-  const std::vector<index_t> dims{4, 5, 6};
-  for (index_t mode = 0; mode < 3; ++mode) {
-    MttkrpPlan plan(ctx, dims, 2, mode, MttkrpMethod::Auto);
-    EXPECT_EQ(plan.requested_method(), MttkrpMethod::Auto);
-    EXPECT_EQ(plan.resolved_method(), twostep_is_defined(3, mode)
-                                          ? MttkrpMethod::TwoStep
-                                          : MttkrpMethod::OneStep);
+  for (const Case& c : cases) {
+    for (index_t mode = 0; mode < 3; ++mode) {
+      const std::size_t m = static_cast<std::size_t>(mode);
+      MttkrpPlan plan(ctx, c.dims, 2, mode, MttkrpMethod::Auto);
+      EXPECT_EQ(plan.requested_method(), MttkrpMethod::Auto);
+      EXPECT_EQ(plan.resolved_method(), c.method[m])
+          << "dims[0] " << c.dims[0] << " mode " << mode;
+      if (c.method[m] == MttkrpMethod::TwoStep) {
+        EXPECT_EQ(plan.uses_left(), c.left[m])
+            << "dims[0] " << c.dims[0] << " mode " << mode;
+      }
+    }
   }
 }
 

@@ -122,20 +122,24 @@ TEST(Mttkrp, BothTwoStepSidesAgree) {
   }
 }
 
-TEST(Mttkrp, AutoPolicyMatchesPaper) {
-  // Auto = 1-step on external modes, 2-step internally, with Alg. 4's
-  // side rule: the left partial MTTKRP first iff I_Ln > I_Rn.
+TEST(Mttkrp, AutoPolicyFollowsTheDimTree) {
+  // Auto runs the mode's path through the dimension tree. 6*7 = 42 against
+  // 8*5 = 40 puts the root split at 2, so no mode is a depth-0 leaf: every
+  // mode is one full-tensor GEMM plus a contraction (reported as TwoStep),
+  // and the GEMM contracts the left group {0, 1} for modes 2 and 3.
   const std::vector<index_t> dims{6, 7, 8, 5};
   ExecContext ctx(2);
+  Rng rng(56);
+  Tensor X = Tensor::random_uniform(dims, rng);
+  const std::vector<Matrix> fs = random_factors(dims, 3, rng);
   for (index_t mode = 0; mode < 4; ++mode) {
     MttkrpPlan plan(ctx, dims, 3, mode);
-    const bool external = mode == 0 || mode == 3;
-    EXPECT_EQ(plan.resolved_method(),
-              external ? MttkrpMethod::OneStep : MttkrpMethod::TwoStep)
-        << "mode " << mode;
-    if (!external) {
-      EXPECT_EQ(plan.uses_left(), mode == 2) << "mode " << mode;
-    }
+    EXPECT_EQ(plan.resolved_method(), MttkrpMethod::TwoStep) << "mode " << mode;
+    EXPECT_EQ(plan.uses_left(), mode >= 2) << "mode " << mode;
+    Matrix M;
+    plan.execute(X, fs, M);
+    testing::expect_matrix_near(
+        M, mttkrp(X, fs, mode, MttkrpMethod::Reference), 1e-12);
   }
 }
 

@@ -433,7 +433,8 @@ TEST(SweepPlanDimTree, TwoWayTreeIsBitwisePerMode) {
 }
 
 TEST(SweepPlanDimTree, ThreeWayModeZeroIsBitwiseMttkrpPlan) {
-  // The 3-way tree is {0} | {1, 2}: mode 0 is its depth-0 leaf.
+  // 37 < 29*31, so the tree is {0} | {1, 2}: mode 0 is its depth-0 leaf,
+  // bitwise the named OneStep plan.
   const std::vector<index_t> dims{37, 29, 31};
   Rng rng(61);
   Tensor X = Tensor::random_uniform(dims, rng);
@@ -441,7 +442,7 @@ TEST(SweepPlanDimTree, ThreeWayModeZeroIsBitwiseMttkrpPlan) {
   for (int threads : {1, 4}) {
     ExecContext ctx(threads);
     CpAlsSweepPlan tree(ctx, dims, 6);
-    MttkrpPlan mode0(ctx, dims, 6, 0);
+    MttkrpPlan mode0(ctx, dims, 6, 0, MttkrpMethod::OneStep);
     Matrix Mt;
     Matrix M;
     tree.begin_sweep(X);
@@ -456,10 +457,12 @@ TEST(SweepPlanDimTree, ThreeWayModeZeroIsBitwiseMttkrpPlan) {
 }
 
 TEST(SweepPlanDimTree, ThreeWayPeakIsTheLargestPerModePlan) {
-  // Liveness layout: the mode-0 leaf's 1-step workspace overlaps the
-  // {1, 2} intermediate, so the tree's arena peak is about the largest
-  // per-mode plan's, not their sum. workspace_bytes() is the true peak
-  // (leaf kernel included), and a sweep draws no more than it.
+  // 48^3 is a tie, so the tree is {0, 1} | {2}. Liveness layout: the
+  // mode-2 leaf's 1-step workspace overlaps the {0, 1} intermediate, so
+  // the tree's arena peak is about the largest named per-mode plan's (the
+  // paper's policy: 1-step on modes 0 and 2, 2-step on mode 1), not their
+  // sum. workspace_bytes() is the true peak (leaf kernel included), and a
+  // sweep draws no more than it.
   const index_t I = 48;
   const index_t C = 12;
   const std::vector<index_t> dims{I, I, I};
@@ -470,8 +473,10 @@ TEST(SweepPlanDimTree, ThreeWayPeakIsTheLargestPerModePlan) {
     ExecContext ctx(threads);
     std::size_t per_mode_max = 0;
     for (index_t n = 0; n < 3; ++n) {
-      per_mode_max = std::max(per_mode_max,
-                              MttkrpPlan(ctx, dims, C, n).workspace_bytes());
+      const MttkrpMethod m =
+          n == 1 ? MttkrpMethod::TwoStep : MttkrpMethod::OneStep;
+      per_mode_max = std::max(
+          per_mode_max, MttkrpPlan(ctx, dims, C, n, m).workspace_bytes());
     }
     CpAlsSweepPlan tree(ctx, dims, C);
     ASSERT_EQ(tree.scheme(), SweepScheme::DimTree);
@@ -588,6 +593,10 @@ TEST(SweepBalancedSplit, GeneralizesDimtreeSplit) {
   EXPECT_EQ(root({100, 2, 2}), 1);   // max(100, 4) beats max(200, 2)
   EXPECT_EQ(root({2, 2, 100}), 2);   // max(4, 100) beats max(2, 200)
   EXPECT_EQ(root({7, 9}), 1);        // two-way tensors have only s = 1
+  // A tie takes the later split: X(0:1) column-major for the full-tensor
+  // GEMM, and mode N-1's row-major 1-step for the depth-0 leaf.
+  EXPECT_EQ(root({48, 48, 48}), 2);          // 48 | 2304 ties 2304 | 48
+  EXPECT_EQ(root({30, 30, 30, 30, 30}), 3);  // 900 | 27000 ties 27000 | 900
   // Sub-interval splits used by the deeper tree levels.
   const std::vector<index_t> dims{2, 2, 100, 3};
   EXPECT_EQ(sweep_balanced_split(dims, 0, 2), 1);

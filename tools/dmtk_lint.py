@@ -63,6 +63,7 @@ import tempfile
 
 HOT_FILES = (
     "src/core/mttkrp.cpp",
+    "src/exec/dim_tree.cpp",
     "src/exec/mttkrp_plan.cpp",
     "src/exec/onestep_external.cpp",
     "src/exec/sweep_plan.cpp",
