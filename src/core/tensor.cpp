@@ -10,7 +10,8 @@
 namespace dmtk {
 
 template <typename T>
-TensorT<T>::TensorT(std::vector<index_t> dims) : dims_(std::move(dims)) {
+TensorT<T>::TensorT(std::vector<index_t> dims, Uninitialized)
+    : dims_(std::move(dims)) {
   strides_.resize(dims_.size());
   index_t stride = 1;
   for (std::size_t n = 0; n < dims_.size(); ++n) {
@@ -19,7 +20,15 @@ TensorT<T>::TensorT(std::vector<index_t> dims) : dims_(std::move(dims)) {
     stride *= dims_[n];
   }
   numel_ = dims_.empty() ? 0 : stride;
-  data_.assign(static_cast<std::size_t>(numel_), T{0});
+  data_.resize(static_cast<std::size_t>(numel_));  // default-init: unwritten
+}
+
+template <typename T>
+TensorT<T>::TensorT(std::vector<index_t> dims)
+    : TensorT(std::move(dims), Uninitialized{}) {
+  // A mapped buffer arrives zeroed; only heap storage needs the fill.
+  if (!is_large_buffer(data_.capacity() * sizeof(T)))
+    std::fill(data_.begin(), data_.end(), T{0});
 }
 
 template <typename T>

@@ -20,6 +20,14 @@
 /// A tensor read from a file carries its ‖X‖², summed while the checked
 /// read streamed the data in, so CP-ALS and Tucker make no pass of their
 /// own over X for it. Any non-const access drops the carried value.
+///
+/// Storage comes from util/aligned_alloc.hpp's buffer path: 64-byte
+/// aligned, and storage of 32 MiB or more (a 162³ f64 tensor or larger) is
+/// its own huge-page-advised mapping; 32 MiB is where glibc maps a buffer
+/// on its own anyway (see kLargeBufferBytes). TensorT(dims) is zero-filled,
+/// with no write at all into a mapping (the kernel hands it out zeroed);
+/// the file reader skips the fill, since it writes every element before
+/// anyone reads one.
 
 #include <filesystem>
 #include <optional>
@@ -158,10 +166,14 @@ class TensorT {
   std::vector<index_t> dims_;
   std::vector<index_t> strides_;  // strides_[n] = prod_{k<n} dims_[k] = I_Ln
   index_t numel_ = 0;
-  std::vector<T, AlignedAllocator<T>> data_;
+  std::vector<T, BufferAllocator<T>> data_;
   /// ‖X‖² summed by the checked read; set nowhere else, dropped by every
   /// non-const accessor. Copies and moves keep it.
   std::optional<double> norm2_;
+
+  /// Storage left unwritten, for callers that write every element.
+  struct Uninitialized {};
+  TensorT(std::vector<index_t> dims, Uninitialized);
 
   friend TensorT io::read_tensor_as<T>(const std::filesystem::path& path);
 };

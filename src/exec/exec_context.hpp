@@ -23,7 +23,6 @@
 /// concurrently.
 
 #include <cstddef>
-#include <new>
 
 #include "util/aligned_alloc.hpp"
 #include "util/common.hpp"
@@ -118,8 +117,9 @@ class WorkspaceArena {
     DMTK_FAULT_POINT("arena.alloc");
     // No frame is open, so nothing in the old block is live: take a fresh
     // uninitialised block (no copy, no zero-fill) and free the old one.
-    auto* fresh = static_cast<std::byte*>(
-        ::operator new(bytes, std::align_val_t{kAlignBytes}));
+    // Blocks of 32 MiB or more are their own huge-page mappings
+    // (util/aligned_alloc.hpp).
+    auto* fresh = static_cast<std::byte*>(buffer_alloc(bytes));
     release();
     buf_ = fresh;
     capacity_ = bytes;
@@ -136,7 +136,7 @@ class WorkspaceArena {
   /// Capacity / usage in bytes.
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] std::size_t in_use() const { return top_; }
-  /// Number of heap (re)allocations the arena has performed.
+  /// Number of block (re)allocations the arena has performed.
   [[nodiscard]] std::size_t grow_count() const { return grow_count_; }
   /// Largest number of bytes ever simultaneously handed out.
   [[nodiscard]] std::size_t high_water() const { return high_water_; }
@@ -197,7 +197,7 @@ class WorkspaceArena {
   void release() {
     if (buf_ == nullptr) return;
     unpoison_shadow(0, capacity_);
-    ::operator delete(buf_, std::align_val_t{kAlignBytes});
+    buffer_free(buf_, capacity_);
     buf_ = nullptr;
     capacity_ = 0;
   }
@@ -223,7 +223,7 @@ class WorkspaceArena {
 #endif
   }
 
-  std::byte* buf_ = nullptr;  ///< line-aligned, from ::operator new
+  std::byte* buf_ = nullptr;  ///< line-aligned, from buffer_alloc
   std::size_t capacity_ = 0;
   std::size_t top_ = 0;
   std::size_t grow_count_ = 0;

@@ -211,7 +211,9 @@ TensorT<T> read_tensor_as(const std::filesystem::path& path) {
   const std::size_t elem =
       kind == ScalarKind::F32 ? sizeof(float) : sizeof(double);
   check_payload_has(r, numel, elem, "tensor body");
-  TensorT<T> X(dims);
+  // No zero-fill: read_direct / read_converting write every element, and a
+  // short read or a failed verify() throws X away unread.
+  TensorT<T> X(dims, typename TensorT<T>::Uninitialized{});
   const std::size_t n = static_cast<std::size_t>(X.numel());
   // ‖X‖² of the values as stored in X, folded chunk by chunk behind the
   // CRC; the tensor carries it only once verify() has passed.

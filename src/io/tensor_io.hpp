@@ -42,7 +42,12 @@ extern template void write_tensor<float>(const std::filesystem::path&,
                                          const TensorF&);
 
 /// Read a tensor written by write_tensor, converting the payload (f64 or
-/// f32) to the requested scalar type entrywise.
+/// f32) to the requested scalar type entrywise. The tensor's storage is
+/// never zero-filled: the reader writes every element, and a short read or
+/// a failed checksum throws it away. Storage of 32 MiB or more is its own
+/// huge-page-advised mapping (glibc maps buffers that big anyway; see
+/// kLargeBufferBytes in util/aligned_alloc.hpp), so the read faults in
+/// 2 MiB pages where THP allows it.
 template <typename T>
 TensorT<T> read_tensor_as(const std::filesystem::path& path);
 

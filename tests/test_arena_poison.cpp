@@ -101,6 +101,38 @@ TEST(ArenaPoison, PoisoningNeverChangesSizing) {
   EXPECT_EQ(arena.grow_count(), 1u);  // allocs never grew the buffer
 }
 
+TEST(ArenaPoison, MappedBlockAboveTheCutKeepsTheSizingMath) {
+  // A block of kLargeBufferBytes or more is its own mapping: poisoned
+  // whole on reserve, carved and re-poisoned like any block, unpoisoned
+  // before it is unmapped by the growth below and by the destructor.
+  const std::size_t cap = kLargeBufferBytes + 4096;
+  ASSERT_TRUE(is_large_buffer(cap));
+  WorkspaceArena arena;
+  arena.reserve_bytes(cap);
+  EXPECT_EQ(arena.capacity(), cap);
+  EXPECT_EQ(arena.grow_count(), 1u);
+  const std::size_t n = kLargeBufferBytes / sizeof(double);
+  {
+    WorkspaceArena::Frame frame(arena);
+    double* a = frame.alloc<double>(3);  // 24B payload -> one 64B line
+    a[0] = a[2] = 1.0;
+    double* b = frame.alloc<double>(n);
+    b[0] = b[n - 1] = 2.0;
+    EXPECT_DOUBLE_EQ(sink_read(b + n - 1), 2.0);
+    EXPECT_EQ(arena.in_use(), 64u + kLargeBufferBytes);
+  }
+  EXPECT_EQ(arena.in_use(), 0u);
+  EXPECT_EQ(arena.high_water(), 64u + kLargeBufferBytes);
+  arena.reserve_bytes(2 * cap);  // unmaps the first block
+  EXPECT_EQ(arena.capacity(), 2 * cap);
+  EXPECT_EQ(arena.grow_count(), 2u);
+  WorkspaceArena::Frame frame(arena);
+  double* c = frame.alloc<double>(2 * n);
+  c[2 * n - 1] = 3.0;
+  EXPECT_DOUBLE_EQ(sink_read(c + 2 * n - 1), 3.0);
+  EXPECT_EQ(arena.high_water(), 2 * kLargeBufferBytes);
+}
+
 #if DMTK_ASAN && defined(GTEST_HAS_DEATH_TEST) && GTEST_HAS_DEATH_TEST
 
 using ArenaPoisonDeathTest = ::testing::Test;

@@ -4,11 +4,15 @@
 
 #include <array>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 #include "io/tensor_io.hpp"
 #include "test_helpers.hpp"
+#include "util/aligned_alloc.hpp"
+#include "util/sumsq.hpp"
 
 namespace dmtk::io {
 namespace {
@@ -124,12 +128,37 @@ TEST_F(IoTest, CsvExportParsesBack) {
   EXPECT_DOUBLE_EQ(a, 1e-7);
 }
 
+/// Y holds exactly `want`'s bits and carries the ‖Y‖² a fresh pass computes.
+template <typename T>
+void expect_bitwise_with_carried_norm(const TensorT<T>& Y,
+                                      const TensorT<T>& want) {
+  ASSERT_EQ(Y.numel(), want.numel());
+  const auto n = static_cast<std::size_t>(Y.numel());
+  EXPECT_EQ(std::memcmp(Y.data(), want.data(), n * sizeof(T)), 0);
+  EXPECT_EQ(Y.norm_squared(), util::sumsq(Y.data(), n, 2));
+}
+
 TEST_F(IoTest, LargeTensorRoundTrip) {
+  // Even the fp32 copy's storage is above the large-buffer cut, so every
+  // read below lands in a fresh mapping with no zero-fill; 205·205·201 is
+  // odd, so no read-chunk count divides it and the last chunk is short.
+  const std::vector<index_t> dims{205, 205, 201};
+  const std::size_t n = 205u * 205u * 201u;
+  ASSERT_TRUE(is_large_buffer(n * sizeof(float)));
+  ASSERT_NE(n % ((std::size_t{1} << 18) / sizeof(double)), 0u);
   Rng rng(7);
-  Tensor X = Tensor::random_uniform({32, 32, 32}, rng);
-  write_tensor(path("big.dten"), X);
-  Tensor Y = read_tensor(path("big.dten"));
-  EXPECT_DOUBLE_EQ(X.max_abs_diff(Y), 0.0);
+  const Tensor X = Tensor::random_uniform(dims, rng);
+  const TensorF Xf = tensor_cast<float>(X);
+  write_tensor(path("big64.dten"), X);
+  write_tensor(path("big32.dten"), Xf);
+  expect_bitwise_with_carried_norm(read_tensor_as<double>(path("big64.dten")),
+                                   X);
+  expect_bitwise_with_carried_norm(read_tensor_as<float>(path("big64.dten")),
+                                   Xf);
+  expect_bitwise_with_carried_norm(read_tensor_as<double>(path("big32.dten")),
+                                   tensor_cast<double>(Xf));
+  expect_bitwise_with_carried_norm(read_tensor_as<float>(path("big32.dten")),
+                                   Xf);
 }
 
 // ---------------------------------------------------------------------------

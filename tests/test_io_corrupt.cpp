@@ -364,6 +364,8 @@ TEST_F(IoCorruptTest, ShortReadFaultOnBulkReadReportsOffsetPastHeader) {
   EXPECT_TRUE(std::equal(back.data(), back.data() + back.numel(), X.data()));
 }
 
+// Both tensors stay below the large-buffer cut: heap storage is what
+// ASan bounds-checks, and the reads here write straight into it.
 TEST_F(IoCorruptTest, MultiChunkCrossPrecisionReadsMatchTensorCast) {
   const std::string p64 = path("big64.dten");
   const std::string p32 = path("big32.dten");

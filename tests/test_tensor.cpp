@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "core/tensor.hpp"
@@ -166,6 +168,31 @@ TEST(TensorTest, RandomDeterministicAcrossSeeds) {
 
 TEST(TensorTest, ZeroDimensionThrows) {
   EXPECT_THROW(Tensor({3, 0, 2}), DimensionError);
+}
+
+TEST(TensorTest, StorageAboveTheLargeBufferCutIsZeroedAlignedAndCopies) {
+  // 256·128·129 doubles is 33.8 MB: a mapped buffer, which TensorT(dims)
+  // does not fill itself.
+  const std::vector<index_t> dims{256, 128, 129};
+  const std::size_t n = 256u * 128u * 129u;
+  ASSERT_TRUE(is_large_buffer(n * sizeof(double)));
+  Tensor X(dims);
+  const Tensor& cx = X;
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(cx.data()) % kDefaultAlignment,
+            0u);
+  EXPECT_TRUE(std::all_of(cx.data(), cx.data() + n,
+                          [](double v) { return v == 0.0; }));
+
+  for (index_t l = 0; l < X.numel(); l += 4099)
+    X[l] = 1.0 + static_cast<double>(l);
+  const Tensor Y = X;  // copy
+  EXPECT_NE(Y.data(), cx.data());
+  EXPECT_EQ(Y.max_abs_diff(X), 0.0);
+  const double* before = cx.data();
+  const Tensor Z = std::move(X);  // move keeps the very buffer
+  EXPECT_EQ(Z.data(), before);
+  EXPECT_EQ(Z.max_abs_diff(Y), 0.0);
+  EXPECT_EQ(Z[4099], 4100.0);
 }
 
 TEST(TensorTest, TwoWayTensorActsAsMatrix) {

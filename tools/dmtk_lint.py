@@ -39,6 +39,15 @@ the line directly above it; an empty justification is itself an error):
                       threads arrive, so a floating-point sum changes in
                       its last bits from run to run; combine per-thread
                       block_range partials in thread order instead.
+  raw-mmap            ``mmap(`` / ``munmap(`` / ``madvise(`` in src/
+                      outside util/aligned_alloc.cpp. Big buffers have one
+                      path (buffer_alloc), so the cut, the huge-page
+                      advice and the unmap all live in one file.
+  float-atomic        ``std::atomic<float|double>`` or an
+                      ``std::atomic_ref`` over a floating type in src/.
+                      Threads adding into one float atomic sum in arrival
+                      order, so the result changes in its last bits from
+                      run to run, as with ``omp-reduction``.
   layering            An ``#include`` that points up the layer stack.
                       ``src/job/`` (the decompose job) may not include
                       ``serve/``; the layers below it
@@ -77,6 +86,7 @@ HOT_FILES = (
 SCAN_DIRS = ("src", "tools")
 FAULT_TABLE_FILE = "src/util/fault.cpp"
 CHECKED_IO_FILE = "src/io/checked_io.cpp"
+LARGE_BUFFER_FILE = "src/util/aligned_alloc.cpp"
 
 WAIVER_RE = re.compile(r"//\s*dmtk-lint:\s*allow\(([a-z-]+)\):\s*(.*)")
 
@@ -103,6 +113,12 @@ INSTANTIATION_RE = re.compile(r"^\s*template\s+[^<=]*\b([A-Za-z_]\w*)<double")
 OFSTREAM_RE = re.compile(r"\bstd::ofstream\b|\bfopen\s*\(")
 
 OMP_REDUCTION_RE = re.compile(r"#\s*pragma\s+omp\b.*\breduction\s*\(")
+
+RAW_MMAP_RE = re.compile(r"\b(?:mmap|munmap|madvise)\s*\(")
+
+FLOAT_ATOMIC_RE = re.compile(
+    r"\bstd::atomic(?:_ref)?\s*<\s*(?:const\s+|volatile\s+)*"
+    r"(?:float|double|long\s+double)\s*>")
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([a-z_]+)/')
 # Layer -> the src/ directories it must not include.
@@ -234,6 +250,17 @@ def check_file(root: str, path: str, known_sites: set[str],
                  "OpenMP reduction clause (its combine order is up to the "
                  "runtime; sum block_range partials in thread order)")
 
+        if (rel.startswith("src/") and rel != LARGE_BUFFER_FILE
+                and RAW_MMAP_RE.search(code)):
+            emit("raw-mmap",
+                 "raw mapping call outside util/aligned_alloc.cpp (big "
+                 "buffers go through buffer_alloc)")
+
+        if rel.startswith("src/") and FLOAT_ATOMIC_RE.search(code):
+            emit("float-atomic",
+                 "floating-point atomic (its sum depends on thread arrival "
+                 "order; sum block_range partials in thread order)")
+
         inc = INCLUDE_RE.match(raw)
         if inc and rel.startswith("src/"):
             layer = rel.split("/")[1]
@@ -290,6 +317,14 @@ SELF_TEST_SEEDS = {
     "omp-reduction": (
         "src/core/bad_reduce.cpp",
         "#pragma omp parallel for reduction(+ : total)\n",
+    ),
+    "raw-mmap": (
+        "src/core/bad_map.cpp",
+        "void* m() { return ::mmap(nullptr, 1 << 21, 3, 0x22, -1, 0); }\n",
+    ),
+    "float-atomic": (
+        "src/core/bad_atomic.cpp",
+        "std::atomic<double> total{0.0};\n",
     ),
     "layering": (
         "src/core/bad_layer.cpp",
