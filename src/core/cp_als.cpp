@@ -76,8 +76,7 @@ CpAlsResultT<T> cp_als(const TensorT<T>& X, const CpAlsOptionsT<T>& opts) {
   // construction (DimTree) or per-mode MttkrpPlans (PerMode), and the
   // complete workspace layout are paid once, and the sweeps below run
   // without touching the heap.
-  CpAlsSweepPlanT<T> sweep(ctx, X.dims(), C, opts.sweep_scheme, opts.method,
-                           opts.dimtree_levels);
+  CpAlsSweepPlanT<T> sweep(ctx, X.dims(), C, opts.sweep_scheme, opts.method);
   return run_standard(X, opts, ctx, sweep);
 }
 

@@ -48,10 +48,6 @@ struct CpAlsOptionsT {
   /// PerMode.
   SweepScheme sweep_scheme = SweepScheme::Auto;
 
-  /// DimTree only: cap on the tree's binary-split depth. 0 = full tree
-  /// (split down to single modes); 1 = the one-level two-group scheme.
-  int dimtree_levels = 0;
-
   /// Execution context (threads + workspace arena). When set, `threads` is
   /// ignored and the driver builds its CpAlsSweepPlan against this context
   /// (per-mode MttkrpPlan workspaces for PerMode; tree intermediates plus
@@ -68,9 +64,9 @@ struct CpAlsOptionsT {
   /// checkpoint already at the path (if any) and continues as if the run
   /// had never stopped — bitwise-identical to the uninterrupted run. The
   /// checkpoint is bound to the run configuration by an options hash
-  /// (dims, rank, tol, seed, scheme, method, levels, threads, fit flag,
-  /// scalar kind — deliberately NOT max_iters, so a run may resume with a
-  /// raised sweep cap); resuming under a different configuration throws
+  /// (dims, rank, tol, seed, scheme, method, threads, fit flag, scalar
+  /// kind — deliberately NOT max_iters, so a run may resume with a raised
+  /// sweep cap); resuming under a different configuration throws
   /// io::IoError instead of silently diverging from both runs.
   std::string checkpoint_path;
   int checkpoint_every = 1;  ///< sweeps between checkpoints (min 1)
@@ -136,10 +132,10 @@ extern template CpAlsResultF cp_als<float>(const TensorF&,
 /// the same (shape, rank). The plan must be dense, match X's extents and
 /// opts.rank, and outlive the call; execution uses plan.context() —
 /// opts.exec and opts.threads are ignored (the plan's arena lives in its
-/// own context). opts.sweep_scheme / method / dimtree_levels are likewise
-/// superseded by what the plan was built with. Identical results to the
-/// plan-less overload given matching construction parameters —
-/// byte-identical factors for equal seeds.
+/// own context). opts.sweep_scheme / method are likewise superseded by
+/// what the plan was built with. Identical results to the plan-less
+/// overload given matching construction parameters — byte-identical
+/// factors for equal seeds.
 template <typename T>
 CpAlsResultT<T> cp_als(const TensorT<T>& X, const CpAlsOptionsT<T>& opts,
                        CpAlsSweepPlanT<T>& plan);
@@ -151,7 +147,7 @@ extern template CpAlsResultF cp_als<float>(const TensorF&, const CpAlsOptionsF&,
 
 /// The Hadamard product of all Gram matrices except `skip`:
 /// H = (*)_{k != skip} grams[k]. Pass skip = -1 to include all modes.
-/// Exposed for tests and the baseline implementation.
+/// Exposed for tests.
 template <typename T>
 MatrixT<T> hadamard_of_grams(const std::vector<MatrixT<T>>& grams,
                              index_t skip);

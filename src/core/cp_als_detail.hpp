@@ -1,13 +1,13 @@
 #pragma once
 /// \file cp_als_detail.hpp
 /// \brief The shared CP-ALS execution path. Every driver (standard,
-/// dimension-tree, nonnegative HALS, and the Tensor-Toolbox-style
-/// baseline) runs the same sweep loop — run_als_sweeps below — which owns
-/// the Gram matrices, the per-mode MTTKRP outputs, the fit bookkeeping,
-/// and the stopping rule, and produces each mode's MTTKRP through a
-/// CpAlsSweepPlan. Drivers differ only in the factor-update callback they
-/// pass in. Also here: Gram computation, the TTB column normalization
-/// convention, the factor-update solve, and the fit formula.
+/// dimension-tree and nonnegative HALS) runs the same sweep loop —
+/// run_als_sweeps below — which owns the Gram matrices, the per-mode
+/// MTTKRP outputs, the fit bookkeeping, and the stopping rule, and
+/// produces each mode's MTTKRP through a CpAlsSweepPlan. Drivers differ
+/// only in the factor-update callback they pass in. Also here: Gram
+/// computation, the TTB column normalization convention, the
+/// factor-update solve, and the fit formula.
 ///
 /// Everything is templated on the scalar type T (deduced from the options/
 /// plan types), so the float and double CP-ALS pipelines are literally the
@@ -108,7 +108,7 @@ inline double cp_fit(double normX2, double normY2, const KtensorT<T>& model,
 /// FNV-1a over the configuration that determines a sweep loop's
 /// arithmetic — what a checkpoint must be bound to for a resume to be
 /// bitwise-faithful. Included: scalar kind, tensor extents, rank, tol,
-/// seed, fit flag, sweep scheme / method / levels, and the resolved
+/// seed, fit flag, sweep scheme / method, and the resolved
 /// thread count (parallel reductions change rounding with the team
 /// size). Deliberately excluded: max_iters (resuming with a raised sweep
 /// cap is the point of checkpointing) and checkpoint cadence/path (they
@@ -134,7 +134,7 @@ std::uint64_t cp_als_options_hash(const XT& X, const CpAlsOptionsT<T>& opts,
   mix(opts.compute_fit ? 1 : 0);
   mix(static_cast<std::uint64_t>(opts.sweep_scheme));
   mix(static_cast<std::uint64_t>(opts.method));
-  mix(static_cast<std::uint64_t>(opts.dimtree_levels));
+  mix(0);  // the retired tree-depth cap, so earlier checkpoints still bind
   mix(static_cast<std::uint64_t>(threads));
   return h;
 }

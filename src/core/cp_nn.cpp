@@ -58,8 +58,7 @@ CpAlsResultT<T> cp_nnhals(const TensorT<T>& X, const CpAlsOptionsT<T>& opts) {
   std::optional<ExecContext> own_ctx;
   const ExecContext& ctx =
       opts.exec != nullptr ? *opts.exec : own_ctx.emplace(opts.threads);
-  CpAlsSweepPlanT<T> sweep(ctx, X.dims(), C, opts.sweep_scheme, opts.method,
-                           opts.dimtree_levels);
+  CpAlsSweepPlanT<T> sweep(ctx, X.dims(), C, opts.sweep_scheme, opts.method);
 
   CpAlsResultT<T> result;
   KtensorT<T>& model = result.model;

@@ -84,7 +84,7 @@ void krp_transposed_into(const FactorListT<T>& factors, MatrixT<T>& Kt,
 
 /// Column-wise KRP in the untransposed (prod J_z) x C layout, built column
 /// by column as a Kronecker product — the Tensor-Toolbox `khatrirao`
-/// formulation used by the baseline implementation.
+/// formulation that the Reorder MTTKRP method reproduces.
 template <typename T>
 MatrixT<T> krp_columnwise(const FactorListT<T>& factors);
 

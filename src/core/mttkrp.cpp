@@ -10,7 +10,6 @@ std::string_view to_string(MttkrpMethod m) {
   switch (m) {
     case MttkrpMethod::Reference: return "reference";
     case MttkrpMethod::Reorder: return "reorder";
-    case MttkrpMethod::OneStepSeq: return "1-step-seq";
     case MttkrpMethod::OneStep: return "1-step";
     case MttkrpMethod::TwoStep: return "2-step";
     case MttkrpMethod::Auto: return "auto";
@@ -21,9 +20,8 @@ std::string_view to_string(MttkrpMethod m) {
 
 std::optional<MttkrpMethod> parse_mttkrp_method(std::string_view name) {
   for (MttkrpMethod m :
-       {MttkrpMethod::Reference, MttkrpMethod::Reorder,
-        MttkrpMethod::OneStepSeq, MttkrpMethod::OneStep, MttkrpMethod::TwoStep,
-        MttkrpMethod::Auto, MttkrpMethod::Acc64}) {
+       {MttkrpMethod::Reference, MttkrpMethod::Reorder, MttkrpMethod::OneStep,
+        MttkrpMethod::TwoStep, MttkrpMethod::Auto, MttkrpMethod::Acc64}) {
     if (name == to_string(m)) return m;
   }
   return std::nullopt;

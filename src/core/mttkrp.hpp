@@ -4,19 +4,19 @@
 ///   M = X(n) * (U_{N-1} (.) ... (.) U_{n+1} (.) U_{n-1} (.) ... (.) U_0),
 /// the computational bottleneck of CP decompositions (Section 2.3).
 ///
-/// Six implementations are provided:
+/// Five implementations are provided:
 ///  - Reference: element-wise loops, O(I*N*C). Testing oracle only.
 ///  - Reorder:   explicit matricization (tensor permute) + explicit
 ///               column-wise KRP + one GEMM — the straightforward approach
-///               of Bader & Kolda that the paper's algorithms aim to beat;
-///               also the kernel inside the Tensor-Toolbox-style baseline.
-///  - OneStepSeq: Algorithm 2 — full KRP, then a block inner product over
-///               the natural row-major blocks of X(n); no reordering.
+///               of Bader & Kolda that the paper's algorithms aim to beat,
+///               and the Tensor Toolbox's kernel (CP-ALS runs it with
+///               `method = Reorder`).
 ///  - OneStep:   Algorithm 3 — parallel 1-step; external modes split the
 ///               columns of X(n) across threads (each thread forms its own
 ///               KRP rows), internal modes split the I_Rn natural blocks
 ///               (left KRP precomputed, right KRP formed row-by-row);
-///               thread-private outputs + parallel reduction.
+///               thread-private outputs + parallel reduction. On one
+///               thread it is Algorithm 2, the sequential 1-step.
 ///  - TwoStep:   Algorithm 4 (Phan et al.) — one large GEMM (partial MTTKRP
 ///               with the left or right partial KRP, whichever minimizes
 ///               second-step work) followed by a multi-TTV. Parallelism
@@ -53,21 +53,22 @@
 
 namespace dmtk {
 
+/// The values feed checkpoint options hashes, so they are fixed: 2 was
+/// the retired sequential 1-step and is never reused.
 enum class MttkrpMethod {
-  Reference,
-  Reorder,
-  OneStepSeq,
-  OneStep,
-  TwoStep,
-  Auto,
-  Acc64,  ///< appended: enumerator values feed checkpoint options hashes
+  Reference = 0,
+  Reorder = 1,
+  OneStep = 3,
+  TwoStep = 4,
+  Auto = 5,
+  Acc64 = 6,
 };
 
 /// Human-readable method name (for logs and benchmark tables).
 std::string_view to_string(MttkrpMethod m);
 
 /// Inverse of to_string: parse a method name ("reference", "reorder",
-/// "1-step-seq", "1-step", "2-step", "auto", "acc64"). Returns nullopt for
+/// "1-step", "2-step", "auto", "acc64"). Returns nullopt for
 /// unknown names — the single parser shared by the CLI and the server.
 std::optional<MttkrpMethod> parse_mttkrp_method(std::string_view name);
 

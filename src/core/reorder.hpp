@@ -3,8 +3,9 @@
 /// \brief Explicit tensor reordering: generalized transpose (permute) and
 /// explicit matricization. These are the memory-bound operations the paper's
 /// 1-step/2-step algorithms are designed to AVOID; they are provided (a) as
-/// the substrate of the Tensor-Toolbox-style baseline, (b) for tests, and
-/// (c) so users migrating from Matlab have the familiar primitives.
+/// the substrate of the Reorder MTTKRP (the Tensor Toolbox's kernel), (b)
+/// for tests, and (c) so users migrating from Matlab have the familiar
+/// primitives.
 /// Templated on the scalar type like the rest of the numeric core.
 
 #include <span>
@@ -30,7 +31,7 @@ MatrixT<T> matricize(const TensorT<T>& X, index_t mode, int threads = 0);
 
 /// As matricize, but gathering into a caller-owned buffer of I_n * I_{!=n}
 /// elements (column-major, ld = I_n) — what MttkrpPlan uses so the Reorder
-/// baseline draws its scratch from the workspace arena instead of
+/// method draws its scratch from the workspace arena instead of
 /// allocating a fresh matrix per call.
 template <typename T>
 void matricize_into(const TensorT<T>& X, index_t mode, T* out,

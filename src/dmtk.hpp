@@ -11,10 +11,11 @@
 ///                           runs allocation-free across ALS sweeps
 ///   dmtk::MttkrpMethod      a plan's kernel: Auto (the mode's root-to-
 ///                           leaf path through the dimension tree), the
-///                           individual algorithms,
-///                           the Reorder baseline, the Reference oracle,
-///                           and Acc64 (fp32 storage, fp64 sums; the
-///                           CP-ALS drivers take it via options.method)
+///                           paper's 1-step and 2-step, Reorder (the
+///                           Tensor-Toolbox comparator), the Reference
+///                           oracle, and Acc64 (fp32 storage, fp64 sums;
+///                           the CP-ALS drivers take any of them via
+///                           options.method)
 ///   dmtk::CpAlsSweepPlan    whole-sweep planner behind every CP-ALS
 ///                           driver: SweepScheme::PerMode (N independent
 ///                           MttkrpPlans) or SweepScheme::DimTree (multi-
@@ -53,7 +54,6 @@
 ///    TensorF — run the same pipeline in fp32 at ~half the bandwidth;
 ///    see README "Precision")
 ///   dmtk::sim::make_fmri_tensor   synthetic neuroimaging workload
-///   dmtk::baseline::ttb_cp_als    Tensor-Toolbox-style comparator
 ///   dmtk::blas::*           the mini-BLAS substrate (gemm/gemv/syrk/level1)
 ///
 /// Minimal plan-based usage:
@@ -65,7 +65,6 @@
 /// See README.md for the full quickstart. Nothing inside the library keeps
 /// time per phase: wrap execute() in a WallTimer to time it.
 
-#include "baseline/ttb_cp_als.hpp"  // IWYU pragma: export
 #include "blas/blas.hpp"            // IWYU pragma: export
 #include "blas/cpu_features.hpp"    // IWYU pragma: export
 #include "core/cp_als.hpp"          // IWYU pragma: export

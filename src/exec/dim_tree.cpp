@@ -29,19 +29,15 @@ index_t sweep_balanced_split(std::span<const index_t> dims, index_t a,
 
 template <typename T>
 DimTreeT<T>::DimTreeT(const ExecContext& ctx, std::span<const index_t> dims,
-                      index_t rank, int max_levels)
+                      index_t rank)
     : ctx_(&ctx),
       dims_(dims.begin(), dims.end()),
       rank_(rank),
       nt_(ctx.threads()) {
   const index_t N = static_cast<index_t>(dims_.size());
-  // max_levels <= 0 builds the full tree.
-  const int cap = max_levels <= 0 ? std::numeric_limits<int>::max()
-                                  : max_levels;
-  levels_ = 1;  // the root split below always happens
   const index_t s = sweep_balanced_split(dims_, 0, N);
-  build_tree(0, s, 0, -1, cap);
-  build_tree(s, N, 0, -1, cap);
+  build_tree(0, s, 0, -1);
+  build_tree(s, N, 0, -1);
 
   // Top-down ancestor path of every leaf (evaluation walks it).
   leaf_path_.assign(static_cast<std::size_t>(N), {});
@@ -84,8 +80,7 @@ bool DimTreeT<T>::contracts_left(index_t n) const {
 }
 
 template <typename T>
-int DimTreeT<T>::build_tree(index_t a, index_t b, int depth, int parent,
-                            int max_levels) {
+void DimTreeT<T>::build_tree(index_t a, index_t b, int depth, int parent) {
   const int id = static_cast<int>(nodes_.size());
   nodes_.push_back({});
   {
@@ -99,45 +94,26 @@ int DimTreeT<T>::build_tree(index_t a, index_t b, int depth, int parent,
       nd.out_rows *= dims_[static_cast<std::size_t>(k)];
     }
     nd.leaf = (b - a == 1);
-    // Sibling-interval trims relative to the parent interval.
+    // The sibling interval: what remains of the parent's after [a, b),
+    // which is always the parent's prefix or suffix.
     const index_t pa =
         parent < 0 ? 0 : nodes_[static_cast<std::size_t>(parent)].a;
     const index_t pb = parent < 0 ? static_cast<index_t>(dims_.size())
                                   : nodes_[static_cast<std::size_t>(parent)].b;
-    auto fill_trim = [&](TrimSpec& t, index_t u, index_t v) {
-      t.u = u;
-      t.v = v;
-      t.rows = 1;
-      for (index_t k = v; k-- > u;) {
-        t.extents.push_back(dims_[static_cast<std::size_t>(k)]);
-        t.rows *= dims_[static_cast<std::size_t>(k)];
-      }
-    };
-    fill_trim(nd.left, pa, a);
-    fill_trim(nd.right, b, pb);
-    if (!nd.left.empty() && !nd.right.empty()) {
-      // Contract the larger side first: the surviving mid intermediate is
-      // then as small as possible (the 2-step side heuristic, Alg. 4).
-      nd.left_first = nd.left.rows >= nd.right.rows;
-      nd.t_rows = nd.out_rows *
-                  (nd.left_first ? nd.right.rows : nd.left.rows);
+    nd.trim_left = a > pa;
+    TrimSpec& t = nd.trim;
+    t.u = nd.trim_left ? pa : b;
+    t.v = nd.trim_left ? a : pb;
+    for (index_t k = t.v; k-- > t.u;) {
+      t.extents.push_back(dims_[static_cast<std::size_t>(k)]);
+      t.rows *= dims_[static_cast<std::size_t>(k)];
     }
   }
   if (b - a >= 2) {
-    if (depth + 2 <= max_levels) {
-      levels_ = std::max(levels_, depth + 2);
-      const index_t s = sweep_balanced_split(dims_, a, b);
-      build_tree(a, s, depth + 1, id, max_levels);
-      build_tree(s, b, depth + 1, id, max_levels);
-    } else {
-      // Depth cap reached: this group recovers its modes directly, one
-      // (possibly two-sided) contraction per leaf.
-      for (index_t n = a; n < b; ++n) {
-        build_tree(n, n + 1, depth + 1, id, max_levels);
-      }
-    }
+    const index_t s = sweep_balanced_split(dims_, a, b);
+    build_tree(a, s, depth + 1, id);
+    build_tree(s, b, depth + 1, id);
   }
-  return id;
 }
 
 template <typename T>
@@ -190,59 +166,31 @@ void DimTreeT<T>::plan_node_layout() {
       ws_elems_ = std::max(ws_elems_, nd.off_scratch + nd.scratch_elems);
       continue;
     }
-    // Packed factor panels + transposed-KRP buffer per trim, the two-trim
-    // mid intermediate, per-thread partial-Hadamard scratch, and the GEMM
-    // packing workspace.
+    // Packed factor panels + transposed-KRP buffer of the trim,
+    // per-thread partial-Hadamard scratch, and the GEMM packing workspace.
     std::size_t off = 0;
     auto take = [&off](std::size_t elems) {
       const std::size_t at = off;
       off += WorkspaceArena::aligned_count<T>(elems);
       return at;
     };
-    std::size_t p_need = 0;
-    for (TrimSpec* t : {&nd.left, &nd.right}) {
-      if (t->empty()) continue;
-      t->packed_off.resize(t->extents.size());
-      for (std::size_t z = 0; z < t->extents.size(); ++z) {
-        t->packed_off[z] =
-            take(static_cast<std::size_t>(t->extents[z] * C));
-      }
-      t->off_krp = take(static_cast<std::size_t>(t->rows * C));
-      if (t->extents.size() >= 3) {
-        p_need = std::max(
-            p_need, static_cast<std::size_t>(C) * (t->extents.size() - 2));
-      }
+    TrimSpec& t = nd.trim;
+    t.packed_off.resize(t.extents.size());
+    for (std::size_t z = 0; z < t.extents.size(); ++z) {
+      t.packed_off[z] = take(static_cast<std::size_t>(t.extents[z] * C));
     }
-    if (!nd.left.empty() && !nd.right.empty()) {
-      nd.off_t = take(static_cast<std::size_t>(nd.t_rows * C));
-    }
-    if (p_need > 0) {
-      nd.stride_p = WorkspaceArena::aligned_count<T>(p_need);
+    t.off_krp = take(static_cast<std::size_t>(t.rows * C));
+    if (t.extents.size() >= 3) {
+      nd.stride_p = WorkspaceArena::aligned_count<T>(
+          static_cast<std::size_t>(C) * (t.extents.size() - 2));
       nd.off_p = take(snt * nd.stride_p);
     }
-    if (nd.parent < 0) {
-      const TrimSpec& t = nd.right.empty() ? nd.left : nd.right;
-      nd.gws_elems = blas::gemm_workspace_elems<T>(blas::Trans::Trans,
-                                                   nd.out_rows, C, t.rows, nt_);
-    } else {
-      std::size_t need = 0;
-      if (!nd.left.empty() && !nd.right.empty()) {
-        const TrimSpec& first = nd.left_first ? nd.left : nd.right;
-        const TrimSpec& second = nd.left_first ? nd.right : nd.left;
-        need = std::max(
-            blas::gemm_batched_workspace_elems<T>(blas::Trans::Trans,
-                                                  nd.t_rows, 1, first.rows,
-                                                  nt_),
-            blas::gemm_batched_workspace_elems<T>(blas::Trans::Trans,
-                                                  nd.out_rows, 1, second.rows,
-                                                  nt_));
-      } else {
-        const TrimSpec& t = nd.right.empty() ? nd.left : nd.right;
-        need = blas::gemm_batched_workspace_elems<T>(
-            blas::Trans::Trans, nd.out_rows, 1, t.rows, nt_);
-      }
-      nd.gws_elems = need;
-    }
+    nd.gws_elems =
+        nd.parent < 0
+            ? blas::gemm_workspace_elems<T>(blas::Trans::Trans, nd.out_rows,
+                                            C, t.rows, nt_)
+            : blas::gemm_batched_workspace_elems<T>(
+                  blas::Trans::Trans, nd.out_rows, 1, t.rows, nt_);
     nd.off_gws = take(nd.gws_elems);
     nd.scratch_elems = off;
     ws_elems_ = std::max(ws_elems_, nd.off_scratch + off);
@@ -265,9 +213,10 @@ void DimTreeT<T>::mttkrp(index_t n, const TensorT<T>& X,
 }
 
 template <typename T>
-const T* DimTreeT<T>::form_trim_krp(const Node& nd, const TrimSpec& trim,
+const T* DimTreeT<T>::form_trim_krp(const Node& nd,
                                     std::span<const MatrixT<T>> factors) {
   const index_t C = rank_;
+  const TrimSpec& trim = nd.trim;
   T* scratch = base_ + nd.off_scratch;
   const std::size_t Z = trim.extents.size();
   fl_.resize(Z);
@@ -289,40 +238,13 @@ const T* DimTreeT<T>::form_trim_krp(const Node& nd, const TrimSpec& trim,
 }
 
 template <typename T>
-void DimTreeT<T>::contract_batched(const Node& nd, const T* src,
-                                   index_t src_rows, const TrimSpec& trim,
-                                   const T* krp, bool contract_left, T* dst,
-                                   index_t dst_rows) {
-  const index_t C = rank_;
-  // Component c of the source is a (trim.rows x dst_rows) [contract_left]
-  // or (dst_rows x trim.rows) column-major block; its contraction against
-  // KRP row c (read strided out of the C x rows transposed-KRP buffer) is
-  // one m x 1 x k GEMM. The batch has one accumulation group per
-  // component, so when C < threads the batched kernel splits rows inside
-  // the groups and the whole team stays busy.
-  for (index_t c = 0; c < C; ++c) {
-    const std::size_t sc = static_cast<std::size_t>(c);
-    batch_a_[sc] = src + c * src_rows;
-    batch_b_[sc] = krp + c;
-    batch_c_[sc] = dst + c * dst_rows;
-  }
-  const blas::GemmWorkspace gws = blas::typed_workspace(
-      base_ + nd.off_scratch + nd.off_gws, nd.gws_elems);
-  blas::gemm_batched(blas::Layout::ColMajor,
-                     contract_left ? blas::Trans::Trans
-                                   : blas::Trans::NoTrans,
-                     blas::Trans::Trans, dst_rows, index_t{1}, trim.rows, T{1},
-                     batch_a_.data(), contract_left ? trim.rows : dst_rows,
-                     batch_b_.data(), C, T{0}, batch_c_.data(), dst_rows, C,
-                     nt_, gws);
-}
-
-template <typename T>
 void DimTreeT<T>::eval_node(int id, const TensorT<T>& X,
                             std::span<const MatrixT<T>> factors,
                             MatrixT<T>* M) {
   Node& nd = nodes_[static_cast<std::size_t>(id)];
   T* out = nd.leaf ? M->data() : base_ + nd.off_out;
+  const index_t C = rank_;
+  const TrimSpec& trim = nd.trim;
 
   if (nd.onestep >= 0) {
     // A depth-0 leaf: the external mode's 1-step MTTKRP, a full-tensor pass.
@@ -332,43 +254,46 @@ void DimTreeT<T>::eval_node(int id, const TensorT<T>& X,
     // An internal child of the root: a full-tensor pass, as one plain GEMM
     // of X (viewed as its multi-mode matricization) against the sibling
     // group's transposed KRP.
-    const bool right = !nd.right.empty();
-    const TrimSpec& trim = right ? nd.right : nd.left;
-    const T* krp = form_trim_krp(nd, trim, factors);
+    const T* krp = form_trim_krp(nd, factors);
     const blas::GemmWorkspace gws = blas::typed_workspace(
         base_ + nd.off_scratch + nd.off_gws, nd.gws_elems);
-    if (right) {
+    if (!nd.trim_left) {
       // [0, s): X(0:s-1) is out_rows x trim.rows column-major.
       blas::gemm(blas::Layout::ColMajor, blas::Trans::NoTrans,
-                 blas::Trans::Trans, nd.out_rows, rank_, trim.rows, T{1},
-                 X.data(), nd.out_rows, krp, rank_, T{0}, out, nd.out_rows,
-                 nt_, gws);
+                 blas::Trans::Trans, nd.out_rows, C, trim.rows, T{1},
+                 X.data(), nd.out_rows, krp, C, T{0}, out, nd.out_rows, nt_,
+                 gws);
     } else {
       // [s, N): the transpose view of the same matricization.
       blas::gemm(blas::Layout::ColMajor, blas::Trans::Trans,
-                 blas::Trans::Trans, nd.out_rows, rank_, trim.rows, T{1},
-                 X.data(), trim.rows, krp, rank_, T{0}, out, nd.out_rows,
-                 nt_, gws);
+                 blas::Trans::Trans, nd.out_rows, C, trim.rows, T{1},
+                 X.data(), trim.rows, krp, C, T{0}, out, nd.out_rows, nt_,
+                 gws);
     }
   } else {
+    // Component c of the parent's intermediate is a (trim.rows x out_rows)
+    // [left trim] or (out_rows x trim.rows) column-major block; its
+    // contraction against KRP row c (read strided out of the C x rows
+    // transposed-KRP buffer) is one m x 1 x k GEMM. The batch has one
+    // accumulation group per component, so when C < threads the batched
+    // kernel splits rows inside the groups and the whole team stays busy.
     const Node& par = nodes_[static_cast<std::size_t>(nd.parent)];
     const T* src = base_ + par.off_out;
-    if (!nd.left.empty() && !nd.right.empty()) {
-      const TrimSpec& first = nd.left_first ? nd.left : nd.right;
-      const TrimSpec& second = nd.left_first ? nd.right : nd.left;
-      T* Tbuf = base_ + nd.off_scratch + nd.off_t;
-      const T* k1 = form_trim_krp(nd, first, factors);
-      contract_batched(nd, src, par.out_rows, first, k1, nd.left_first, Tbuf,
-                       nd.t_rows);
-      const T* k2 = form_trim_krp(nd, second, factors);
-      contract_batched(nd, Tbuf, nd.t_rows, second, k2, !nd.left_first, out,
-                       nd.out_rows);
-    } else {
-      const TrimSpec& trim = nd.right.empty() ? nd.left : nd.right;
-      const T* krp = form_trim_krp(nd, trim, factors);
-      contract_batched(nd, src, par.out_rows, trim, krp, nd.right.empty(),
-                       out, nd.out_rows);
+    const T* krp = form_trim_krp(nd, factors);
+    for (index_t c = 0; c < C; ++c) {
+      const std::size_t sc = static_cast<std::size_t>(c);
+      batch_a_[sc] = src + c * par.out_rows;
+      batch_b_[sc] = krp + c;
+      batch_c_[sc] = out + c * nd.out_rows;
     }
+    const blas::GemmWorkspace gws = blas::typed_workspace(
+        base_ + nd.off_scratch + nd.off_gws, nd.gws_elems);
+    blas::gemm_batched(blas::Layout::ColMajor,
+                       nd.trim_left ? blas::Trans::Trans : blas::Trans::NoTrans,
+                       blas::Trans::Trans, nd.out_rows, index_t{1}, trim.rows,
+                       T{1}, batch_a_.data(),
+                       nd.trim_left ? trim.rows : nd.out_rows, batch_b_.data(),
+                       C, T{0}, batch_c_.data(), nd.out_rows, C, nt_, gws);
   }
   nd.fresh = true;
   ++node_counts_[static_cast<std::size_t>(id)].evals;

@@ -81,18 +81,15 @@ template <typename T>
 class DimTreeT {
  public:
   /// Plan the tree for a tensor with extents `dims` (N >= 2, validated by
-  /// the caller) at rank `rank`. `max_levels` caps the binary split depth:
-  /// 0 = full tree (split to single modes), 1 = the one-level two-group
-  /// scheme. The context must outlive the tree; the caller reserves
+  /// the caller) at rank `rank`: balanced binary splits down to single
+  /// modes. The context must outlive the tree; the caller reserves
   /// workspace_elems() in its arena.
   DimTreeT(const ExecContext& ctx, std::span<const index_t> dims,
-           index_t rank, int max_levels = 0);
+           index_t rank);
 
   /// Elements of T the tree draws from its workspace base at its peak,
   /// the depth-0 leaves' 1-step workspace included.
   [[nodiscard]] std::size_t workspace_elems() const { return ws_elems_; }
-  /// Deepest internal (splitting) level of the tree.
-  [[nodiscard]] int levels() const { return levels_; }
   /// The tree's nodes with their lifetime contraction counts.
   [[nodiscard]] std::span<const SweepNode> nodes() const {
     return node_counts_;
@@ -116,7 +113,7 @@ class DimTreeT {
               std::span<const MatrixT<T>> factors, MatrixT<T>& M);
 
  private:
-  /// One contracted factor interval [u, v) of a node evaluation, with the
+  /// The contracted factor interval [u, v) of a node evaluation, with the
   /// scratch offsets (relative to the node's scratch base) of its packed
   /// factor panels and transposed-KRP buffer.
   struct TrimSpec {
@@ -125,12 +122,12 @@ class DimTreeT {
     std::vector<index_t> extents;    ///< J_z per factor, mode u fastest last
     std::vector<std::size_t> packed_off;
     std::size_t off_krp = 0;
-    [[nodiscard]] bool empty() const { return u >= v; }
   };
 
-  /// A non-root tree node: mode interval, parent link, the one or two
-  /// sibling-interval trims that derive it from its parent, and the
-  /// workspace offsets of its output intermediate and evaluation scratch.
+  /// A non-root tree node: mode interval, parent link, the sibling
+  /// interval that derives it from its parent, and the workspace offsets
+  /// of its output intermediate and evaluation scratch. Every interval is
+  /// a prefix or a suffix of its parent's, so one trim always suffices.
   struct Node {
     index_t a = 0, b = 0;  ///< mode interval [a, b)
     int depth = 0;         ///< 0 = child of the root
@@ -138,12 +135,9 @@ class DimTreeT {
     index_t out_rows = 1;  ///< prod dims[a, b)
     bool leaf = false;
     bool fresh = false;    ///< intermediate computed since begin()
-    TrimSpec left;         ///< contracts [parent.a, a)
-    TrimSpec right;        ///< contracts [b, parent.b)
-    bool left_first = false;  ///< two-trim order: contract larger side first
-    index_t t_rows = 0;       ///< rows of the two-trim mid intermediate
+    TrimSpec trim;         ///< contracts [parent.a, a) or [b, parent.b)
+    bool trim_left = false;   ///< trim is [parent.a, a): a right child
     std::size_t off_out = 0;  ///< intermediate offset (internal nodes)
-    std::size_t off_t = 0;    ///< two-trim mid intermediate offset (scratch)
     std::size_t off_p = 0;    ///< per-thread partial-Hadamard scratch
     std::size_t stride_p = 0;
     std::size_t off_gws = 0;  ///< GEMM packing workspace
@@ -153,27 +147,18 @@ class DimTreeT {
     int onestep = -1;  ///< depth-0 leaf: index into onestep_
   };
 
-  int build_tree(index_t a, index_t b, int depth, int parent, int max_levels);
+  void build_tree(index_t a, index_t b, int depth, int parent);
   void plan_node_layout();
   void eval_node(int id, const TensorT<T>& X,
                  std::span<const MatrixT<T>> factors, MatrixT<T>* M);
-  /// Form the transposed KRP (C x trim.rows) of factors [trim.u, trim.v)
-  /// in the node's scratch; returns the buffer.
-  const T* form_trim_krp(const Node& nd, const TrimSpec& trim,
-                         std::span<const MatrixT<T>> factors);
-  /// One-sided batched contraction of `src` (src_rows x C, component-major)
-  /// against the trim's KRP: contract_left=true removes the
-  /// fastest-varying (leading) trim.rows index of each component block,
-  /// else the slowest (trailing) one.
-  void contract_batched(const Node& nd, const T* src, index_t src_rows,
-                        const TrimSpec& trim, const T* krp,
-                        bool contract_left, T* dst, index_t dst_rows);
+  /// Form the transposed KRP (C x trim.rows) of the node's trim factors
+  /// in its scratch; returns the buffer.
+  const T* form_trim_krp(const Node& nd, std::span<const MatrixT<T>> factors);
 
   const ExecContext* ctx_;
   std::vector<index_t> dims_;
   index_t rank_ = 0;
   int nt_ = 1;
-  int levels_ = 0;
 
   std::vector<Node> nodes_;
   std::vector<std::vector<int>> leaf_path_;  ///< per mode: node ids, top down

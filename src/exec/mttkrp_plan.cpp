@@ -142,9 +142,8 @@ void MttkrpPlanT<T>::plan_workspace() {
   // same frame so the blocked kernel runs heap-free (gemm_workspace.hpp).
   // The MTTKRP products (B^T = the transposed KRP) need none when they take
   // the rank-panel path; Reorder's NoTrans product always packs.
-  auto plan_gemm_ws = [&](blas::Trans tb, index_t gm, index_t gk,
-                          int gthreads) {
-    gemm_ws_elems_ = blas::gemm_workspace_elems<T>(tb, gm, C, gk, gthreads);
+  auto plan_gemm_ws = [&](blas::Trans tb, index_t gm, index_t gk) {
+    gemm_ws_elems_ = blas::gemm_workspace_elems<T>(tb, gm, C, gk, nt_);
     off_gemm_ws_ = take(gemm_ws_elems_);
   };
 
@@ -157,15 +156,7 @@ void MttkrpPlanT<T>::plan_workspace() {
       // Two ping-pong Kronecker accumulators of up to cosize elements.
       off_acc_ = take(2 * WorkspaceArena::aligned_count<T>(
                               static_cast<std::size_t>(cosize_)));
-      plan_gemm_ws(blas::Trans::NoTrans, In_, cosize_, nt_);
-      break;
-    case MttkrpMethod::OneStepSeq:
-      plan_packed(full_);
-      p_need(full_);
-      off_kt_full_ = take(static_cast<std::size_t>(C * cosize_));
-      // Mode 0 runs one (In x C x cosize) GEMM; other modes a sequence of
-      // (In x C x ILn) block products — all on one thread.
-      plan_gemm_ws(blas::Trans::Trans, In_, mode_ == 0 ? cosize_ : ILn_, 1);
+      plan_gemm_ws(blas::Trans::NoTrans, In_, cosize_);
       break;
     case MttkrpMethod::OneStep:
       if (mode_ == 0 || mode_ == N - 1) {
@@ -208,10 +199,10 @@ void MttkrpPlanT<T>::plan_workspace() {
         const index_t inter_rows = twostep_left_ ? In_ * IRn_ : ILn_ * In_;
         off_inter_ = take(static_cast<std::size_t>(inter_rows * C));
         plan_gemm_ws(blas::Trans::Trans, inter_rows,
-                     twostep_left_ ? ILn_ : IRn_, nt_);
+                     twostep_left_ ? ILn_ : IRn_);
       } else {
         // Degenerate externals: the one partial-MTTKRP GEMM is the answer.
-        plan_gemm_ws(blas::Trans::Trans, In_, mode_ == 0 ? IRn_ : ILn_, nt_);
+        plan_gemm_ws(blas::Trans::Trans, In_, mode_ == 0 ? IRn_ : ILn_);
       }
       break;
     case MttkrpMethod::Acc64:
@@ -279,12 +270,9 @@ void MttkrpPlanT<T>::pack(const FactorListT<T>& fl, const KrpLayout& lay,
 template <typename T>
 void MttkrpPlanT<T>::krp_transposed_ws(const KrpLayout& lay,
                                        std::span<const T* const> packed,
-                                       T* base, std::size_t off,
-                                       int threads) {
-  // `threads` planned partitions (threads <= nt_, so the per-block scratch
-  // slots always exist).
+                                       T* base, std::size_t off) {
   detail::krp_transposed_blocks<T>(packed, lay.extents, rank_, lay.rows,
-                                   threads, base + off, base + off_thread_p_,
+                                   nt_, base + off, base + off_thread_p_,
                                    stride_thread_p_, digits_.data(),
                                    digits_stride_);
 }
@@ -322,9 +310,6 @@ void MttkrpPlanT<T>::execute(const TensorT<T>& X,
       break;
     case MttkrpMethod::Reorder:
       exec_reorder(X, factors, M, base);
-      break;
-    case MttkrpMethod::OneStepSeq:
-      exec_onestep_seq(X, factors, M, base);
       break;
     case MttkrpMethod::OneStep:
       if (mode_ == 0 || mode_ == N - 1) {
@@ -412,37 +397,6 @@ void MttkrpPlanT<T>::exec_reorder(const TensorT<T>& X,
 }
 
 // ---------------------------------------------------------------------------
-// Algorithm 2: sequential 1-step.
-// ---------------------------------------------------------------------------
-template <typename T>
-void MttkrpPlanT<T>::exec_onestep_seq(const TensorT<T>& X,
-                                      std::span<const MatrixT<T>> factors,
-                                      MatrixT<T>& M, T* base) {
-  const index_t C = rank_;
-  T* Kt = base + off_kt_full_;
-  gather_factors(factors, List::Full, fl_full_);
-  pack(fl_full_, full_, base, packed_full_);
-  krp_transposed_ws(full_, packed_full_, base, off_kt_full_, /*threads=*/1);
-  const blas::GemmWorkspace gws =
-      blas::typed_workspace(base + off_gemm_ws_, gemm_ws_elems_);
-  if (mode_ == 0) {
-    // X(0) is column-major: a single BLAS call (Alg 2 line 4).
-    blas::gemm(blas::Layout::ColMajor, blas::Trans::NoTrans,
-               blas::Trans::Trans, In_, C, cosize_, T{1}, X.data(), In_, Kt,
-               C, T{0}, M.data(), M.ld(), /*threads=*/1, gws);
-    return;
-  }
-  // Block inner product over the I_Rn natural row-major blocks (lines 6-10).
-  M.set_zero();
-  for (index_t j = 0; j < IRn_; ++j) {
-    blas::gemm(blas::Layout::ColMajor, blas::Trans::Trans, blas::Trans::Trans,
-               In_, C, ILn_, T{1}, X.mode_block(mode_, j), ILn_,
-               Kt + j * ILn_ * C, C, T{1}, M.data(), M.ld(), /*threads=*/1,
-               gws);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Algorithm 3: parallel 1-step, internal modes (the external ones run the
 // kernel of exec/onestep_external.cpp).
 // ---------------------------------------------------------------------------
@@ -455,7 +409,7 @@ void MttkrpPlanT<T>::exec_onestep_internal(const TensorT<T>& X,
   // Left KRP precomputed in parallel (Alg 3 line 11).
   gather_factors(factors, List::Left, fl_left_);
   pack(fl_left_, left_, base, packed_left_);
-  krp_transposed_ws(left_, packed_left_, base, off_klt_, nt_);
+  krp_transposed_ws(left_, packed_left_, base, off_klt_);
   const T* KLt = base + off_klt_;
   gather_factors(factors, List::Right, fl_right_);
 
@@ -528,12 +482,12 @@ void MttkrpPlanT<T>::exec_twostep(const TensorT<T>& X,
   if (mode_ > 0) {
     gather_factors(factors, List::Left, fl_left_);
     pack(fl_left_, left_, base, packed_left_);
-    krp_transposed_ws(left_, packed_left_, base, off_klt_, nt_);
+    krp_transposed_ws(left_, packed_left_, base, off_klt_);
   }
   if (mode_ < N - 1) {
     gather_factors(factors, List::Right, fl_right_);
     pack(fl_right_, right_, base, packed_right_);
-    krp_transposed_ws(right_, packed_right_, base, off_krt_, nt_);
+    krp_transposed_ws(right_, packed_right_, base, off_krt_);
   }
   const T* KLt = base + off_klt_;
   const T* KRt = base + off_krt_;
@@ -583,7 +537,7 @@ void MttkrpPlanT<T>::exec_acc64(const TensorT<T>& X,
   const index_t C = rank_;
   gather_factors(factors, List::Full, fl_full_);
   pack(fl_full_, full_, base, packed_full_);
-  krp_transposed_ws(full_, packed_full_, base, off_kt_full_, nt_);
+  krp_transposed_ws(full_, packed_full_, base, off_kt_full_);
   const T* Kt = base + off_kt_full_;
 
   // Each planned block owns whole output rows i and sums each one across

@@ -16,13 +16,13 @@
 ///
 /// execute() then draws every large buffer from the arena frame opened for
 /// the call; the small index scratch lives in the plan itself. The
-/// paper's methods (OneStepSeq/OneStep/TwoStep), the Auto tree path and
+/// paper's methods (OneStep/TwoStep), the Auto tree path and
 /// the fp64-accumulate Acc64 kernel run fully heap-free after construction —
 /// INCLUDING the BLAS layer: every gemm/gemm_batched call receives a
 /// GemmWorkspace carved from the same arena frame, so the packing panels
 /// of the blocked kernel never touch the heap either (the arena
 /// instrumentation plus blas::gemm_internal_allocs() verify this in the
-/// tests). The Reorder baseline and the Reference oracle keep their
+/// tests). The Reorder comparator and the Reference oracle keep their
 /// O(tensor) buffers in the arena too but may use transient O(N) index
 /// scratch inside matricize_into.
 ///
@@ -139,16 +139,13 @@ class MttkrpPlanT {
   // already-packed panels.
   void krp_transposed_ws(const KrpLayout& lay,
                          std::span<const T* const> packed, T* base,
-                         std::size_t off, int threads);
+                         std::size_t off);
 
   // Method bodies (mirror the algorithms of core/mttkrp.cpp).
   void exec_reference(const TensorT<T>& X, std::span<const MatrixT<T>> factors,
                       MatrixT<T>& M);
   void exec_reorder(const TensorT<T>& X, std::span<const MatrixT<T>> factors,
                     MatrixT<T>& M, T* base);
-  void exec_onestep_seq(const TensorT<T>& X,
-                        std::span<const MatrixT<T>> factors, MatrixT<T>& M,
-                        T* base);
   void exec_onestep_internal(const TensorT<T>& X,
                              std::span<const MatrixT<T>> factors,
                              MatrixT<T>& M, T* base);

@@ -28,7 +28,7 @@ template <typename T>
 CpAlsSweepPlanT<T>::CpAlsSweepPlanT(const ExecContext& ctx,
                                     std::span<const index_t> dims,
                                     index_t rank, SweepScheme scheme,
-                                    MttkrpMethod method, int max_levels)
+                                    MttkrpMethod method)
     : ctx_(&ctx),
       dims_(dims.begin(), dims.end()),
       rank_(rank),
@@ -62,7 +62,7 @@ CpAlsSweepPlanT<T>::CpAlsSweepPlanT(const ExecContext& ctx,
     return;
   }
 
-  tree_.emplace(ctx, dims_, rank_, max_levels);
+  tree_.emplace(ctx, dims_, rank_);
   ctx.arena().template reserve<T>(tree_->workspace_elems());
 }
 

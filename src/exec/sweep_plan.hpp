@@ -112,13 +112,10 @@ class CpAlsSweepPlanT {
 
   /// Plan sweeps for a tensor with extents `dims` at rank `rank`. `method`
   /// selects the per-mode MTTKRP kernel (PerMode scheme only; the tree has
-  /// its own contraction kernels). `max_levels` caps the tree's binary
-  /// split depth: 0 = full tree (split to single modes), 1 = the one-level
-  /// two-group scheme. The context must outlive the plan.
+  /// its own contraction kernels). The context must outlive the plan.
   CpAlsSweepPlanT(const ExecContext& ctx, std::span<const index_t> dims,
                   index_t rank, SweepScheme scheme = SweepScheme::Auto,
-                  MttkrpMethod method = MttkrpMethod::Auto,
-                  int max_levels = 0);
+                  MttkrpMethod method = MttkrpMethod::Auto);
 
   /// Plan sparse sweeps: Auto resolves to SparseCsf; only SparseCsf /
   /// SparseCoo are accepted (a dense scheme on sparse input throws, like a
@@ -162,8 +159,6 @@ class CpAlsSweepPlanT {
   [[nodiscard]] SweepScheme requested_scheme() const { return requested_; }
   /// What the plan actually runs (never Auto).
   [[nodiscard]] SweepScheme scheme() const { return scheme_; }
-  /// Deepest internal (splitting) level of the tree; 0 for PerMode.
-  [[nodiscard]] int levels() const { return tree_ ? tree_->levels() : 0; }
   /// Arena bytes a DimTree sweep holds at its peak, the depth-0 leaves'
   /// 1-step workspace included (0 for PerMode, whose per-mode plans size
   /// their own frames; the sparse schemes report their SparseMttkrpPlan's

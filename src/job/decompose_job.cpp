@@ -65,7 +65,6 @@ CpAlsOptionsT<T> options(const DecomposeSpec& s) {
   // constructor did, and checkpoints stay bound to what was asked for.
   o.sweep_scheme = s.sweep;
   o.method = s.method;
-  o.dimtree_levels = s.levels;
   o.checkpoint_path = s.checkpoint;
   o.checkpoint_every = s.checkpoint_every;
   o.resume = s.resume;
@@ -113,6 +112,12 @@ bool is_sparse_tensor_path(const std::string& path) {
   return path.ends_with(".tns");
 }
 
+std::optional<bool> parse_precision(std::string_view name) {
+  if (name == "double") return false;
+  if (name == "float") return true;
+  return std::nullopt;
+}
+
 void DecomposeOutcome::write_model(const std::string& path) const {
   std::visit([&](const auto& K) { io::write_ktensor(path, K); }, model);
 }
@@ -123,7 +128,6 @@ DecomposeJob::DecomposeJob(DecomposeSpec spec) : spec_(std::move(spec)) {
   if (s.rank < 1) reject("rank", "must be >= 1");
   if (s.iters < 1) reject("iters", "must be >= 1");
   if (!(s.tol >= 0.0)) reject("tol", "must be >= 0");
-  if (s.levels < 0) reject("levels", "must be >= 0");
   if (s.checkpoint_every < 1) reject("checkpoint_every", "must be >= 1");
   if (s.checkpoint.empty() && s.checkpoint_every != 1) {
     reject("checkpoint_every", "needs a checkpoint path");
@@ -143,7 +147,6 @@ DecomposeJob::DecomposeJob(DecomposeSpec spec) : spec_(std::move(spec)) {
       reject("method", "selects dense per-mode kernels; sparse input "
                        "chooses its own");
     }
-    if (s.levels != 0) reject("levels", "applies to the dense dimtree sweep");
     if (s.nn) reject("nn", "nonnegative CP needs a dense (.dten) tensor");
     if (!std::filesystem::exists(s.tensor)) {
       throw io::IoError("no such tensor file: " + s.tensor);
@@ -168,10 +171,6 @@ DecomposeJob::DecomposeJob(DecomposeSpec spec) : spec_(std::move(spec)) {
   if (s.method != MttkrpMethod::Auto && scheme_ == SweepScheme::DimTree) {
     reject("method", "selects per-mode kernels; the dimtree sweep has its "
                      "own");
-  }
-  if (s.levels != 0 && scheme_ != SweepScheme::DimTree) {
-    reject("levels", "requires the dimtree sweep (this run resolves to " +
-                         scheme_name(scheme_) + ")");
   }
 }
 

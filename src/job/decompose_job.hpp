@@ -13,20 +13,20 @@
 ///
 ///   input   rejected
 ///   ------  ------------------------------------------------------------
-///   any     rank < 1, iters < 1, tol < 0 or NaN, levels < 0,
-///           checkpoint_every < 1; checkpoint_every != 1 or resume
-///           without a checkpoint path
+///   any     rank < 1, iters < 1, tol < 0 or NaN, checkpoint_every < 1;
+///           checkpoint_every != 1 or resume without a checkpoint path
 ///   .tns    a dense sweep (permode/dimtree), a non-auto method (acc64
-///           included), levels != 0, nn
+///           included), nn
 ///   dense   a sparse sweep (csf/coo), a non-auto method on a resolved
-///           dimtree sweep, levels != 0 on a non-dimtree sweep, method
-///           acc64 without f32
+///           dimtree sweep, method acc64 without f32
 ///
 /// Layering: job/ sits above core/exec/io/sparse and below serve/ and
 /// tools/ (enforced by tools/dmtk_lint.py's `layering` rule).
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -55,11 +55,15 @@ struct DecomposeSpec {
   std::uint64_t seed = 42;   ///< initialization seed
   SweepScheme sweep = SweepScheme::Auto;
   MttkrpMethod method = MttkrpMethod::Auto;  ///< Acc64: fp64 sums (f32)
-  int levels = 0;            ///< dimension-tree depth cap (0 = full tree)
   std::string checkpoint;    ///< crash-safe checkpoint path ("" = none)
   int checkpoint_every = 1;  ///< sweeps between checkpoints
   bool resume = false;       ///< restart from the checkpoint when present
 };
+
+/// Parse a precision name into DecomposeSpec::f32: "double" is false,
+/// "float" true. Returns nullopt for any other spelling — the one parser
+/// behind the CLI's --precision and the server's "precision" field.
+[[nodiscard]] std::optional<bool> parse_precision(std::string_view name);
 
 /// Everything a front end reports about a finished job.
 struct DecomposeOutcome {
@@ -99,7 +103,7 @@ class DecomposeJob {
   [[nodiscard]] DecomposeOutcome run(const ExecContext& ctx) const;
 
   /// Decompose the already-read `X` through a caller-owned dense plan
-  /// built for this job's dims(), rank, scheme(), method and levels (the
+  /// built for this job's dims(), rank, scheme() and method (the
   /// server's plan and tensor caches). X's extents must be the probed
   /// ones; the outcome's read_ms is left to the caller. Needs a plain
   /// dense cp_als job: no nn.

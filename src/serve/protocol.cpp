@@ -48,8 +48,7 @@ std::int64_t get_int(const Json& v, const char* key, std::int64_t lo,
 
 bool get_f32(const Json& v) {
   const std::string p = get_string(v, "precision");
-  if (p == "double" || p == "f64" || p == "fp64") return false;
-  if (p == "float" || p == "f32" || p == "fp32") return true;
+  if (const auto f32 = parse_precision(p)) return *f32;
   bad("field \"precision\" must be \"double\" or \"float\" (got \"" + p +
       "\")");
 }
@@ -137,7 +136,7 @@ Request parse_request(const Json& j) {
 
   // decompose
   check_fields(j, {"type", "id", "tensor", "precision", "rank", "iters",
-                   "tol", "seed", "sweep", "method", "levels", "out",
+                   "tol", "seed", "sweep", "method", "out",
                    "inline_model", "cold"});
   if (const Json* v = j.find("iters")) {
     r.spec.iters = static_cast<int>(get_int(*v, "iters", 1, 1'000'000));
@@ -157,9 +156,6 @@ Request parse_request(const Json& j) {
     const auto m = parse_mttkrp_method(name);
     if (!m) bad("unknown mttkrp method \"" + name + '"');
     r.spec.method = *m;
-  }
-  if (const Json* v = j.find("levels")) {
-    r.spec.levels = static_cast<int>(get_int(*v, "levels", 0, 64));
   }
   if (const Json* v = j.find("cold")) r.cold = get_bool(*v, "cold");
   // Default: inline the model exactly when it is not going to a file.

@@ -386,7 +386,7 @@ Server::Job Server::make_job(Request r, const std::shared_ptr<Conn>& conn) {
     job.dense = !dj.sparse();
     if (job.dense) {
       job.key = PlanKey{dj.dims(), r.spec.rank, dj.scheme(), r.spec.method,
-                        r.spec.levels, r.spec.f32};
+                        r.spec.f32};
     }
     job.req = std::move(r);
     return job;
@@ -406,7 +406,7 @@ Server::Job Server::make_job(Request r, const std::shared_ptr<Conn>& conn) {
   // mttkrp batching keys on shape/rank/precision/mode only; the sweep
   // fields stay at their defaults in the key.
   job.key = PlanKey{dims, r.spec.rank, SweepScheme::PerMode,
-                    MttkrpMethod::Auto, 0, r.spec.f32};
+                    MttkrpMethod::Auto, r.spec.f32};
   job.dims = std::move(dims);
   job.dense = true;
   job.req = std::move(r);
@@ -544,8 +544,7 @@ void Server::decompose_warm(Worker& ws, std::vector<Queue::Item>& jobs) {
         // Cache disabled (--cache-entries 0) or degraded: every job runs
         // like a warm context with a transient plan.
         const PlanKey& k = job.key;
-        CpAlsSweepPlanT<T> plan(ws.ctx, k.dims, k.rank, k.scheme, k.method,
-                                k.levels);
+        CpAlsSweepPlanT<T> plan(ws.ctx, k.dims, k.rank, k.scheme, k.method);
         out = job.decompose->run(plan, *X);
       }
       out.read_ms = read_ms;

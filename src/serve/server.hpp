@@ -7,7 +7,7 @@
 /// touch), sweep-plan construction, then the actual sweeps. A resident
 /// server keeps the expensive parts warm — per-worker ExecContexts stay
 /// alive, a per-worker PlanCache holds constructed CpAlsSweepPlans keyed
-/// on (shape, rank, scheme, method, levels, precision), and one shared
+/// on (shape, rank, scheme, method, precision), and one shared
 /// TensorCache holds the checked tensors of the files already read — so
 /// a repeat request of a file and shape already seen skips straight to
 /// the sweeps. That is the paper's plan-amortization argument lifted from

@@ -190,22 +190,34 @@ expect_grep "unknown flag '--accumulate'" "${dmtk}" decompose \
   "${work}/x32.dten" --rank 3 --precision float --accumulate double
 expect_usage_error "${dmtk}" decompose "${work}/x32.dten" --rank 3 \
   --precision float --accumulate double
+# One precision spelling each (double|float), no sequential 1-step method
+# (1-step on one thread is that algorithm), and no tree-depth cap.
+for p in single fp32 f64; do
+  expect_usage_error "${dmtk}" decompose "${work}/x64.dten" --rank 3 \
+    --precision "${p}"
+done
+expect_usage_error "${dmtk}" decompose "${work}/x64.dten" --rank 3 \
+  --method 1-step-seq
+expect_usage_error "${dmtk}" decompose "${work}/x64.dten" --rank 3 \
+  --levels 1
+expect_usage_error "${dmtk}" client --socket "${work}/never.sock" \
+  decompose "${work}/x64.dten" --levels 1
 
 # --- value-based decompose rules (DecomposeJob) -----------------------------
 # Spelling out a default is never an error ...
 expect_ok "${dmtk}" decompose "${work}/x64.dten" --rank 3 --iters 2 \
-  --sweep permode --levels 0
+  --sweep permode --method auto
 expect_ok "${dmtk}" decompose "${work}/x64.dten" --rank 3 --iters 2 \
   --sweep dimtree --method auto
 expect_ok "${dmtk}" decompose "${work}/x64.dten" --rank 3 --iters 2 \
   --precision double --method auto
 expect_ok "${dmtk}" decompose "${work}/s.tns" --rank 2 --iters 2 \
-  --levels 0 --method auto
+  --sweep auto --method auto
 # ... while a real conflict is a usage error naming the field.
 expect_usage_error "${dmtk}" decompose "${work}/x64.dten" --rank 3 \
-  --sweep permode --levels 1
-expect_grep "levels:" "${dmtk}" decompose "${work}/x64.dten" --rank 3 \
-  --sweep permode --levels 1
+  --method acc64
+expect_grep "method:" "${dmtk}" decompose "${work}/x64.dten" --rank 3 \
+  --method acc64
 expect_usage_error "${dmtk}" decompose "${work}/x64.dten" --rank 3 \
   --sweep dimtree --method 2-step
 expect_usage_error "${dmtk}" decompose "${work}/x64.dten" --rank 3 \

@@ -9,12 +9,15 @@
 #include <unistd.h>
 
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cp_als.hpp"
+#include "core/cp_als_detail.hpp"
 #include "core/tensor.hpp"
 #include "io/checkpoint.hpp"
 #include "io/tensor_io.hpp"
@@ -135,11 +138,33 @@ TEST_F(CheckpointTest, OptionsHashMismatchRefusesToResume) {
   }
 }
 
+TEST(CheckpointOptionsHash, EarlierCheckpointsStillBind) {
+  // The method is hashed by enumerator value and a retired option hashes
+  // as the constant it always held, so a checkpoint written by an earlier
+  // build still resumes. The goldens were computed before the sequential
+  // 1-step (method value 2) and the tree-depth cap were retired.
+  const Tensor X({12, 10, 8});
+  CpAlsOptions o = base_options();
+  const std::pair<MttkrpMethod, std::uint64_t> goldens[] = {
+      {MttkrpMethod::Auto, 0x0555953173c3df61ull},
+      {MttkrpMethod::OneStep, 0xce9003cd1a54dca7ull},
+      {MttkrpMethod::TwoStep, 0xdeadebf5b659f500ull},
+      {MttkrpMethod::Reorder, 0x9ff43a20696b88e5ull},
+  };
+  for (const auto& [method, hash] : goldens) {
+    o.method = method;
+    EXPECT_EQ(detail::cp_als_options_hash(X, o, 2), hash) << to_string(method);
+  }
+  CpAlsOptionsF of;
+  of.rank = 4;
+  of.tol = 0.0;
+  of.seed = 77;
+  of.method = MttkrpMethod::Acc64;
+  EXPECT_EQ(detail::cp_als_options_hash(TensorF({12, 10, 8}), of, 2),
+            0x5cdaf09b76caf463ull);
+}
+
 TEST_F(CheckpointTest, Acc64AndAutoCheckpointsNeverCrossResume) {
-  // The method is hashed by enumerator value: Acc64 was appended so every
-  // earlier method keeps the value its existing checkpoints were bound to.
-  static_assert(static_cast<int>(MttkrpMethod::Auto) == 5);
-  static_assert(static_cast<int>(MttkrpMethod::Acc64) == 6);
   // fp64 accumulation changes the sweep's arithmetic, so a checkpoint
   // binds to it in both directions; the writer's own method resumes.
   const TensorF X = tensor_cast<float>(test_tensor());

@@ -13,6 +13,7 @@
 #include <iterator>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -80,7 +81,6 @@ TEST_F(DecomposeJobTest, EveryRuleRejectsByFieldName) {
        [](DecomposeSpec& s) {
          s.tol = std::numeric_limits<double>::quiet_NaN();
        }},
-      {"negative levels", "levels", [](DecomposeSpec& s) { s.levels = -1; }},
       {"checkpoint_every 0", "checkpoint_every",
        [](DecomposeSpec& s) {
          s.checkpoint = "ck";
@@ -106,11 +106,6 @@ TEST_F(DecomposeJobTest, EveryRuleRejectsByFieldName) {
          s.tensor = tns_;
          s.method = MttkrpMethod::TwoStep;
        }},
-      {"sparse + levels", "levels",
-       [this](DecomposeSpec& s) {
-         s.tensor = tns_;
-         s.levels = 1;
-       }},
       {"sparse + nn", "nn",
        [this](DecomposeSpec& s) {
          s.tensor = tns_;
@@ -131,18 +126,6 @@ TEST_F(DecomposeJobTest, EveryRuleRejectsByFieldName) {
        [](DecomposeSpec& s) {
          s.sweep = SweepScheme::DimTree;
          s.method = MttkrpMethod::OneStep;
-       }},
-      {"levels on permode", "levels",
-       [](DecomposeSpec& s) {
-         s.sweep = SweepScheme::PerMode;
-         s.levels = 1;
-       }},
-      {"levels with a method on a 4-way auto (resolves to permode)",
-       "levels",
-       [this](DecomposeSpec& s) {
-         s.tensor = four_;
-         s.method = MttkrpMethod::TwoStep;
-         s.levels = 1;
        }},
       {"acc64 without f32", "method",
        [](DecomposeSpec& s) { s.method = MttkrpMethod::Acc64; }},
@@ -171,21 +154,15 @@ TEST_F(DecomposeJobTest, EveryRuleRejectsByFieldName) {
 
 TEST_F(DecomposeJobTest, SpellingOutADefaultIsNeverAnError) {
   const std::vector<std::function<void(DecomposeSpec&)>> edits = {
-      [](DecomposeSpec& s) { s.sweep = SweepScheme::PerMode; },  // levels 0
+      [](DecomposeSpec& s) { s.sweep = SweepScheme::PerMode; },
       [](DecomposeSpec& s) { s.sweep = SweepScheme::DimTree; },  // method auto
       [](DecomposeSpec& s) { s.checkpoint_every = 1; },          // no path
       [this](DecomposeSpec& s) {  // every dense knob at its default
         s.tensor = tns_;
         s.sweep = SweepScheme::Auto;
         s.method = MttkrpMethod::Auto;
-        s.levels = 0;
         s.f32 = true;
       },
-      [this](DecomposeSpec& s) {
-        s.tensor = four_;
-        s.levels = 1;  // Auto resolves to DimTree here
-      },
-      [](DecomposeSpec& s) { s.levels = 2; },  // and on the 3-way cube
       [](DecomposeSpec& s) {
         s.f32 = true;
         s.method = MttkrpMethod::Acc64;
@@ -196,6 +173,14 @@ TEST_F(DecomposeJobTest, SpellingOutADefaultIsNeverAnError) {
     spec.tensor = cube_;
     edits[i](spec);
     EXPECT_NO_THROW({ const DecomposeJob job(spec); }) << "edit " << i;
+  }
+}
+
+TEST(ParsePrecision, TakesOneSpellingPerPrecision) {
+  EXPECT_EQ(parse_precision("double"), std::optional<bool>(false));
+  EXPECT_EQ(parse_precision("float"), std::optional<bool>(true));
+  for (const char* name : {"f64", "fp64", "f32", "fp32", "single", "Float"}) {
+    EXPECT_EQ(parse_precision(name), std::nullopt) << name;
   }
 }
 
@@ -260,8 +245,7 @@ TEST_F(DecomposeJobTest, RunMatchesTheDriverAndThePlanPath) {
 
   // The caller-owned plan path (the server's plan cache) writes the same
   // model file byte for byte.
-  CpAlsSweepPlan plan(ctx, job.dims(), spec.rank, job.scheme(), spec.method,
-                      spec.levels);
+  CpAlsSweepPlan plan(ctx, job.dims(), spec.rank, job.scheme(), spec.method);
   const DecomposeOutcome planned =
       job.run(plan, io::read_tensor_as<double>(cube_));
   out.write_model(path("a.dktn"));
@@ -294,7 +278,7 @@ TEST_F(DecomposeJobTest, RunsEveryInputKindInItsPrecision) {
 
   // A caller-owned plan serves plain dense cp_als jobs only.
   const std::vector<index_t> dims{6, 5, 4};
-  CpAlsSweepPlanF plan(ctx, dims, 2, SweepScheme::PerMode, spec.method, 0);
+  CpAlsSweepPlanF plan(ctx, dims, 2, SweepScheme::PerMode, spec.method);
   spec.nn = true;
   const TensorF X = io::read_tensor_as<float>(cube_);
   EXPECT_THROW((void)DecomposeJob(spec).run(plan, X), DimensionError);

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "baseline/ttb_cp_als.hpp"
 #include "blas/gemm_workspace.hpp"
 #include "core/cp_als.hpp"
 #include "core/cp_nn.hpp"
@@ -26,9 +25,8 @@ namespace {
 using testing::random_factors;
 
 const std::vector<MttkrpMethod> kAllMethods = {
-    MttkrpMethod::Reference, MttkrpMethod::Reorder, MttkrpMethod::OneStepSeq,
-    MttkrpMethod::OneStep,   MttkrpMethod::TwoStep, MttkrpMethod::Auto,
-    MttkrpMethod::Acc64,
+    MttkrpMethod::Reference, MttkrpMethod::Reorder, MttkrpMethod::OneStep,
+    MttkrpMethod::TwoStep,   MttkrpMethod::Auto,    MttkrpMethod::Acc64,
 };
 
 void expect_bitwise_equal(const Matrix& a, const Matrix& b) {
@@ -508,7 +506,8 @@ TEST(ParseMttkrpMethod, RejectsUnknownNames) {
 TEST(ParseMttkrpMethod, RejectsRetiredAliases) {
   // One spelling per method: to_string's name is the only one accepted.
   for (const char* alias :
-       {"onestep", "1step", "twostep", "2step", "onestep-seq", "seq"}) {
+       {"onestep", "1step", "twostep", "2step", "onestep-seq", "seq",
+        "1-step-seq"}) {
     EXPECT_EQ(parse_mttkrp_method(alias), std::nullopt) << alias;
   }
 }
@@ -565,19 +564,6 @@ TEST(DriverExecContext, DimtreeAndHalsAcceptContext) {
   dt_ctx.sweep_scheme = SweepScheme::DimTree;
   expect_same_result(cp_als(X, dt), cp_als(X, dt_ctx));
   expect_same_result(cp_nnhals(X, opts), cp_nnhals(X, opts_ctx));
-}
-
-TEST(DriverExecContext, BaselineUsesReorderPlans) {
-  Rng rng(19);
-  Tensor X = Tensor::random_uniform({5, 4, 3}, rng);
-  CpAlsOptions opts;
-  opts.rank = 2;
-  opts.max_iters = 4;
-  opts.threads = 1;
-  // ttb_cp_als == cp_als pinned to the Reorder kernel.
-  CpAlsOptions reorder_opts = opts;
-  reorder_opts.method = MttkrpMethod::Reorder;
-  expect_same_result(baseline::ttb_cp_als(X, opts), cp_als(X, reorder_opts));
 }
 
 }  // namespace

@@ -52,9 +52,8 @@ namespace dmtk {
 namespace {
 
 constexpr MttkrpMethod kAllMethods[] = {
-    MttkrpMethod::Reference, MttkrpMethod::Reorder, MttkrpMethod::OneStepSeq,
-    MttkrpMethod::OneStep,   MttkrpMethod::TwoStep, MttkrpMethod::Auto,
-    MttkrpMethod::Acc64,
+    MttkrpMethod::Reference, MttkrpMethod::Reorder, MttkrpMethod::OneStep,
+    MttkrpMethod::TwoStep,   MttkrpMethod::Auto,    MttkrpMethod::Acc64,
 };
 
 /// Same seeded problem in both precisions: the double operands, and their

@@ -63,8 +63,8 @@ TEST(Integration, MttkrpConsistencyOnFmriShapes) {
   const std::vector<Matrix> fs = testing::random_factors(X.dims(), 5, rng);
   for (index_t mode = 0; mode < 3; ++mode) {
     Matrix ref = mttkrp(X, fs, mode, MttkrpMethod::Reference);
-    for (MttkrpMethod m : {MttkrpMethod::Reorder, MttkrpMethod::OneStepSeq,
-                           MttkrpMethod::OneStep, MttkrpMethod::TwoStep}) {
+    for (MttkrpMethod m : {MttkrpMethod::Reorder, MttkrpMethod::OneStep,
+                           MttkrpMethod::TwoStep}) {
       Matrix got = mttkrp(X, fs, mode, m, 3);
       for (index_t j = 0; j < got.cols(); ++j) {
         for (index_t i = 0; i < got.rows(); ++i) {

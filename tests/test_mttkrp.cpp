@@ -71,8 +71,8 @@ std::vector<MttkrpCase> sweep_cases() {
       {31, 5, 17},           // one mode crossing BLAS tile edges
   };
   const std::vector<MttkrpMethod> methods = {
-      MttkrpMethod::Reorder, MttkrpMethod::OneStepSeq, MttkrpMethod::OneStep,
-      MttkrpMethod::TwoStep, MttkrpMethod::Auto};
+      MttkrpMethod::Reorder, MttkrpMethod::OneStep, MttkrpMethod::TwoStep,
+      MttkrpMethod::Auto};
   std::vector<MttkrpCase> cases;
   for (const auto& dims : shapes) {
     for (index_t mode = 0; mode < static_cast<index_t>(dims.size()); ++mode) {

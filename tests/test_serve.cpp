@@ -561,6 +561,10 @@ TEST_F(ServeTest, MalformedRequestTable) {
        "invalid_request"},  // unknown field (typo) is an error, not a default
       {R"({"type":"decompose","tensor":"x.dten","precision":"f16"})",
        "invalid_request"},
+      {R"({"type":"decompose","tensor":"x.dten","precision":"f32"})",
+       "invalid_request"},  // one spelling: "float"
+      {R"({"type":"decompose","tensor":"x.dten","levels":1})",
+       "invalid_request"},  // the tree-depth cap is gone
       {R"({"type":"decompose","tensor":"x.dten","sweep":"bogus"})",
        "invalid_request"},
       {R"({"type":"decompose","tensor":"/nonexistent/x.dten"})", "io_error"},

@@ -198,9 +198,9 @@ TEST(ServePlanCache, DisabledCacheBypasses) {
 TEST(ServePlanCache, KeyStringIsCanonical) {
   const PlanKey k = key_for({6, 5, 4}, 2);
   EXPECT_EQ(k.to_string(),
-            "dims=6x5x4|rank=2|scheme=permode|method=auto|levels=0|prec=f64");
+            "dims=6x5x4|rank=2|scheme=permode|method=auto|prec=f64");
   EXPECT_EQ(key_for({6, 5, 4}, 2, true).to_string(),
-            "dims=6x5x4|rank=2|scheme=permode|method=auto|levels=0|prec=f32");
+            "dims=6x5x4|rank=2|scheme=permode|method=auto|prec=f32");
 }
 
 // ---------------------------------------------------------------------------

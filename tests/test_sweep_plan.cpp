@@ -1,7 +1,7 @@
 // Coverage for the CP-ALS sweep planner (exec/sweep_plan.hpp): DimTree
 // leaf MTTKRPs vs the Reference oracle across orders 3-6 and degenerate
-// shapes, DimTree-vs-PerMode driver iterate equivalence, tree-depth
-// ablation agreement, plan reuse across factorizations, the in-order sweep
+// shapes, DimTree-vs-PerMode driver iterate equivalence, the tree's
+// shape, plan reuse across factorizations, the in-order sweep
 // protocol, the zero-allocation contract (arena instrumentation +
 // blas::gemm_internal_allocs) over full dimension-tree sweeps, and the
 // DimTree driver end to end (recovery, convergence, thread invariance,
@@ -34,23 +34,22 @@ using testing::random_factors;
 /// One sweep with FIXED factors: every DimTree leaf must then equal the
 /// plain mode-n MTTKRP (the tree is an algebraic rearrangement).
 void expect_leaves_match_reference(const std::vector<index_t>& dims,
-                                   index_t rank, int threads, int levels,
+                                   index_t rank, int threads,
                                    SweepScheme scheme = SweepScheme::DimTree) {
   Rng rng(100 + static_cast<std::uint64_t>(dims.size()) +
           static_cast<std::uint64_t>(rank));
   Tensor X = Tensor::random_uniform(dims, rng);
   const std::vector<Matrix> fs = random_factors(dims, rank, rng);
   ExecContext ctx(threads);
-  CpAlsSweepPlan plan(ctx, X.dims(), rank, scheme, MttkrpMethod::Auto,
-                      levels);
+  CpAlsSweepPlan plan(ctx, X.dims(), rank, scheme);
   plan.begin_sweep(X);
   Matrix M;
   for (index_t n = 0; n < X.order(); ++n) {
     plan.mode_mttkrp(n, X, fs, M);
     const Matrix ref = mttkrp(X, fs, n, MttkrpMethod::Reference);
     SCOPED_TRACE("scheme=" + std::string(to_string(plan.scheme())) +
-                 " levels=" + std::to_string(levels) + " mode=" +
-                 std::to_string(n) + " threads=" + std::to_string(threads));
+                 " mode=" + std::to_string(n) +
+                 " threads=" + std::to_string(threads));
     expect_matrix_near(M, ref, 1e-9);
   }
 }
@@ -65,7 +64,7 @@ TEST(SweepPlanDimTree, LeavesMatchReferenceAcrossOrders) {
   };
   for (const auto& dims : shapes) {
     for (int threads : {1, 3}) {
-      expect_leaves_match_reference(dims, 3, threads, /*levels=*/0);
+      expect_leaves_match_reference(dims, 3, threads);
     }
   }
 }
@@ -73,26 +72,17 @@ TEST(SweepPlanDimTree, LeavesMatchReferenceAcrossOrders) {
 TEST(SweepPlanDimTree, DegenerateShapes) {
   // A mode of extent 1 (leading, internal, trailing), rank 1, and rank
   // larger than every extent.
-  expect_leaves_match_reference({1, 4, 3}, 3, 2, 0);
-  expect_leaves_match_reference({4, 1, 3, 2}, 2, 2, 0);
-  expect_leaves_match_reference({3, 4, 1}, 2, 1, 0);
-  expect_leaves_match_reference({3, 2, 4}, 1, 2, 0);
-  expect_leaves_match_reference({3, 2, 4, 2}, 7, 3, 0);
-  expect_leaves_match_reference({2, 1, 2, 1, 3}, 4, 2, 0);
-}
-
-TEST(SweepPlanDimTree, TreeDepthAblationAgrees) {
-  // 1-level (the old two-group scheme), capped, and full trees all
-  // produce the same leaves.
-  for (int levels : {1, 2, 0}) {
-    expect_leaves_match_reference({3, 4, 2, 5}, 4, 2, levels);
-    expect_leaves_match_reference({2, 3, 2, 2, 3, 2}, 3, 3, levels);
-  }
+  expect_leaves_match_reference({1, 4, 3}, 3, 2);
+  expect_leaves_match_reference({4, 1, 3, 2}, 2, 2);
+  expect_leaves_match_reference({3, 4, 1}, 2, 1);
+  expect_leaves_match_reference({3, 2, 4}, 1, 2);
+  expect_leaves_match_reference({3, 2, 4, 2}, 7, 3);
+  expect_leaves_match_reference({2, 1, 2, 1, 3}, 4, 2);
 }
 
 TEST(SweepPlanDimTree, PerModeSchemeThroughSameInterface) {
-  expect_leaves_match_reference({5, 4, 6}, 3, 2, 0, SweepScheme::PerMode);
-  expect_leaves_match_reference({3, 4, 2, 5}, 4, 1, 0, SweepScheme::PerMode);
+  expect_leaves_match_reference({5, 4, 6}, 3, 2, SweepScheme::PerMode);
+  expect_leaves_match_reference({3, 4, 2, 5}, 4, 1, SweepScheme::PerMode);
 }
 
 TEST(SweepPlanDimTree, PlanReuseAcrossFactorizations) {
@@ -115,17 +105,30 @@ TEST(SweepPlanDimTree, PlanReuseAcrossFactorizations) {
   EXPECT_EQ(ctx.arena().in_use(), 0u);
 }
 
-TEST(SweepPlanDimTree, LevelsMetadata) {
+/// The plan's nodes in build order as "first:last@depth", with an "L" on
+/// leaves.
+std::string tree_shape(const CpAlsSweepPlan& plan) {
+  std::string s;
+  for (const SweepNode& nd : plan.nodes()) {
+    if (!s.empty()) s += ' ';
+    s += std::to_string(nd.first) + ":" + std::to_string(nd.last) + "@" +
+         std::to_string(nd.depth) + (nd.leaf ? "L" : "");
+  }
+  return s;
+}
+
+TEST(SweepPlanDimTree, TreeShapeMetadata) {
   ExecContext ctx(1);
   const std::vector<index_t> dims{2, 3, 2, 2, 3, 2};
+  // Balanced splits down to single modes, ties to the later cut: every
+  // node is a prefix or a suffix of its parent's interval.
   CpAlsSweepPlan full(ctx, dims, 2, SweepScheme::DimTree);
-  CpAlsSweepPlan one(ctx, dims, 2, SweepScheme::DimTree, MttkrpMethod::Auto,
-                     /*max_levels=*/1);
-  EXPECT_GT(full.levels(), one.levels());
-  EXPECT_EQ(one.levels(), 1);
+  EXPECT_EQ(tree_shape(full),
+            "0:3@0 0:2@1 0:1@2L 1:2@2L 2:3@1L "
+            "3:6@0 3:5@1 3:4@2L 4:5@2L 5:6@1L");
   CpAlsSweepPlan permode(ctx, dims, 2, SweepScheme::PerMode);
-  EXPECT_EQ(permode.levels(), 0);
   EXPECT_EQ(permode.scheme(), SweepScheme::PerMode);
+  EXPECT_EQ(tree_shape(permode), "0:1@0L 1:2@0L 2:3@0L 3:4@0L 4:5@0L 5:6@0L");
   // Auto runs the tree at every dense order.
   CpAlsSweepPlan auto6(ctx, dims, 2, SweepScheme::Auto);
   EXPECT_EQ(auto6.requested_scheme(), SweepScheme::Auto);
@@ -133,7 +136,8 @@ TEST(SweepPlanDimTree, LevelsMetadata) {
   CpAlsSweepPlan auto3(ctx, {std::vector<index_t>{4, 5, 6}}, 2,
                        SweepScheme::Auto);
   EXPECT_EQ(auto3.scheme(), SweepScheme::DimTree);
-  EXPECT_EQ(auto3.levels(), 2);  // {0} | {1, 2}, then {1} | {2}
+  // {0, 1} | {2}, then {0} | {1}.
+  EXPECT_EQ(tree_shape(auto3), "0:2@0 0:1@1L 1:2@1L 2:3@0L");
   // An explicit per-mode kernel pins PerMode under Auto — the tree would
   // silently discard the requested method otherwise.
   CpAlsSweepPlan pinned(ctx, dims, 2, SweepScheme::Auto,
@@ -505,26 +509,21 @@ TEST(SweepPlanDimTree, SweepIsAllocationFreeAfterConstruction) {
   Tensor X = Tensor::random_uniform(dims, rng);
   ExecContext ctx(3);
   CpAlsSweepPlan plan(ctx, X.dims(), 5, SweepScheme::DimTree);
-  CpAlsSweepPlan one_level(ctx, X.dims(), 5, SweepScheme::DimTree,
-                           MttkrpMethod::Auto, /*max_levels=*/1);
 
   const std::size_t grows = ctx.arena().grow_count();
   const std::size_t capacity = ctx.arena().capacity();
   const std::size_t blas_allocs = blas::gemm_internal_allocs();
   EXPECT_LE(plan.workspace_bytes(), capacity);
-  EXPECT_LE(one_level.workspace_bytes(), capacity);
 
   Matrix M;
   for (int round = 0; round < 3; ++round) {
     std::vector<Matrix> fs = random_factors(dims, 5, rng);
-    for (CpAlsSweepPlan* p : {&plan, &one_level}) {
-      p->begin_sweep(X);
-      for (index_t n = 0; n < X.order(); ++n) {
-        p->mode_mttkrp(n, X, fs, M);
-        // In-place factor updates between modes, as in a real sweep.
-        fs[static_cast<std::size_t>(n)] =
-            testing::random_factors(dims, 5, rng)[static_cast<std::size_t>(n)];
-      }
+    plan.begin_sweep(X);
+    for (index_t n = 0; n < X.order(); ++n) {
+      plan.mode_mttkrp(n, X, fs, M);
+      // In-place factor updates between modes, as in a real sweep.
+      fs[static_cast<std::size_t>(n)] =
+          testing::random_factors(dims, 5, rng)[static_cast<std::size_t>(n)];
     }
   }
   EXPECT_EQ(ctx.arena().grow_count(), grows);

@@ -68,9 +68,8 @@ using namespace dmtk;
       "             hardware or DMTK_SIMD)\n"
       "  decompose <tensor.dten> --rank R [--nn]\n"
       "            [--precision double|float]\n"
-      "            [--sweep permode|dimtree|auto] [--levels n]\n"
-      "            [--method reference|reorder|1-step-seq|1-step|2-step|\n"
-      "                      acc64|auto]\n"
+      "            [--sweep permode|dimtree|auto]\n"
+      "            [--method reference|reorder|1-step|2-step|acc64|auto]\n"
       "            [--iters n] [--tol f] [--seed s] [--threads t]\n"
       "            [--out model.dktn]\n"
       "            [--checkpoint F [--checkpoint-every n] [--resume]]\n"
@@ -78,9 +77,8 @@ using namespace dmtk;
       "             n sweeps (atomic rename + CRC); --resume restarts an\n"
       "             interrupted run from it, bit-identical to uninterrupted)\n"
       "            (--sweep dimtree shares partial MTTKRPs across modes;\n"
-      "             --levels caps the tree depth, 0 = full tree; auto picks\n"
-      "             dimtree unless --method names a kernel, which pins\n"
-      "             permode; --precision float runs the whole ALS\n"
+      "             auto picks dimtree unless --method names a kernel,\n"
+      "             which pins permode; --precision float runs the whole ALS\n"
       "             pipeline in fp32 — half the memory bandwidth, fit\n"
       "             accurate to ~1e-4; --method acc64 (with\n"
       "             --precision float, per-mode sweep) keeps fp32 storage\n"
@@ -112,7 +110,7 @@ using namespace dmtk;
       "             and busy rejections, exponential backoff + jitter)\n"
       "            actions: stats | health | shutdown | info <tensor>\n"
       "              | decompose <tensor> [--rank R] [--iters n] [--tol f]\n"
-      "                [--seed s] [--sweep sch] [--method m] [--levels n]\n"
+      "                [--seed s] [--sweep sch] [--method m]\n"
       "                [--precision double|float] [--out F] [--cold]\n"
       "                [--inline | --no-inline]\n"
       "              | mttkrp <tensor> --mode n [--rank R] [--seed s]\n"
@@ -240,8 +238,7 @@ std::string flag_str(const Flags& f, const char* k, const char* def = "") {
 /// --precision: double (default) or float; usage error otherwise.
 bool flag_wants_f32(const Flags& f) {
   const std::string p = flag_str(f, "precision", "double");
-  if (p == "double" || p == "fp64" || p == "f64") return false;
-  if (p == "float" || p == "fp32" || p == "f32" || p == "single") return true;
+  if (const auto f32 = parse_precision(p)) return *f32;
   usage_error("--precision expects double|float, got '" + p + "'");
 }
 
@@ -429,7 +426,7 @@ constexpr double kSparseCrossoverDensity = 0.10;
 int cmd_decompose(int argc, char** argv) {
   static const FlagSet kFlags{
       {"rank", "iters", "tol", "seed", "threads", "precision", "sweep",
-       "method", "levels", "out", "checkpoint", "checkpoint-every"},
+       "method", "out", "checkpoint", "checkpoint-every"},
       {"nn", "resume"}};
   std::string pos;
   const Flags flags = parse_flags(argc, argv, kFlags, &pos);
@@ -443,7 +440,6 @@ int cmd_decompose(int argc, char** argv) {
   spec.tol = flag_double(flags, "tol", spec.tol, 0.0);
   spec.seed = static_cast<std::uint64_t>(
       flag_int(flags, "seed", static_cast<long long>(spec.seed), 0));
-  spec.levels = flag_i32(flags, "levels", spec.levels, 0);
   spec.checkpoint = flag_str(flags, "checkpoint");
   spec.checkpoint_every =
       flag_i32(flags, "checkpoint-every", spec.checkpoint_every, 1);
@@ -587,8 +583,7 @@ int cmd_serve(int argc, char** argv) {
 int cmd_client(int argc, char** argv) {
   static const FlagSet kFlags{
       {"socket", "timeout-ms", "retries", "retry-base-ms", "json", "rank",
-       "seed", "precision", "out", "iters", "tol", "sweep", "method",
-       "levels", "mode"},
+       "seed", "precision", "out", "iters", "tol", "sweep", "method", "mode"},
       {"cold", "inline", "no-inline"}};
   // Two positionals: the action word and an optional tensor path.
   std::vector<std::string> pos;
@@ -645,9 +640,6 @@ int cmd_client(int argc, char** argv) {
         }
         if (flags.count("method") != 0) {
           req.set("method", serve::Json(flag_str(flags, "method")));
-        }
-        if (flags.count("levels") != 0) {
-          req.set("levels", serve::Json(flag_int(flags, "levels", 0, 0)));
         }
         if (flags.count("cold") != 0) req.set("cold", serve::Json(true));
         if (flags.count("inline") != 0) {

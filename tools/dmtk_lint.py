@@ -51,10 +51,10 @@ the line directly above it; an empty justification is itself an error):
   layering            An ``#include`` that points up the layer stack.
                       ``src/job/`` (the decompose job) may not include
                       ``serve/``; the layers below it
-                      (``src/{baseline,blas,core,exec,io,linalg,sim,sparse,
-                      util}``) may include neither ``job/`` nor
-                      ``serve/``. The front ends (serve/, tools/) build on
-                      the job, never the other way round.
+                      (``src/{blas,core,exec,io,linalg,sim,sparse,util}``)
+                      may include neither ``job/`` nor ``serve/``. The
+                      front ends (serve/, tools/) build on the job, never
+                      the other way round.
 
 Exit status: 0 clean, 1 violations, 2 usage/self-test failure.
 `--self-test` seeds one violation of every rule class in a temp tree and
@@ -123,8 +123,8 @@ FLOAT_ATOMIC_RE = re.compile(
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([a-z_]+)/')
 # Layer -> the src/ directories it must not include.
 JOB_LAYER = "job"
-BELOW_JOB = ("baseline", "blas", "core", "exec", "io", "linalg", "sim",
-             "sparse", "util")
+BELOW_JOB = ("blas", "core", "exec", "io", "linalg", "sim", "sparse",
+             "util")
 FORBIDDEN_INCLUDES = {JOB_LAYER: ("serve",)}
 FORBIDDEN_INCLUDES.update({d: (JOB_LAYER, "serve") for d in BELOW_JOB})
 
