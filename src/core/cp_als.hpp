@@ -127,9 +127,9 @@ extern template CpAlsResultF cp_als<float>(const TensorF&,
                                            const CpAlsOptionsF&);
 
 /// As cp_als, but running the sweeps through a CALLER-OWNED plan instead
-/// of constructing one: the hook that lets a resident process (the serve
-/// plan cache) amortize plan construction across many factorizations of
-/// the same (shape, rank). The plan must be dense, match X's extents and
+/// of constructing one: the hook that lets a resident process (a served
+/// batch) amortize plan construction across many factorizations of the
+/// same (shape, rank). The plan must be dense, match X's extents and
 /// opts.rank, and outlive the call; execution uses plan.context() —
 /// opts.exec and opts.threads are ignored (the plan's arena lives in its
 /// own context). opts.sweep_scheme / method are likewise superseded by

@@ -112,8 +112,9 @@ class WorkspaceArena {
                "WorkspaceArena: growth would move the storage under an "
                "open frame");
     // Fault site `arena.alloc`: the deterministic stand-in for
-    // std::bad_alloc on workspace growth — how the serve plan cache's
-    // degrade-to-bypass path is exercised (see util/fault.hpp).
+    // std::bad_alloc on workspace growth — how a served request's plan
+    // build failing with an "internal" error is exercised (see
+    // util/fault.hpp).
     DMTK_FAULT_POINT("arena.alloc");
     // No frame is open, so nothing in the old block is live: take a fresh
     // uninitialised block (no copy, no zero-fill) and free the old one.

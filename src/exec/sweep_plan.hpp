@@ -152,8 +152,8 @@ class CpAlsSweepPlanT {
   [[nodiscard]] std::span<const index_t> dims() const { return dims_; }
   [[nodiscard]] index_t rank() const { return rank_; }
   /// The context the plan was built against (and whose arena its sweeps
-  /// draw from) — what lets a caller holding only the plan (e.g. the
-  /// serve plan cache) hand the right context back to the ALS driver.
+  /// draw from) — what lets a caller holding only the plan (e.g. a
+  /// served batch) hand the right context back to the ALS driver.
   [[nodiscard]] const ExecContext& context() const { return *ctx_; }
   /// The scheme the caller asked for (possibly Auto).
   [[nodiscard]] SweepScheme requested_scheme() const { return requested_; }

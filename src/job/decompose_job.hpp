@@ -103,10 +103,10 @@ class DecomposeJob {
   [[nodiscard]] DecomposeOutcome run(const ExecContext& ctx) const;
 
   /// Decompose the already-read `X` through a caller-owned dense plan
-  /// built for this job's dims(), rank, scheme() and method (the
-  /// server's plan and tensor caches). X's extents must be the probed
-  /// ones; the outcome's read_ms is left to the caller. Needs a plain
-  /// dense cp_als job: no nn.
+  /// built for this job's dims(), rank, scheme() and method (a served
+  /// batch's plan, on a tensor from the server's tensor cache). X's
+  /// extents must be the probed ones; the outcome's read_ms is left to
+  /// the caller. Needs a plain dense cp_als job: no nn.
   template <typename T>
   [[nodiscard]] DecomposeOutcome run(CpAlsSweepPlanT<T>& plan,
                                      const TensorT<T>& X) const;

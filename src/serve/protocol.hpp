@@ -11,7 +11,7 @@
 /// carry a "type" of "decompose", "mttkrp", "info", "stats", "health",
 /// or "shutdown", plus type-specific fields. "health" is the liveness/
 /// degradation probe: uptime, live workers, queue depth, worker-failure
-/// and cache-degradation counters, and armed fault-site trigger counts.
+/// and accept-fault counters, and armed fault-site trigger counts.
 ///
 /// Validation is STRICT and happens on the reader thread, before a job
 /// can occupy a queue slot: unknown fields, wrong JSON kinds,
@@ -34,10 +34,11 @@
 /// read on a miss (or on a cold or sparse request, which skip the cache).
 /// A checked read includes summing ‖X‖² over each chunk as it lands,
 /// which the tensor then carries into CP-ALS. For a decompose, "plan" is
-/// the plan-cache lookup or build and "exec" the CP-ALS run. For an
-/// mttkrp, "plan" is the factor draw plus the MttkrpPlanT construction
-/// (paid by the first member of a batch only) and "exec" that request's
-/// own execute() of the plan.
+/// the CpAlsSweepPlanT construction (paid by the first member of a batch
+/// only; 0 for cold and sparse requests, whose plan is built inside
+/// "exec") and "exec" the CP-ALS run. For an mttkrp, "plan" is the factor
+/// draw plus the MttkrpPlanT construction (paid by the first member of a
+/// batch only) and "exec" that request's own execute() of the plan.
 
 #include <cstdint>
 #include <stdexcept>
@@ -80,9 +81,8 @@ struct Request {
   std::string out;           ///< model/matrix output path ("" = none)
   bool inline_model = true;  ///< include the model payload in the response
   /// Emulate the batch CLI's one-shot cost: read the file and run on a
-  /// fresh ExecContext with a transient plan, bypassing the tensor cache,
-  /// the plan cache and batching. The
-  /// warm-vs-cold benchmark is this flag flipped.
+  /// fresh ExecContext with its own plan, bypassing the tensor cache and
+  /// batching. The warm-vs-cold benchmark is this flag flipped.
   bool cold = false;
 
   // mttkrp

@@ -60,17 +60,20 @@ Json batch_json(std::size_t size, std::size_t index) {
   return b;
 }
 
-/// The cached plan of `entry` in precision T (the key's).
-template <typename T>
-CpAlsSweepPlanT<T>& plan_of(PlanCache::Entry& entry) {
-  if constexpr (std::is_same_v<T, float>) {
-    return *entry.f32;
-  } else {
-    return *entry.f64;
-  }
-}
-
 }  // namespace
+
+std::string PlanKey::to_string() const {
+  std::string s = "dims=";
+  for (std::size_t i = 0; i < dims.size(); ++i) {
+    if (i > 0) s += 'x';
+    s += std::to_string(dims[i]);
+  }
+  s += "|rank=" + std::to_string(rank);
+  s += "|scheme=" + std::string(dmtk::to_string(scheme));
+  s += "|method=" + std::string(dmtk::to_string(method));
+  s += f32 ? "|prec=f32" : "|prec=f64";
+  return s;
+}
 
 std::string oversubscription_warning(int workers, int threads, int cores) {
   const long long asked = static_cast<long long>(workers) * threads;
@@ -134,11 +137,10 @@ void Server::start() {
   const int nworkers = std::max(1, opts_.workers);
   workers_.reserve(static_cast<std::size_t>(nworkers));
   for (int i = 0; i < nworkers; ++i) {
-    workers_.push_back(std::make_unique<Worker>(
-        opts_.threads, opts_.cache_entries, opts_.cache_bytes));
+    workers_.push_back(std::make_unique<ExecContext>(opts_.threads));
   }
   if (const std::string warning = oversubscription_warning(
-          nworkers, workers_.front()->ctx.threads(),
+          nworkers, workers_.front()->threads(),
           static_cast<int>(std::thread::hardware_concurrency()));
       !warning.empty()) {
     std::fprintf(stderr, "%s\n", warning.c_str());
@@ -413,7 +415,7 @@ Server::Job Server::make_job(Request r, const std::shared_ptr<Conn>& conn) {
   return job;
 }
 
-void Server::worker_loop(Worker& ws) {
+void Server::worker_loop(ExecContext& ctx) {
   while (auto item = queue_.pop()) {
     std::vector<Queue::Item> batch;
     batch.push_back(std::move(*item));
@@ -441,9 +443,9 @@ void Server::worker_loop(Worker& ws) {
       // backstop below must isolate for the worker to survive.
       DMTK_FAULT_POINT("serve.worker");
       if (batch.front().job.req.type == RequestType::Mttkrp) {
-        run_mttkrp_batch(ws, batch);
+        run_mttkrp_batch(ctx, batch);
       } else {
-        run_decompose_batch(ws, batch);
+        run_decompose_batch(ctx, batch);
       }
     } catch (...) {
       // Backstop: per-job handlers map their own failures, so anything
@@ -477,27 +479,26 @@ bool Server::admit_or_timeout(const Queue::Item& item) {
   return false;
 }
 
-void Server::run_decompose_batch(Worker& ws, std::vector<Queue::Item>& jobs) {
+void Server::run_decompose_batch(ExecContext& ctx,
+                                 std::vector<Queue::Item>& jobs) {
   const Job& lead = jobs.front().job;
   // Cold and sparse jobs carry an empty batch key, so they arrive alone.
   // Both read their file themselves, skipping the tensor cache. Sparse
-  // jobs run on the warm context (their plans bind the tensor, so nothing
-  // is cached); cold ones pay the batch CLI's one-shot cost — a checked
-  // read, a fresh context (arena allocation + first touch) and a
-  // transient plan.
+  // jobs run on the warm context (their plans bind the tensor); cold ones
+  // pay the batch CLI's one-shot cost — a checked read, a fresh context
+  // (arena allocation + first touch) and their own plan.
   if (!lead.dense || lead.req.cold) {
     try {
       if (admit_or_timeout(jobs.front())) {
         const double queue_ms = ms_since(jobs.front().enqueued);
-        ws.cache.note_bypass();
         DecomposeOutcome out;
         if (lead.dense) {
           const ExecContext fresh(opts_.threads);
           out = lead.decompose->run(fresh);
         } else {
-          out = lead.decompose->run(ws.ctx);
+          out = lead.decompose->run(ctx);
         }
-        send_decompose(jobs.front(), out, queue_ms, "bypass", 0.0, 1, 0);
+        send_decompose(jobs.front(), out, queue_ms, 0.0, 1, 0);
       }
     } catch (...) {
       send_error_for_exception(lead.conn, lead.req.id);
@@ -506,20 +507,20 @@ void Server::run_decompose_batch(Worker& ws, std::vector<Queue::Item>& jobs) {
   }
 
   if (lead.key.f32) {
-    decompose_warm<float>(ws, jobs);
+    decompose_warm<float>(ctx, jobs);
   } else {
-    decompose_warm<double>(ws, jobs);
+    decompose_warm<double>(ctx, jobs);
   }
 }
 
 template <typename T>
-void Server::decompose_warm(Worker& ws, std::vector<Queue::Item>& jobs) {
-  // The first fresh job acquires the plan (hit or miss); every later
-  // batch member reuses it and reports plan:"batch". Every member runs on
-  // its file's resident tensor.
-  PlanCache::Entry* entry = nullptr;
-  const char* next_tag = "hit";
-  double plan_ms = 0.0;
+void Server::decompose_warm(ExecContext& ctx, std::vector<Queue::Item>& jobs) {
+  // The batch key pins every parameter of the plan's construction, so one
+  // plan built on the worker's context serves every member back to back;
+  // the first member's "plan" time carries its construction. A build
+  // that throws fails only the member that tried it, and the next member
+  // builds again.
+  std::optional<CpAlsSweepPlanT<T>> plan;
   for (std::size_t index = 0; index < jobs.size(); ++index) {
     Queue::Item& item = jobs[index];
     const Job& job = item.job;
@@ -530,28 +531,15 @@ void Server::decompose_warm(Worker& ws, std::vector<Queue::Item>& jobs) {
       const std::shared_ptr<const TensorT<T>> X =
           tensors_.get<T>(job.req.spec.tensor);
       const double read_ms = read_t.seconds() * 1e3;
-      if (entry == nullptr) {
-        WallTimer t;
-        bool built = false;
-        entry = ws.cache.get_or_build(job.key, ws.ctx, &built);
-        plan_ms = t.seconds() * 1e3;
-        next_tag = entry == nullptr ? "bypass" : (built ? "miss" : "hit");
-      }
-      DecomposeOutcome out;
-      if (entry != nullptr) {
-        out = job.decompose->run(plan_of<T>(*entry), *X);
-      } else {
-        // Cache disabled (--cache-entries 0) or degraded: every job runs
-        // like a warm context with a transient plan.
+      WallTimer plan_t;
+      if (!plan) {
         const PlanKey& k = job.key;
-        CpAlsSweepPlanT<T> plan(ws.ctx, k.dims, k.rank, k.scheme, k.method);
-        out = job.decompose->run(plan, *X);
+        plan.emplace(ctx, k.dims, k.rank, k.scheme, k.method);
       }
+      const double plan_ms = plan_t.seconds() * 1e3;
+      DecomposeOutcome out = job.decompose->run(*plan, *X);
       out.read_ms = read_ms;
-      send_decompose(item, out, queue_ms, next_tag, plan_ms, jobs.size(),
-                     index);
-      next_tag = "batch";
-      plan_ms = 0.0;
+      send_decompose(item, out, queue_ms, plan_ms, jobs.size(), index);
     } catch (...) {
       send_error_for_exception(job.conn, job.req.id);
     }
@@ -560,8 +548,8 @@ void Server::decompose_warm(Worker& ws, std::vector<Queue::Item>& jobs) {
 
 void Server::send_decompose(const Queue::Item& item,
                             const DecomposeOutcome& out, double queue_ms,
-                            const char* plan_tag, double plan_ms,
-                            std::size_t batch_size, std::size_t batch_index) {
+                            double plan_ms, std::size_t batch_size,
+                            std::size_t batch_index) {
   const Job& job = item.job;
   const Request& r = job.req;
   Json resp;
@@ -574,7 +562,6 @@ void Server::send_decompose(const Queue::Item& item,
   resp.set("scheme", Json(std::string(dmtk::to_string(out.scheme))));
   resp.set("precision", Json(r.spec.f32 ? "float" : "double"));
   if (job.dense) resp.set("key", Json(job.key.to_string()));
-  resp.set("plan", Json(plan_tag));
   resp.set("batch", batch_json(batch_size, batch_index));
   if (!r.out.empty()) {
     // Native payload for either scalar ('DMTKKTNf' for fp32) — the same
@@ -593,7 +580,8 @@ void Server::send_decompose(const Queue::Item& item,
   send_line(job.conn, resp);
 }
 
-void Server::run_mttkrp_batch(Worker& ws, std::vector<Queue::Item>& jobs) {
+void Server::run_mttkrp_batch(ExecContext& ctx,
+                              std::vector<Queue::Item>& jobs) {
   std::vector<Queue::Item*> live;
   live.reserve(jobs.size());
   for (Queue::Item& item : jobs) {
@@ -601,14 +589,14 @@ void Server::run_mttkrp_batch(Worker& ws, std::vector<Queue::Item>& jobs) {
   }
   if (live.empty()) return;
   if (live.front()->job.key.f32) {
-    mttkrp_exec<float>(ws, live);
+    mttkrp_exec<float>(ctx, live);
   } else {
-    mttkrp_exec<double>(ws, live);
+    mttkrp_exec<double>(ctx, live);
   }
 }
 
 template <typename T>
-void Server::mttkrp_exec(Worker& ws, std::vector<Queue::Item*>& live) {
+void Server::mttkrp_exec(ExecContext& ctx, std::vector<Queue::Item*>& live) {
   // The batch key pins shape, rank, precision and mode, so one plan built
   // on the worker's context serves every member back to back; the first
   // member's "plan" time carries its construction.
@@ -630,7 +618,7 @@ void Server::mttkrp_exec(Worker& ws, std::vector<Queue::Item*>& live) {
                  "mttkrp: tensor extents changed between probe and read");
       const double read_ms = read_t.seconds() * 1e3;
       WallTimer plan_t;
-      if (!plan) plan.emplace(ws.ctx, job.dims, rank, mode);
+      if (!plan) plan.emplace(ctx, job.dims, rank, mode);
       Rng rng(r.spec.seed);
       const KtensorT<T> F = KtensorT<T>::random(X->dims(), rank, rng);
       const double plan_ms = plan_t.seconds() * 1e3;
@@ -647,7 +635,6 @@ void Server::mttkrp_exec(Worker& ws, std::vector<Queue::Item*>& live) {
       resp.set("mode", Json(r.mode));
       resp.set("precision", Json(r.spec.f32 ? "float" : "double"));
       resp.set("norm", Json(M.norm()));
-      resp.set("plan", Json(live.size() > 1 ? "batch" : "bypass"));
       resp.set("batch", batch_json(live.size(), i));
       if (!r.out.empty()) {
         if constexpr (std::is_same_v<T, double>) {
@@ -710,7 +697,7 @@ Json Server::stats_json() const {
   server.set("workers", Json(static_cast<std::int64_t>(workers_.size())));
   server.set("threads", Json(workers_.empty()
                                  ? 0
-                                 : workers_.front()->ctx.threads()));
+                                 : workers_.front()->threads()));
   server.set("requests", Json(requests_.load(std::memory_order_relaxed)));
   server.set("connections",
              Json(connections_.load(std::memory_order_relaxed)));
@@ -718,27 +705,6 @@ Json Server::stats_json() const {
              Json(worker_failures_.load(std::memory_order_relaxed)));
   server.set("simd", Json(std::string(blas::to_string(blas::simd_level()))));
   resp.set("server", std::move(server));
-
-  PlanCacheStats agg;  // per-worker caps sum: the fleet-wide budget
-  for (const auto& w : workers_) agg += w->cache.stats();
-  Json cache;
-  cache.set("hits", Json(agg.hits));
-  cache.set("misses", Json(agg.misses));
-  cache.set("evictions", Json(agg.evictions));
-  cache.set("bypass", Json(agg.bypass));
-  cache.set("build_failures", Json(agg.build_failures));
-  cache.set("degraded_workers", Json(agg.degraded));
-  cache.set("entries", Json(agg.entries));
-  cache.set("bytes", Json(agg.bytes));
-  cache.set("max_entries", Json(agg.max_entries));
-  cache.set("max_bytes", Json(agg.max_bytes));
-  const std::uint64_t lookups = agg.hits + agg.misses;
-  cache.set("hit_rate",
-            Json(lookups == 0
-                     ? 0.0
-                     : static_cast<double>(agg.hits) /
-                           static_cast<double>(lookups)));
-  resp.set("cache", std::move(cache));
 
   const TensorCacheStats ts = tensors_.stats();
   Json tensors;
@@ -786,10 +752,6 @@ Json Server::health_json() const {
            Json(worker_failures_.load(std::memory_order_relaxed)));
   heal.set("accept_faults",
            Json(accept_faults_.load(std::memory_order_relaxed)));
-  PlanCacheStats agg;
-  for (const auto& w : workers_) agg += w->cache.stats();
-  heal.set("cache_build_failures", Json(agg.build_failures));
-  heal.set("degraded_workers", Json(agg.degraded));
   resp.set("self_healing", std::move(heal));
 
   // Armed fault sites and their trigger counts — empty object when no

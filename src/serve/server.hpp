@@ -4,14 +4,14 @@
 ///
 /// The batch CLI pays the full cold-start bill on every invocation:
 /// process launch, ExecContext construction (arena allocation and first
-/// touch), sweep-plan construction, then the actual sweeps. A resident
-/// server keeps the expensive parts warm — per-worker ExecContexts stay
-/// alive, a per-worker PlanCache holds constructed CpAlsSweepPlans keyed
-/// on (shape, rank, scheme, method, precision), and one shared
-/// TensorCache holds the checked tensors of the files already read — so
-/// a repeat request of a file and shape already seen skips straight to
-/// the sweeps. That is the paper's plan-amortization argument lifted from
-/// "many sweeps per plan" to "many requests per plan".
+/// touch), the checked read of the tensor, plan construction, then the
+/// actual sweeps. A resident server keeps the expensive parts warm —
+/// per-worker ExecContexts stay alive with their workspace arenas already
+/// sized, and one shared TensorCache holds the checked tensors of the
+/// files already read — so a repeat request of a file already seen skips
+/// straight to the sweeps. Plans themselves are not kept: a batch builds
+/// one on its worker's warm context, which costs microseconds against a
+/// request's milliseconds of sweeps.
 ///
 /// Architecture (one process, three thread kinds):
 ///
@@ -20,27 +20,25 @@
 ///  - READER threads parse and validate newline-delimited JSON requests.
 ///    Cheap requests (info/stats/shutdown) are answered inline; compute
 ///    requests (decompose/mttkrp) are validated, their tensor header
-///    probed, their plan key computed, and then enqueued — or refused
+///    probed, their batch key computed, and then enqueued — or refused
 ///    with a structured "busy" error when the bounded queue is full.
 ///    Validation up front means a malformed request never occupies a
 ///    queue slot and a worker never throws on bad input.
-///  - WORKER threads (--workers) each own a private ExecContext and a
-///    private PlanCache. A workspace arena is therefore touched by
-///    exactly one thread for its whole life — the single rule that keeps
-///    the whole server ASan/TSan-clean without locking the hot path. The
-///    one structure workers share is the TensorCache, whose entries are
-///    immutable tensors behind shared_ptrs; its lock guards only the map
-///    and LRU list, never a read (see tensor_cache.hpp).
+///  - WORKER threads (--workers) each own a private ExecContext. A
+///    workspace arena is therefore touched by exactly one thread for its
+///    whole life — the single rule that keeps the whole server
+///    ASan/TSan-clean without locking the hot path. The one structure
+///    workers share is the TensorCache, whose entries are immutable
+///    tensors behind shared_ptrs; its lock guards only the map and LRU
+///    list, never a read (see tensor_cache.hpp).
 ///
 /// Batching: when a worker dequeues a compute job it also extracts every
-/// queued job with the same batch key (the plan-cache key, plus the mode
-/// for mttkrp). Same-shape decompose jobs run back to back through ONE
-/// cached plan — construction amortized across the batch, arena already
-/// sized. Same-shape mttkrp jobs run back to back through ONE
-/// Auto MttkrpPlanT built on the worker's context for the batch: the
-/// mode's root-to-leaf path through the dimension tree, which reads the
-/// tensor in place — no matricized copy, no full KRP — and needs no more
-/// arena than a cached tree decompose of the same shape already reserved.
+/// queued job with the same batch key (the PlanKey, plus the mode for
+/// mttkrp). Both request types then run the same way: the batch's first
+/// member builds one plan on the worker's context — a CpAlsSweepPlanT for
+/// decompose, an Auto MttkrpPlanT for mttkrp (the mode's root-to-leaf
+/// path through the dimension tree, which reads the tensor in place) —
+/// and every member runs through it back to back on its resident tensor.
 /// `batch_window_ms` optionally lingers before extraction so
 /// closely-spaced clients can coalesce.
 ///
@@ -50,14 +48,14 @@
 /// burning compute for a client that has likely given up.
 ///
 /// Self-healing: per-job exceptions map to structured errors where they
-/// happen, and a backstop in the worker loop catches anything that
-/// escapes batch processing itself — every job in the batch gets an
-/// "internal" error and the worker thread survives to take the next
-/// batch (counted in `worker_failures`). Plan-construction failures
-/// degrade the worker's cache to bypass mode instead of failing requests
-/// (see plan_cache.hpp), and a "health" request reports all of it:
-/// uptime, queue occupancy, failure counters, and any armed fault-site
-/// trigger counts (util/fault.hpp).
+/// happen — a plan build that throws (arena exhaustion, or the
+/// `arena.alloc` fault site) fails only the member that tried it with an
+/// "internal" error, and the next member builds again. A backstop in the
+/// worker loop catches anything that escapes batch processing itself —
+/// every job in the batch gets an "internal" error and the worker thread
+/// survives to take the next batch (counted in `worker_failures`). A
+/// "health" request reports all of it: uptime, queue occupancy, failure
+/// counters, and any armed fault-site trigger counts (util/fault.hpp).
 
 #include <atomic>
 #include <chrono>
@@ -68,11 +66,12 @@
 #include <thread>
 #include <vector>
 
+#include "core/mttkrp.hpp"
 #include "exec/exec_context.hpp"
+#include "exec/sweep_plan.hpp"
 #include "job/decompose_job.hpp"
 #include "serve/job_queue.hpp"
 #include "serve/json.hpp"
-#include "serve/plan_cache.hpp"
 #include "serve/protocol.hpp"
 #include "serve/tensor_cache.hpp"
 #include "util/mutex.hpp"
@@ -87,12 +86,27 @@ struct ServeOptions {
   int queue_timeout_ms = 30000;  ///< oldest-job age bound; beyond -> "timeout"
   int batch_window_ms = 0;       ///< linger before same-key extraction
   std::size_t max_batch = 16;    ///< jobs coalesced per batch (>= 1)
-  /// Entry cap of each worker's plan cache and of the shared tensor
-  /// cache (0 disables both).
+  /// Entry cap of the shared tensor cache (0 disables it).
   std::size_t cache_entries = 32;
-  /// Byte budget of each worker's plan cache and of the shared tensor
-  /// cache.
+  /// Byte budget of the shared tensor cache.
   std::size_t cache_bytes = 256u << 20;
+};
+
+/// Everything that determines a dense sweep plan's construction: the
+/// batch key of dense compute jobs and the "key" field of decompose
+/// responses. `scheme` must be RESOLVED (never Auto): keying on the
+/// request's literal scheme would split identical plans under two keys
+/// ("auto" and "dimtree" build the same tree, as do "auto" with a named
+/// method and "permode").
+struct PlanKey {
+  std::vector<index_t> dims;
+  index_t rank = 0;
+  SweepScheme scheme = SweepScheme::PerMode;
+  MttkrpMethod method = MttkrpMethod::Auto;  ///< PerMode kernel selection
+  bool f32 = false;
+
+  /// Canonical string form.
+  [[nodiscard]] std::string to_string() const;
 };
 
 /// The line Server::start writes to stderr when `workers` contexts of
@@ -137,15 +151,14 @@ class Server {
 
   [[nodiscard]] const ServeOptions& options() const { return opts_; }
 
-  /// The stats-request payload (plan-cache counters aggregated across
-  /// workers, the shared tensor cache's counters) — exposed for
-  /// in-process tests.
+  /// The stats-request payload (server, tensor-cache and queue counters)
+  /// — exposed for in-process tests.
   [[nodiscard]] Json stats_json() const;
 
   /// The health-request payload: uptime, worker/queue occupancy, the
-  /// self-healing counters (worker batch failures, accept faults, cache
-  /// build failures and degraded workers), and armed fault-site trigger
-  /// counts. Cheap enough to poll from a liveness probe.
+  /// self-healing counters (worker batch failures, accept faults), and
+  /// armed fault-site trigger counts. Cheap enough to poll from a
+  /// liveness probe.
   [[nodiscard]] Json health_json() const;
 
  private:
@@ -170,21 +183,12 @@ class Server {
     std::shared_ptr<Conn> conn;
     std::optional<DecomposeJob> decompose;  ///< decompose requests
     std::vector<index_t> dims;  ///< probed extents (mttkrp)
-    PlanKey key;                ///< plan key (dense decompose / mttkrp)
+    PlanKey key;                ///< batch key (dense decompose / mttkrp)
     bool dense = false;
     std::chrono::steady_clock::time_point received;
   };
 
   using Queue = JobQueue<Job>;
-
-  /// A worker's whole private world; workers never share these.
-  struct Worker {
-    explicit Worker(int threads, std::size_t cache_entries,
-                    std::size_t cache_bytes)
-        : ctx(threads), cache(cache_entries, cache_bytes) {}
-    ExecContext ctx;
-    PlanCache cache;
-  };
 
   void accept_loop();
   /// Join and drop every reader whose connection has finished. Called
@@ -196,20 +200,21 @@ class Server {
   /// Validate a compute request against its tensor's header and build
   /// the job (+ batch key). Throws ProtocolError.
   Job make_job(Request r, const std::shared_ptr<Conn>& conn);
-  void worker_loop(Worker& ws);
-  void run_decompose_batch(Worker& ws, std::vector<Queue::Item>& jobs);
-  /// The warm dense decompose path: resident tensors, cached plans.
+  void worker_loop(ExecContext& ctx);
+  void run_decompose_batch(ExecContext& ctx, std::vector<Queue::Item>& jobs);
+  /// The coalesced same-key dense decomposes: one CpAlsSweepPlanT for the
+  /// batch, every member run through it on its resident tensor.
   template <typename T>
-  void decompose_warm(Worker& ws, std::vector<Queue::Item>& jobs);
-  void run_mttkrp_batch(Worker& ws, std::vector<Queue::Item>& jobs);
+  void decompose_warm(ExecContext& ctx, std::vector<Queue::Item>& jobs);
+  void run_mttkrp_batch(ExecContext& ctx, std::vector<Queue::Item>& jobs);
   /// Send one finished decompose's success response.
   void send_decompose(const Queue::Item& item, const DecomposeOutcome& out,
-                      double queue_ms, const char* plan_tag, double plan_ms,
-                      std::size_t batch_size, std::size_t batch_index);
+                      double queue_ms, double plan_ms, std::size_t batch_size,
+                      std::size_t batch_index);
   /// The coalesced same-shape mttkrps: one MttkrpPlanT for the batch,
   /// every member executed through it on its resident tensor.
   template <typename T>
-  void mttkrp_exec(Worker& ws, std::vector<Queue::Item*>& live);
+  void mttkrp_exec(ExecContext& ctx, std::vector<Queue::Item*>& live);
   Json handle_info(const Request& r);
   void send_line(const std::shared_ptr<Conn>& conn, const Json& j);
   /// Inside a catch block: map the in-flight exception to a structured
@@ -231,7 +236,8 @@ class Server {
   bool stopped_ = false;
 
   std::thread accept_thread_;
-  std::vector<std::unique_ptr<Worker>> workers_;
+  /// One private ExecContext per worker thread; workers never share them.
+  std::vector<std::unique_ptr<ExecContext>> workers_;
   std::vector<std::thread> worker_threads_;
   Mutex conns_mu_;
   /// Live (unreaped) connections.

@@ -1,8 +1,7 @@
 #pragma once
 /// \file tensor_cache.hpp
 /// \brief The server's resident tensors: dense files read once, shared by
-/// every worker, LRU-evicted under the same entry cap and byte budget as
-/// the plan cache.
+/// every worker, LRU-evicted under an entry cap and a byte budget.
 ///
 /// A served request used to re-read and re-checksum its file every time,
 /// which made the read the largest part of a warm request. The cache keeps

@@ -6,7 +6,7 @@
 # Starts `dmtk serve` on a temp-dir Unix socket, drives it through `dmtk
 # client` — generate -> info -> decompose (both precisions, warm repeat)
 # -> CLI-vs-served model byte identity (dense f64, dense f32, dense f32
-# acc64, sparse) -> mttkrp -> stats (plan and tensor cache hits) ->
+# acc64, sparse) -> mttkrp -> stats (tensor cache hits) ->
 # shutdown — and requires a clean
 # server exit. The sed filter drops the conda activation warning some
 # login shells print on stderr, which would otherwise pollute captured
@@ -79,9 +79,11 @@ check "info" 0 '"kind":"dense"' \
 check "decompose f64 (cold cache)" 0 '"precision":"double"' \
   "${dmtk}" client --socket "${sock}" decompose "${work}/cube.dten" \
   --rank 3 --iters 5 --no-inline
-check "decompose f64 (warm repeat)" 0 '"plan":"hit"' \
+check "decompose f64 (warm repeat)" 0 '"ok":true' \
   "${dmtk}" client --socket "${sock}" decompose "${work}/cube.dten" \
   --rank 3 --iters 5 --no-inline
+check "warm repeat: tensor cache hit" 0 '"tensors":{[^}]*"hits":1' \
+  "${dmtk}" client --socket "${sock}" stats
 check "decompose f32" 0 '"precision":"float"' \
   "${dmtk}" client --socket "${sock}" decompose "${work}/cube.dten" \
   --rank 3 --iters 5 --precision float --no-inline

@@ -243,7 +243,7 @@ TEST_F(DecomposeJobTest, RunMatchesTheDriverAndThePlanPath) {
   EXPECT_EQ(out.iterations, 4);
   EXPECT_EQ(out.scheme, SweepScheme::DimTree);
 
-  // The caller-owned plan path (the server's plan cache) writes the same
+  // The caller-owned plan path (a served batch) writes the same
   // model file byte for byte.
   CpAlsSweepPlan plan(ctx, job.dims(), spec.rank, job.scheme(), spec.method);
   const DecomposeOutcome planned =

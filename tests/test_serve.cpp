@@ -1,9 +1,10 @@
 /// Socket-level tests for the decomposition server: an in-process Server
 /// on a temp-dir Unix socket, driven through serve::Client. Covers the
 /// golden-output contract (a served decompose returns byte-identical
-/// model payloads to the direct cp_als call), plan-cache warm-up, the
-/// malformed-request table (strict validation, connection stays usable),
-/// a multi-client mixed-shape stress run, and admission control.
+/// model payloads to the direct cp_als call), batched requests matching
+/// the same requests sent alone, the malformed-request table (strict
+/// validation, connection stays usable), a multi-client mixed-shape
+/// stress run, and admission control.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -133,7 +134,7 @@ TEST_F(ServeTest, DecomposeMatchesDirectCpAlsExactly) {
   EXPECT_EQ(resp.find("iterations")->as_number(), direct.iterations);
   EXPECT_EQ(resp.find("final_fit")->as_number(), direct.final_fit);
 
-  // And the repeat — now through the cached plan — is byte-identical too.
+  // And the repeat — now on the resident tensor — is byte-identical too.
   const Json again = roundtrip(decompose_req(tensor, 3, 4, 99));
   EXPECT_EQ(again.find("model")->dump(), resp.find("model")->dump());
 }
@@ -198,32 +199,8 @@ TEST_F(ServeTest, FloatDecomposeMatchesDirectFloatCpAls) {
 }
 
 // ---------------------------------------------------------------------------
-// Plan cache behavior through the wire
+// Cold requests and the warm path
 // ---------------------------------------------------------------------------
-
-TEST_F(ServeTest, RepeatRequestsHitThePlanCache) {
-  ServeOptions so;
-  so.workers = 1;
-  so.threads = 1;
-  start(so);
-  const std::string tensor = make_dense("cube.dten", {12, 10, 8});
-
-  const Json first = roundtrip(decompose_req(tensor, 3, 2, 1));
-  ASSERT_TRUE(first.find("ok")->as_bool()) << first.dump();
-  EXPECT_EQ(first.find("plan")->as_string(), "miss");
-
-  const Json second = roundtrip(decompose_req(tensor, 3, 2, 2));
-  EXPECT_EQ(second.find("plan")->as_string(), "hit");
-
-  Json stats_req;
-  stats_req.set("type", Json("stats"));
-  const Json stats = roundtrip(stats_req);
-  const Json* cache = stats.find("cache");
-  ASSERT_NE(cache, nullptr);
-  EXPECT_EQ(cache->find("misses")->as_number(), 1.0);
-  EXPECT_GE(cache->find("hits")->as_number(), 1.0);
-  EXPECT_GT(cache->find("hit_rate")->as_number(), 0.0);
-}
 
 TEST_F(ServeTest, ColdRequestsBypassTheCache) {
   ServeOptions so;
@@ -239,18 +216,23 @@ TEST_F(ServeTest, ColdRequestsBypassTheCache) {
   cold.set("cold", Json(true));
   const Json resp = roundtrip(cold);
   ASSERT_TRUE(resp.find("ok")->as_bool()) << resp.dump();
-  EXPECT_EQ(resp.find("plan")->as_string(), "bypass");
+  EXPECT_EQ(resp.find("batch")->find("size")->as_number(), 1.0);
 
+  // The cold request read its file itself: the warm one's read is the
+  // tensor cache's only lookup.
   Json stats_req;
   stats_req.set("type", Json("stats"));
   const Json stats = roundtrip(stats_req);
-  EXPECT_GE(stats.find("cache")->find("bypass")->as_number(), 1.0);
+  const Json* tensors = stats.find("tensors");
+  ASSERT_NE(tensors, nullptr) << stats.dump();
+  EXPECT_EQ(tensors->find("misses")->as_number(), 1.0);
+  EXPECT_EQ(tensors->find("hits")->as_number(), 0.0);
 }
 
-// The serving claim: a resident server amortizes context, plan and read
-// set-up, so a decompose through the cached plan on the resident tensor
-// beats the cold path (a checked read, a fresh ExecContext and a transient
-// plan per request, the batch CLI's cost).
+// The serving claim: a resident server amortizes context and read set-up,
+// so a decompose on the warm context and the resident tensor beats the
+// cold path (a checked read and a fresh ExecContext per request, the batch
+// CLI's cost).
 // Cold and warm requests alternate on one connection, each pair swapping
 // which goes first, so host load during the test lands on both sides. The
 // comparison is the server's own service time (read + plan + exec): the
@@ -277,7 +259,6 @@ TEST_F(ServeTest, WarmCacheBeatsColdStartAtTheMedian) {
   c.connect(socket_);
   const Json first = c.roundtrip(warm_req);
   ASSERT_TRUE(first.find("ok")->as_bool()) << first.dump();
-  EXPECT_EQ(first.find("plan")->as_string(), "miss");
 
   constexpr int kPairs = 24;
   std::vector<double> cold_ms;
@@ -286,7 +267,6 @@ TEST_F(ServeTest, WarmCacheBeatsColdStartAtTheMedian) {
     for (const bool cold : {pair % 2 == 0, pair % 2 != 0}) {
       const Json resp = c.roundtrip(cold ? cold_req : warm_req);
       ASSERT_TRUE(resp.find("ok")->as_bool()) << resp.dump();
-      EXPECT_EQ(resp.find("plan")->as_string(), cold ? "bypass" : "hit");
       const Json* t = resp.find("timings_ms");
       ASSERT_NE(t, nullptr) << resp.dump();
       (cold ? cold_ms : warm_ms)
@@ -345,7 +325,7 @@ TEST_F(ServeTest, MttkrpTimesOperandSetUpAsPlanNotRead) {
   c.connect(socket_);
   const auto check = [&](const Json& resp, double want, double rel) {
     ASSERT_TRUE(resp.find("ok")->as_bool()) << resp.dump();
-    EXPECT_EQ(resp.find("plan")->as_string(), "bypass");
+    EXPECT_EQ(resp.find("batch")->find("size")->as_number(), 1.0);
     EXPECT_NEAR(resp.find("norm")->as_number(), want, rel * want)
         << resp.dump();
     // "read" is the tensor read (a cache lookup once resident); the
@@ -512,7 +492,7 @@ TEST_F(ServeTest, CoalescedMttkrpsMatchTheSameRequestsSentAlone) {
       ASSERT_TRUE(r.find("ok")->as_bool()) << *line;
       const double size = r.find("batch")->find("size")->as_number();
       largest_batch = std::max(largest_batch, size);
-      EXPECT_EQ(r.find("plan")->as_string(), size > 1 ? "batch" : "bypass");
+      EXPECT_LT(r.find("batch")->find("index")->as_number(), size);
       batched[static_cast<std::size_t>(r.find("id")->as_number())] =
           r.find("norm")->as_number();
     }
@@ -529,9 +509,60 @@ TEST_F(ServeTest, CoalescedMttkrpsMatchTheSameRequestsSentAlone) {
     const Json alone = c.roundtrip(request(i));
     ASSERT_TRUE(alone.find("ok")->as_bool()) << alone.dump();
     EXPECT_EQ(alone.find("batch")->find("size")->as_number(), 1.0);
-    EXPECT_EQ(alone.find("plan")->as_string(), "bypass");
     EXPECT_EQ(alone.find("norm")->as_number(),
               batched[static_cast<std::size_t>(i)])
+        << "request " << i;
+  }
+}
+
+// Same-key decomposes that coalesce into one batch (one plan, every member
+// run through it) return models bitwise equal to the same requests sent
+// alone.
+TEST_F(ServeTest, CoalescedDecomposesMatchTheSameRequestsSentAlone) {
+  ServeOptions so;
+  so.workers = 1;
+  so.threads = 1;
+  // As in the mttkrp test above: the window holds the worker until every
+  // pipelined request is queued.
+  so.batch_window_ms = 1000;
+  start(so);
+  const std::string path = make_dense("d.dten", {14, 12, 10}, 9);
+  constexpr int kRequests = 4;
+  const auto request = [&](int i) {
+    Json r = decompose_req(path, 3, 3, 200 + static_cast<std::uint64_t>(i));
+    r.set("id", Json(i));
+    return r;
+  };
+
+  std::vector<std::string> batched(kRequests);
+  double largest_batch = 0.0;
+  {
+    Client c;
+    c.connect(socket_);
+    for (int i = 0; i < kRequests; ++i) c.send_line(request(i).dump());
+    for (int i = 0; i < kRequests; ++i) {
+      const auto line = c.recv_line();
+      ASSERT_TRUE(line.has_value());
+      const Json r = Json::parse(*line);
+      ASSERT_TRUE(r.find("ok")->as_bool()) << *line;
+      largest_batch =
+          std::max(largest_batch, r.find("batch")->find("size")->as_number());
+      batched[static_cast<std::size_t>(r.find("id")->as_number())] =
+          r.find("model")->dump();
+    }
+  }
+  EXPECT_GT(largest_batch, 1.0);
+
+  so.batch_window_ms = 0;
+  server_.reset();
+  start(so);
+  Client c;
+  c.connect(socket_);
+  for (int i = 0; i < kRequests; ++i) {
+    const Json alone = c.roundtrip(request(i));
+    ASSERT_TRUE(alone.find("ok")->as_bool()) << alone.dump();
+    EXPECT_EQ(alone.find("batch")->find("size")->as_number(), 1.0);
+    EXPECT_EQ(alone.find("model")->dump(), batched[static_cast<std::size_t>(i)])
         << "request " << i;
   }
 }
@@ -616,7 +647,7 @@ TEST_F(ServeTest, SparseFloatDecomposeRunsThroughTheBypassPath) {
   const Json resp = roundtrip(req);
   ASSERT_TRUE(resp.find("ok")->as_bool()) << resp.dump();
   EXPECT_EQ(resp.find("precision")->as_string(), "float");
-  EXPECT_EQ(resp.find("plan")->as_string(), "bypass");
+  EXPECT_EQ(resp.find("batch")->find("size")->as_number(), 1.0);
   EXPECT_EQ(resp.find("scheme")->as_string(), "csf");
   EXPECT_TRUE(std::isfinite(resp.find("final_fit")->as_number()))
       << resp.dump();
@@ -670,7 +701,7 @@ TEST_F(ServeTest, SparseDecomposeRunsAndBypassesTheCache) {
   const std::string tns = make_sparse("s.tns", {8, 7, 6}, 40);
   const Json resp = roundtrip(decompose_req(tns, 2, 3, 1));
   ASSERT_TRUE(resp.find("ok")->as_bool()) << resp.dump();
-  EXPECT_EQ(resp.find("plan")->as_string(), "bypass");
+  EXPECT_EQ(resp.find("batch")->find("size")->as_number(), 1.0);
   EXPECT_EQ(resp.find("scheme")->as_string(), "csf");
 }
 
@@ -722,13 +753,13 @@ TEST_F(ServeTest, EightClientStressMixedShapes) {
   EXPECT_EQ(ok_count.load() + busy_count.load(), kClients * kRequestsEach);
   EXPECT_GT(ok_count.load(), 0);
 
-  // Repeated shapes across 48 requests on 2 workers must warm the caches.
+  // Repeated dense files across 48 requests on 2 workers must warm the
+  // tensor cache.
   Json stats_req;
   stats_req.set("type", Json("stats"));
   const Json stats = roundtrip(stats_req);
-  EXPECT_GT(stats.find("cache")->find("hits")->as_number(), 0.0)
+  EXPECT_GT(stats.find("tensors")->find("hits")->as_number(), 0.0)
       << stats.dump();
-  EXPECT_GT(stats.find("cache")->find("hit_rate")->as_number(), 0.0);
 }
 
 TEST_F(ServeTest, FullQueueRejectsAsBusy) {

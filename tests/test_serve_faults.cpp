@@ -1,7 +1,8 @@
 /// \file test_serve_faults.cpp
 /// \brief Self-healing server behavior under injected faults: worker
-/// batch isolation, plan-cache degrade-to-bypass, accept-path drops with
-/// client retry, and the health probe that reports all of it.
+/// batch isolation, a failed plan build failing only its own request,
+/// accept-path drops with client retry, and the health probe that reports
+/// all of it.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -123,37 +124,47 @@ TEST_F(ServeFaultTest, WorkerFaultYieldsInternalErrorAndWorkerSurvives) {
 }
 
 // ---------------------------------------------------------------------------
-// Plan cache: a failed plan construction degrades to bypass, requests
-// still succeed.
+// Plan build: a failed construction fails that request only, for both
+// request types.
 // ---------------------------------------------------------------------------
 
-TEST_F(ServeFaultTest, ArenaFaultDegradesCacheToBypassButRequestsSucceed) {
+TEST_F(ServeFaultTest, ArenaFaultFailsOneRequestAndTheNextSucceeds) {
   ServeOptions so;
   so.workers = 1;
   so.threads = 1;
   start(so);
-  const std::string tensor = make_dense("a.dten", {9, 8, 7});
-
-  // One arena failure: the cache's plan build throws, the worker falls
-  // back to a transient plan (whose build is past the fault budget).
-  fault::arm("arena.alloc", 1.0, 5, /*max_triggers=*/1);
-  const Json resp = roundtrip(decompose_req(tensor, 3, 2));
-  ASSERT_TRUE(resp.find("ok")->as_bool()) << resp.dump();
-  EXPECT_EQ(resp.find("plan")->as_string(), "bypass");
-
-  // Health reports the build failure and the degraded worker.
+  const std::string small = make_dense("a.dten", {9, 8, 7});
+  // Larger than `small`, so its mttkrp plan must grow the worker's arena
+  // past what the decomposes left it.
+  const std::string large = make_dense("b.dten", {30, 28, 26}, 12);
   Json health;
   health.set("type", Json("health"));
-  const Json h = roundtrip(health);
-  EXPECT_GE(h.find("self_healing")->find("cache_build_failures")->as_number(),
-            1.0);
-  EXPECT_EQ(h.find("self_healing")->find("degraded_workers")->as_number(),
-            1.0);
 
-  // While degraded, requests keep succeeding in bypass mode.
-  const Json again = roundtrip(decompose_req(tensor, 3, 2));
-  ASSERT_TRUE(again.find("ok")->as_bool()) << again.dump();
-  EXPECT_EQ(again.find("plan")->as_string(), "bypass");
+  // One arena failure: the decompose's plan build throws and the request
+  // gets a structured error; the worker survives and builds again.
+  fault::arm("arena.alloc", 1.0, 5, /*max_triggers=*/1);
+  const Json failed = roundtrip(decompose_req(small, 3, 2));
+  ASSERT_FALSE(failed.find("ok")->as_bool()) << failed.dump();
+  EXPECT_EQ(error_code(failed), "internal");
+  EXPECT_EQ(roundtrip(health).find("faults")->find("arena.alloc")->as_number(),
+            1.0);
+  const Json again = roundtrip(decompose_req(small, 3, 2));
+  EXPECT_TRUE(again.find("ok")->as_bool()) << again.dump();
+
+  // The same for an mttkrp.
+  fault::arm("arena.alloc", 1.0, 5, /*max_triggers=*/1);
+  Json mttkrp;
+  mttkrp.set("type", Json("mttkrp"));
+  mttkrp.set("tensor", Json(large));
+  mttkrp.set("rank", Json(8));
+  mttkrp.set("mode", Json(1));
+  const Json mfailed = roundtrip(mttkrp);
+  ASSERT_FALSE(mfailed.find("ok")->as_bool()) << mfailed.dump();
+  EXPECT_EQ(error_code(mfailed), "internal");
+  EXPECT_EQ(roundtrip(health).find("faults")->find("arena.alloc")->as_number(),
+            1.0);
+  const Json mok = roundtrip(mttkrp);
+  EXPECT_TRUE(mok.find("ok")->as_bool()) << mok.dump();
 }
 
 // ---------------------------------------------------------------------------
@@ -181,8 +192,6 @@ TEST_F(ServeFaultTest, HealthReportsShapeAndEchoesId) {
   ASSERT_NE(heal, nullptr);
   EXPECT_EQ(heal->find("worker_failures")->as_number(), 0.0);
   EXPECT_EQ(heal->find("accept_faults")->as_number(), 0.0);
-  EXPECT_EQ(heal->find("cache_build_failures")->as_number(), 0.0);
-  EXPECT_EQ(heal->find("degraded_workers")->as_number(), 0.0);
   // No faults armed: an empty object, not null.
   ASSERT_NE(h.find("faults"), nullptr);
   EXPECT_TRUE(h.find("faults")->is_object());

@@ -1,7 +1,6 @@
 /// Unit tests for the serve building blocks: the protocol JSON value
-/// (strict parse, deterministic dump), the worker-private plan cache
-/// (hit counting, LRU eviction order, byte budget, disabled mode), the
-/// shared tensor cache (file identity, LRU and byte budget, precision
+/// (strict parse, deterministic dump), the batch key's canonical string,
+/// the shared tensor cache (file identity, LRU and byte budget, precision
 /// split, eviction under a holder, disabled mode), the bounded job queue
 /// (admission control, same-key extraction, graceful drain), and the
 /// start-up oversubscription check. The socket-level behavior is covered
@@ -16,11 +15,9 @@
 #include <vector>
 
 #include "core/tensor.hpp"
-#include "exec/exec_context.hpp"
 #include "io/tensor_io.hpp"
 #include "serve/job_queue.hpp"
 #include "serve/json.hpp"
-#include "serve/plan_cache.hpp"
 #include "serve/server.hpp"
 #include "serve/tensor_cache.hpp"
 #include "util/rng.hpp"
@@ -94,7 +91,7 @@ TEST(ServeJson, FindIsNullSafeOnNonObjects) {
 }
 
 // ---------------------------------------------------------------------------
-// PlanCache
+// PlanKey
 // ---------------------------------------------------------------------------
 
 PlanKey key_for(std::vector<index_t> dims, index_t rank, bool f32 = false) {
@@ -106,96 +103,7 @@ PlanKey key_for(std::vector<index_t> dims, index_t rank, bool f32 = false) {
   return k;
 }
 
-TEST(ServePlanCache, CountsHitsAndMisses) {
-  ExecContext ctx(1);
-  PlanCache cache(8, std::size_t{1} << 30);
-  const PlanKey k = key_for({6, 5, 4}, 2);
-
-  bool built = false;
-  PlanCache::Entry* e1 = cache.get_or_build(k, ctx, &built);
-  ASSERT_NE(e1, nullptr);
-  EXPECT_TRUE(built);
-  ASSERT_NE(e1->f64, nullptr);
-  EXPECT_EQ(e1->f32, nullptr);
-
-  PlanCache::Entry* e2 = cache.get_or_build(k, ctx, &built);
-  EXPECT_EQ(e2, e1);
-  EXPECT_FALSE(built);
-
-  const PlanCacheStats s = cache.stats();
-  EXPECT_EQ(s.hits, 1u);
-  EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(s.evictions, 0u);
-  EXPECT_EQ(s.entries, 1u);
-  EXPECT_GT(s.bytes, 0u);
-}
-
-TEST(ServePlanCache, PrecisionSplitsTheKey) {
-  ExecContext ctx(1);
-  PlanCache cache(8, std::size_t{1} << 30);
-  cache.get_or_build(key_for({6, 5, 4}, 2, false), ctx);
-  PlanCache::Entry* ef = cache.get_or_build(key_for({6, 5, 4}, 2, true), ctx);
-  ASSERT_NE(ef, nullptr);
-  EXPECT_EQ(ef->f64, nullptr);
-  ASSERT_NE(ef->f32, nullptr);
-  EXPECT_EQ(cache.stats().entries, 2u);
-  EXPECT_EQ(cache.stats().misses, 2u);
-}
-
-TEST(ServePlanCache, EvictsLeastRecentlyUsedAtEntryCap) {
-  ExecContext ctx(1);
-  PlanCache cache(2, std::size_t{1} << 30);
-  const PlanKey a = key_for({6, 5, 4}, 2);
-  const PlanKey b = key_for({7, 5, 4}, 2);
-  const PlanKey c = key_for({8, 5, 4}, 2);
-
-  cache.get_or_build(a, ctx);
-  cache.get_or_build(b, ctx);
-  cache.get_or_build(a, ctx);  // a is now MRU, b is LRU
-  cache.get_or_build(c, ctx);  // evicts b
-
-  const auto mru = cache.keys_mru();
-  ASSERT_EQ(mru.size(), 2u);
-  EXPECT_EQ(mru[0], c);
-  EXPECT_EQ(mru[1], a);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-
-  bool built = false;
-  cache.get_or_build(b, ctx, &built);  // b was evicted: a rebuild
-  EXPECT_TRUE(built);
-}
-
-TEST(ServePlanCache, ByteBudgetEvictsButNeverTheNewestEntry) {
-  ExecContext ctx(1);
-  // Budget of 1 byte: every insertion overflows, so each new entry
-  // evicts everything older — but never itself.
-  PlanCache cache(8, 1);
-  const PlanKey a = key_for({6, 5, 4}, 2);
-  const PlanKey b = key_for({7, 5, 4}, 2);
-  cache.get_or_build(a, ctx);
-  EXPECT_EQ(cache.stats().entries, 1u);
-  cache.get_or_build(b, ctx);
-  const auto mru = cache.keys_mru();
-  ASSERT_EQ(mru.size(), 1u);
-  EXPECT_EQ(mru[0], b);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-}
-
-TEST(ServePlanCache, DisabledCacheBypasses) {
-  ExecContext ctx(1);
-  PlanCache cache(0, std::size_t{1} << 30);
-  bool built = true;
-  EXPECT_EQ(cache.get_or_build(key_for({6, 5, 4}, 2), ctx, &built), nullptr);
-  EXPECT_FALSE(built);
-  cache.note_bypass();
-  const PlanCacheStats s = cache.stats();
-  EXPECT_EQ(s.entries, 0u);
-  EXPECT_EQ(s.hits, 0u);
-  EXPECT_EQ(s.misses, 0u);
-  EXPECT_EQ(s.bypass, 2u);  // one from the disabled lookup, one explicit
-}
-
-TEST(ServePlanCache, KeyStringIsCanonical) {
+TEST(ServePlanKey, KeyStringIsCanonical) {
   const PlanKey k = key_for({6, 5, 4}, 2);
   EXPECT_EQ(k.to_string(),
             "dims=6x5x4|rank=2|scheme=permode|method=auto|prec=f64");

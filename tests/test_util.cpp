@@ -1,5 +1,6 @@
 // Tests for util/: block partitioning, the median, RNG, the timer, the
-// threading environment, the CRC-32 kernels and the sum-of-squares kernels.
+// threading environment, the CRC-32 kernels, the sum-of-squares kernels and
+// the huge-page mapping of large buffers.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "util/aligned_alloc.hpp"
 #include "util/common.hpp"
 #include "util/crc32.hpp"
 #include "util/env.hpp"
@@ -419,6 +421,34 @@ TEST(SumSq, ManyRoundsOfGroupsMatchTheOracle) {
     EXPECT_EQ(util::sumsq(data.data(), n, threads), want)
         << "threads " << threads;
   }
+}
+
+// ------------------------------------------------------------ aligned_alloc
+
+TEST(BufferAlloc, MappingLengthRoundsUpToWholeHugePages) {
+  static_assert(kLargeBufferBytes % kHugePageBytes == 0);
+  EXPECT_EQ(mapped_bytes(kLargeBufferBytes), kLargeBufferBytes);
+  EXPECT_EQ(mapped_bytes(kLargeBufferBytes + 1),
+            kLargeBufferBytes + kHugePageBytes);
+  EXPECT_EQ(mapped_bytes(kLargeBufferBytes + kHugePageBytes - 1),
+            kLargeBufferBytes + kHugePageBytes);
+  // The 282^3 f64 and 225x59x60x60 f32 tensors of the benchmark.
+  EXPECT_EQ(mapped_bytes(179'406'144), 180'355'072u);
+  EXPECT_EQ(mapped_bytes(191'160'000), 192'937'984u);
+}
+
+TEST(BufferAlloc, EveryRequestedByteOfAMappedBufferIsWritable) {
+  // Not a huge-page multiple: the mapping is longer than the request.
+  const std::size_t bytes = kLargeBufferBytes + 4097;
+  ASSERT_TRUE(is_large_buffer(bytes));
+  auto* p = static_cast<unsigned char*>(buffer_alloc(bytes));
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % kDefaultAlignment, 0u);
+  EXPECT_EQ(p[0], 0u);  // a mapping arrives zeroed
+  EXPECT_EQ(p[bytes - 1], 0u);
+  p[0] = 1;
+  p[bytes - 1] = 2;
+  EXPECT_EQ(p[bytes - 1], 2u);
+  buffer_free(p, bytes);
 }
 
 // ------------------------------------------------------------------- checks

@@ -99,11 +99,10 @@ using namespace dmtk;
       "            [--queue-timeout-ms n] [--batch-window-ms n]\n"
       "            [--max-batch n] [--cache-entries n] [--cache-mb n]\n"
       "            (resident decomposition server on a Unix socket:\n"
-      "             newline-delimited JSON requests, per-worker plan cache,\n"
-      "             shared tensor cache, bounded job queue, same-shape\n"
-      "             request batching; --cache-entries and --cache-mb bound\n"
-      "             each plan cache and the tensor cache, 0 entries\n"
-      "             disables both)\n"
+      "             newline-delimited JSON requests, shared tensor cache,\n"
+      "             bounded job queue, same-shape request batching;\n"
+      "             --cache-entries and --cache-mb bound the tensor\n"
+      "             cache, 0 entries disables it)\n"
       "  client    --socket S [--timeout-ms n] [--retries n]\n"
       "            [--retry-base-ms n] <action>\n"
       "            (--retries re-runs the request on connection failures\n"
