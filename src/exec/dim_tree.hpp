@@ -57,11 +57,12 @@ namespace dmtk {
 ///
 /// A tie takes the LATER split. On a cube that makes the tree
 /// {0, 1} | {2} instead of {0} | {1, 2}, which wins on both sides of the
-/// root (282^3 f64, rank 25, one thread, blas::gemm alone on each shape):
-/// the full-tensor node reads X(0:1) column-major at 33.1 GF/s, against
-/// 21.2 GF/s for the X(0)^T view, and the depth-0 leaf becomes mode N-1's
-/// row-major 1-step at 26.5 GF/s, against 22.8 GF/s for mode 0's
-/// column-major 1-step.
+/// root (282^3 f64, rank 25, one thread): the full-tensor node reads
+/// X(0:1) column-major at 33.1 GF/s, against 21.2 GF/s for the X(0)^T
+/// view (blas::gemm alone on each shape), and the depth-0 leaf becomes
+/// mode N-1's row-major 1-step, 17.2 ms (65 GF/s) against 19.0 ms
+/// (59 GF/s) for mode 0's column-major one (the whole kernel, KRP pieces
+/// and reduction included, median of 4 rounds of 31 runs).
 [[nodiscard]] index_t sweep_balanced_split(std::span<const index_t> dims,
                                            index_t a, index_t b);
 

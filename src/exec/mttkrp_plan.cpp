@@ -170,8 +170,8 @@ void MttkrpPlanT<T>::plan_workspace() {
         off_klt_ = take(static_cast<std::size_t>(C * ILn_));
         // All I_Rn per-block KRP tiles, materialized for the batched GEMM
         // sweep (block j occupies columns [j*ILn, (j+1)*ILn) of the full
-        // transposed KRP). Costs the same C x cosize the external modes'
-        // per-thread tiles already put in the shared arena.
+        // transposed KRP): C x cosize of the arena, where the external
+        // modes' kernel holds only a C x P piece per block.
         off_kt_full_ = take(static_cast<std::size_t>(C * cosize_));
         stride_thread_row_ =
             WorkspaceArena::aligned_count<T>(static_cast<std::size_t>(C));

@@ -8,6 +8,30 @@
 
 namespace dmtk {
 
+namespace {
+
+/// KRP rows per piece: the piece's C x P tile of the transposed KRP takes
+/// 256 KiB of a 2 MiB L2, beside the blocks of X(n) the rank-panel GEMM
+/// streams through it. At 282^3 f64 rank 25 (P = 1310) on a 4-core
+/// AVX-512 Xeon, 128 and 192 KiB ran as fast and 512 KiB slower. Fixed by
+/// (rank, T) alone, like the GEMM's own blocking.
+template <typename T>
+index_t l2_piece_rows(index_t C) {
+  constexpr index_t kBudget = 256 * 1024;
+  const index_t row_bytes = C * static_cast<index_t>(sizeof(T));
+  return std::max<index_t>(1, kBudget / row_bytes);
+}
+
+/// Rows of M one GEMM call covers in a mode N-1 piece. A row-major X(N-1)
+/// block streams best a few rows at a time, each row read along the whole
+/// piece: at 282^3 f64 rank 25 on the same Xeon, groups of 32 took the
+/// 1-step from 21 to 17.7 ms on one thread and 5.3 to 4.8 ms on four,
+/// where 16, 48 and 64 gained less. A column-major X(0) piece runs whole:
+/// its columns are In_ long, and cutting them measured slower.
+constexpr index_t kRowGroup = 32;
+
+}  // namespace
+
 template <typename T>
 void reduce_partials(const T* partials, std::size_t stride, int planned,
                      MatrixT<T>& M) {
@@ -54,17 +78,25 @@ OneStepExternalT<T>::OneStepExternalT(const ExecContext& ctx,
   for (std::size_t z = 0; z < Z; ++z) {
     packed_off_[z] = take(static_cast<std::size_t>(extents_[z] * C));
   }
+  // Pieces of l2_piece_rows<T>(C) KRP rows; a tail too short for the
+  // rank-panel shape joins the piece before it, so a piece holds at most
+  // piece_ + min_piece_ - 1 rows (or a whole block, if that is shorter).
+  piece_ = l2_piece_rows<T>(C);
+  min_piece_ = C <= blas::kRankPanelMaxN ? 4 * C : 1;
+  const index_t tile_rows =
+      std::min(ctx.max_block(cosize_), piece_ + min_piece_ - 1);
   stride_kt_ = WorkspaceArena::aligned_count<T>(
-      static_cast<std::size_t>(C * ctx.max_block(cosize_)));
+      static_cast<std::size_t>(C * tile_rows));
   off_kt_ = take(snt * stride_kt_);
-  // Each block runs a private sequential GEMM; blocks differ by one
-  // column, so size for the shortest and the longest (only one of them may
-  // fall short of the rank-panel shape).
+  // Each piece runs a private sequential GEMM. A piece is either a whole
+  // block (the shortest block may fall short of the rank-panel shape) or
+  // at most tile_rows long, and the BLIS workspace grows with k, so these
+  // two sizes cover every piece.
   stride_gemm_ws_ = WorkspaceArena::aligned_count<T>(std::max(
       blas::gemm_workspace_elems<T>(blas::Trans::Trans, In_, C, cosize_ / nt_,
                                     1),
-      blas::gemm_workspace_elems<T>(blas::Trans::Trans, In_, C,
-                                    ctx.max_block(cosize_), 1)));
+      blas::gemm_workspace_elems<T>(blas::Trans::Trans, In_, C, tile_rows,
+                                    1)));
   off_gemm_ws_ = take(snt * stride_gemm_ws_);
   stride_partial_ =
       WorkspaceArena::aligned_count<T>(static_cast<std::size_t>(In_ * C));
@@ -113,29 +145,38 @@ void OneStepExternalT<T>::run(const TensorT<T>& X,
         std::fill(Mt, Mt + In_ * C, T{0});
         continue;
       }
-      // Block-local KRP rows [r.begin, r.end) — Alg 3 line 7.
       T* Kt = base + off_kt_ + sb * stride_kt_;
       T* P = base + off_p_ + sb * stride_p_;
       index_t* dg = digits_.data() + sb * digits_stride_;
-      detail::krp_rows_ws<T>(packed_, extents_, C, r.begin, r.end, Kt, C, P,
-                             dg);
-      // Local GEMM against the block's columns of X(n) — line 8. The
-      // packing workspace is this block's private slice of the frame.
       const blas::GemmWorkspace gws = blas::typed_workspace(
           base + off_gemm_ws_ + sb * stride_gemm_ws_, stride_gemm_ws_);
-      if (mode_ == 0) {
-        // Column block of the column-major X(0): contiguous panel.
-        blas::gemm(blas::Layout::ColMajor, blas::Trans::NoTrans,
-                   blas::Trans::Trans, In_, C, r.size(), T{1},
-                   X.data() + r.begin * In_, In_, Kt, C, T{0}, Mt, In_,
-                   /*threads=*/1, gws);
-      } else {
-        // mode == N-1: X(N-1) is In x cols row-major (ld = cols); a column
-        // block is a row block of its column-major transpose view.
-        blas::gemm(blas::Layout::ColMajor, blas::Trans::Trans,
-                   blas::Trans::Trans, In_, C, r.size(), T{1},
-                   X.data() + r.begin, cols, Kt, C, T{0}, Mt, In_,
-                   /*threads=*/1, gws);
+      for (index_t p0 = r.begin; p0 < r.end;) {
+        index_t p1 = std::min(r.end, p0 + piece_);
+        if (r.end - p1 < min_piece_) p1 = r.end;
+        // KRP rows [p0, p1) into the L2-resident tile (Alg 3 line 7), then
+        // at once the GEMM against those columns of X(n) (line 8).
+        detail::krp_rows_ws<T>(packed_, extents_, C, p0, p1, Kt, C, P, dg);
+        const T beta = p0 == r.begin ? T{0} : T{1};
+        if (mode_ == 0) {
+          // Column block of the column-major X(0): contiguous panel.
+          blas::gemm(blas::Layout::ColMajor, blas::Trans::NoTrans,
+                     blas::Trans::Trans, In_, C, p1 - p0, T{1},
+                     X.data() + p0 * In_, In_, Kt, C, beta, Mt, In_,
+                     /*threads=*/1, gws);
+        } else {
+          // mode == N-1: X(N-1) is In x cols row-major (ld = cols); a
+          // column block is a row block of its column-major transpose
+          // view. Walked in groups of kRowGroup rows of M, each group's
+          // rows of X streamed across the whole piece.
+          for (index_t i0 = 0; i0 < In_; i0 += kRowGroup) {
+            const index_t rows = std::min(kRowGroup, In_ - i0);
+            blas::gemm(blas::Layout::ColMajor, blas::Trans::Trans,
+                       blas::Trans::Trans, rows, C, p1 - p0, T{1},
+                       X.data() + i0 * cols + p0, cols, Kt, C, beta, Mt + i0,
+                       In_, /*threads=*/1, gws);
+          }
+        }
+        p0 = p1;
       }
     }
   });

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -16,8 +18,10 @@
 #include "core/mttkrp.hpp"
 #include "exec/exec_context.hpp"
 #include "exec/mttkrp_plan.hpp"
+#include "exec/onestep_external.hpp"
 #include "exec/sweep_plan.hpp"
 #include "test_helpers.hpp"
+#include "util/parallel.hpp"
 
 namespace dmtk {
 namespace {
@@ -403,6 +407,190 @@ TEST(MttkrpPlanAuto, IsTheDimTreePathBitwise) {
       expect_auto_is_tree_path<float>(dims, threads, 1e-5);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// The external-mode 1-step in L2-sized pieces: each planned block forms
+// and multiplies piece_rows() KRP rows at a time, accumulating into its
+// partial. Shapes here give every block three or more pieces and a ragged
+// tail, so the piece boundaries, the folded short tail (rank <= 64) and
+// the short BLIS-path tail (rank > 64) all run.
+// ---------------------------------------------------------------------------
+
+template <typename T>
+index_t piece_rows_at(index_t rank) {
+  const ExecContext ctx(1);
+  const std::vector<index_t> dims{2, 2, 2};
+  return OneStepExternalT<T>(ctx, dims, rank, 0).piece_rows();
+}
+
+/// f64 copies of the operands, so the oracle's own rounding does not enter
+/// an f32 comparison.
+template <typename T>
+Tensor as_f64(const TensorT<T>& X) {
+  Tensor Y({X.dims().begin(), X.dims().end()});
+  for (index_t l = 0; l < X.numel(); ++l) Y[l] = X[l];
+  return Y;
+}
+
+template <typename T>
+std::vector<Matrix> as_f64(const std::vector<MatrixT<T>>& fs) {
+  std::vector<Matrix> out;
+  for (const MatrixT<T>& F : fs) {
+    Matrix G(F.rows(), F.cols());
+    for (index_t j = 0; j < F.cols(); ++j) {
+      for (index_t i = 0; i < F.rows(); ++i) G(i, j) = F(i, j);
+    }
+    out.push_back(std::move(G));
+  }
+  return out;
+}
+
+/// The mode-`mode` OneStep plan on `dims` at `threads` planned blocks:
+/// within `tol` (relative to the largest entry) of the f64 Reference,
+/// bitwise repeatable, heap-free inside the BLAS layer, and, when
+/// `tree_leaf`, bitwise the DimTree sweep's depth-0 leaf for that mode.
+template <typename T>
+void expect_pieced_onestep(const std::vector<index_t>& dims, index_t rank,
+                           index_t mode, int threads, bool tree_leaf,
+                           double tol) {
+  Rng rng(500 + static_cast<std::uint64_t>(rank) +
+          static_cast<std::uint64_t>(dims.size()));
+  const TensorT<T> X = TensorT<T>::random_uniform(dims, rng);
+  const std::vector<MatrixT<T>> fs = random_factors<T>(dims, rank, rng);
+  ExecContext ctx(threads);
+
+  MttkrpPlanT<T> plan(ctx, dims, rank, mode, MttkrpMethod::OneStep);
+  MatrixT<T> M;
+  MatrixT<T> again;
+  const std::size_t blas_allocs = blas::gemm_internal_allocs();
+  plan.execute(X, fs, M);
+  plan.execute(X, fs, again);
+  EXPECT_EQ(M.max_abs_diff(again), 0.0) << "repeated runs differ";
+  // Every piece's GEMM, short tails included, ran on the planned
+  // workspace.
+  EXPECT_EQ(blas::gemm_internal_allocs(), blas_allocs);
+
+  const Matrix ref =
+      mttkrp(as_f64(X), as_f64(fs), mode, MttkrpMethod::Reference);
+  double err = 0.0;
+  double scale = 0.0;
+  for (index_t j = 0; j < rank; ++j) {
+    for (index_t i = 0; i < ref.rows(); ++i) {
+      err = std::max(err, std::abs(static_cast<double>(M(i, j)) - ref(i, j)));
+      scale = std::max(scale, std::abs(ref(i, j)));
+    }
+  }
+  EXPECT_LE(err, tol * scale);
+
+  if (!tree_leaf) return;
+  CpAlsSweepPlanT<T> sweep(ctx, dims, rank);
+  bool leaf = false;
+  for (const SweepNode& nd : sweep.nodes()) {
+    leaf = leaf || (nd.leaf && nd.depth == 0 && nd.first == mode);
+  }
+  ASSERT_TRUE(leaf) << "mode " << mode << " is not a depth-0 leaf";
+  std::vector<MatrixT<T>> Mt(dims.size());
+  sweep.begin_sweep(X);
+  for (index_t n = 0; n < static_cast<index_t>(dims.size()); ++n) {
+    sweep.mode_mttkrp(n, X, fs, Mt[static_cast<std::size_t>(n)]);
+  }
+  EXPECT_EQ(Mt[static_cast<std::size_t>(mode)].max_abs_diff(M), 0.0)
+      << "the depth-0 leaf differs from the named OneStep plan";
+}
+
+template <typename T>
+void expect_pieced_onestep_shapes(index_t rank, int threads, double tol) {
+  const index_t P = piece_rows_at<T>(rank);
+  // Two tails per block: 2 * rank rows (below 4 * rank: folded into the
+  // last full piece on the rank-panel path, a short BLIS piece above
+  // rank 64) and half a piece.
+  for (const index_t tail : {2 * rank, P / 2}) {
+    // Block length 3P + tail; the column count rounds up to a multiple of
+    // 4 so it factors into every shape below, which lengthens a block by
+    // at most 3 columns.
+    const index_t per_block = 3 * P + tail;
+    const index_t cosize = (per_block * threads + 3) / 4 * 4;
+    for (int b = 0; b < threads; ++b) {
+      const index_t len = block_range(cosize, threads, b).size();
+      ASSERT_GE(len / P, 3);
+      ASSERT_GE(len % P, tail);
+      ASSERT_LT(len % P, tail + 4);
+    }
+    struct Shape {
+      std::vector<index_t> dims;
+      index_t mode;
+      bool tree_leaf;
+    };
+    // 33 output rows: one whole group of 32 and a 1-row group in mode
+    // N-1's row walk. The tree splits {0} | {1, 2} when I0 > I2, and
+    // {0, 1} | {2} when I0 <= I2; {5, c, 2, 2} splits {0} | {1, 2, 3}.
+    const std::vector<Shape> shapes = {
+        {{3, cosize / 2, 2}, 0, true},
+        {{2, cosize / 2, 33}, 2, true},
+        {{5, cosize / 4, 2, 2}, 0, true},
+        {{2, 2, cosize / 4, 33}, 3, false},
+    };
+    for (const Shape& s : shapes) {
+      SCOPED_TRACE("rank " + std::to_string(rank) + " threads " +
+                   std::to_string(threads) + " tail " +
+                   std::to_string(tail) + " order " +
+                   std::to_string(s.dims.size()) + " mode " +
+                   std::to_string(s.mode));
+      expect_pieced_onestep<T>(s.dims, rank, s.mode, threads, s.tree_leaf,
+                               tol);
+    }
+  }
+}
+
+TEST(OneStepPieces, PieceBoundariesMatchReferenceAndTheTreeLeaf) {
+  for (const index_t rank : {index_t{9}, index_t{70}}) {
+    for (const int threads : {1, 3, 4}) {
+      expect_pieced_onestep_shapes<double>(rank, threads, 1e-12);
+      expect_pieced_onestep_shapes<float>(rank, threads, 1e-4);
+    }
+  }
+}
+
+TEST(OneStepPieces, WorkspaceDoesNotGrowWithCosize) {
+  // Blocks longer than a piece hold only a piece's KRP tile, so doubling
+  // I1 grows the workspace by factor 1's packed C x I1 panel alone, in both
+  // external modes: the KRP tiles, GEMM workspaces and partials stay.
+  const index_t rank = 25;
+  const ExecContext ctx(4);
+  const index_t P = piece_rows_at<double>(rank);
+  // Mode 0 has 16P columns and mode 2 6P, so every block of 4 is longer
+  // than a piece (and its folded tail) before I1 doubles.
+  const index_t I1 = 2 * P;
+  const std::size_t panel_growth =
+      WorkspaceArena::aligned_count<double>(
+          static_cast<std::size_t>(2 * I1 * rank)) -
+      WorkspaceArena::aligned_count<double>(
+          static_cast<std::size_t>(I1 * rank));
+  for (const index_t mode : {index_t{0}, index_t{2}}) {
+    const std::vector<index_t> small{3, I1, 8};
+    const std::vector<index_t> large{3, 2 * I1, 8};
+    EXPECT_EQ(OneStepExternalT<double>(ctx, large, rank, mode)
+                  .workspace_elems(),
+              OneStepExternalT<double>(ctx, small, rank, mode)
+                      .workspace_elems() +
+                  panel_growth)
+        << "mode " << mode;
+  }
+}
+
+TEST(OneStepPieces, CubeSweepWorkspaceIsNoLargerThanBefore) {
+  // 282^3 f64 rank 25 at 4 threads: the sweep reserved 16 243 712 bytes
+  // while the leaf formed each block's whole KRP slice (4 MB per block);
+  // the {0, 1} intermediate bounds it now. The 1-step alone drops from
+  // that same 16 MB to under 2 MB.
+  const std::vector<index_t> dims{282, 282, 282};
+  ExecContext ctx(4);
+  const CpAlsSweepPlan sweep(ctx, dims, 25);
+  EXPECT_LE(sweep.workspace_bytes(), std::size_t{16243712});
+  EXPECT_LT(OneStepExternalT<double>(ctx, dims, 25, 2).workspace_elems() *
+                sizeof(double),
+            std::size_t{2} << 20);
 }
 
 // ---------------------------------------------------------------------------
