@@ -42,19 +42,11 @@ template <typename T>
 CpAlsResultT<T> run_standard(const TensorT<T>& X, const CpAlsOptionsT<T>& opts,
                              const ExecContext& ctx,
                              CpAlsSweepPlanT<T>& sweep) {
-  const int nt = ctx.threads();
   CpAlsResultT<T> result;
   detail::init_model(X, opts, "cp_als", result.model);
-  KtensorT<T>& model = result.model;
-
   detail::run_als_sweeps(
       X, opts, ctx, sweep, result,
-      [&](index_t n, MatrixT<T>& H, MatrixT<T>& M, int iter) {
-        detail::factor_solve(H, M, nt);
-        MatrixT<T>& U = model.factors[static_cast<std::size_t>(n)];
-        std::swap(U, M);
-        detail::normalize_update(U, model.lambda, iter == 0);
-      });
+      detail::exact_solve_update(result.model, ctx.threads()));
   return result;
 }
 
@@ -75,7 +67,9 @@ CpAlsResultT<T> cp_als(const TensorT<T>& X, const CpAlsOptionsT<T>& opts) {
   // One sweep plan for the whole factorization: scheme dispatch, tree
   // construction (DimTree) or per-mode MttkrpPlans (PerMode), and the
   // complete workspace layout are paid once, and the sweeps below run
-  // without touching the heap.
+  // without touching the heap, save a factor solve's rare pseudo-inverse
+  // fallback. CpAls.SweepsAfterTheFirstTouchNoHeap counts allocations to
+  // hold this.
   CpAlsSweepPlanT<T> sweep(ctx, X.dims(), C, opts.sweep_scheme, opts.method);
   return run_standard(X, opts, ctx, sweep);
 }

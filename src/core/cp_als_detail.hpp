@@ -17,8 +17,10 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "blas/blas.hpp"
@@ -64,11 +66,29 @@ inline void normalize_update(MatrixT<T>& U, std::vector<T>& lambda,
 }
 
 /// Solve U = M H^dagger in place on M, where H is the Hadamard product of
-/// the Gram matrices of all factors except the one being updated.
+/// the Gram matrices of all factors except the one being updated. `hcopy`
+/// is spd_solve_right's C x C scratch (empty: the solve allocates it).
 template <typename T>
-inline void factor_solve(MatrixT<T>& H, MatrixT<T>& M, int threads) {
+inline void factor_solve(MatrixT<T>& H, MatrixT<T>& M, int threads,
+                         std::span<double> hcopy = {}) {
   linalg::spd_solve_right(H.cols(), H.data(), H.ld(), M.rows(), M.data(),
-                          M.ld(), threads);
+                          M.ld(), threads, hcopy);
+}
+
+/// The exact-solve factor update of standard ALS, dense and sparse alike:
+/// factor_solve, the solved M swapped into the model, then normalized.
+/// The returned run_als_sweeps callback owns the solve's C x C scratch, so
+/// its Cholesky updates allocate nothing.
+template <typename T>
+auto exact_solve_update(KtensorT<T>& model, int threads) {
+  const std::size_t C = static_cast<std::size_t>(model.rank());
+  return [&model, threads, hcopy = std::vector<double>(C * C)](
+             index_t n, MatrixT<T>& H, MatrixT<T>& M, int iter) mutable {
+    factor_solve(H, M, threads, std::span<double>(hcopy));
+    MatrixT<T>& U = model.factors[static_cast<std::size_t>(n)];
+    std::swap(U, M);
+    normalize_update(U, model.lambda, iter == 0);
+  };
 }
 
 /// CP fit 1 - ||X - Y||_F / ||X||_F evaluated without materializing Y:
@@ -236,6 +256,8 @@ void run_als_sweeps(const XT& X, const CpAlsOptionsT<T>& opts,
   MatrixT<T> Mlast;
   if (opts.compute_fit) Mlast = MatrixT<T>(X.dim(N - 1), C);
   MatrixT<T> H(C, C);
+  result.iters.reserve(
+      static_cast<std::size_t>(std::max(0, opts.max_iters - start_iter)));
 
   for (int iter = start_iter; iter < opts.max_iters; ++iter) {
     CpAlsIterStats stats;

@@ -10,10 +10,12 @@
 #include <algorithm>
 #include <cstddef>
 #include <span>
+#include <vector>
 
 #include "blas/level1.hpp"
 #include "core/matrix.hpp"
 #include "core/multi_index.hpp"
+#include "util/aligned_alloc.hpp"
 #include "util/common.hpp"
 #include "util/parallel.hpp"
 
@@ -50,12 +52,43 @@ inline int odo_increment(std::span<const index_t> extents, index_t* dg) {
   return 0;
 }
 
+/// The mixed-radix digits (odometers) of a plan's KRP blocks, one block's
+/// on whole 64-byte lines of its own. krp_rows_ws writes a block's digits
+/// on every KRP row it forms, so digits packed at a stride of Z elements
+/// put 2-4 team members' odometers on one line, and every row's write
+/// invalidated that line in the other cores (false sharing): 4 threads
+/// each forming 2070 rows of a 91 x 91 rank-16 KRP took 43-146 us per
+/// thread that way (medians of 51 runs, 4-core AVX-512 Xeon), against
+/// 9-20 us on lines of their own. Sized once, when the plan is built; the
+/// blocks never allocate.
+class BlockDigits {
+ public:
+  BlockDigits() = default;
+  /// Room for `blocks` blocks of `digits` digits each.
+  BlockDigits(int blocks, std::size_t digits)
+      : stride_(std::max<std::size_t>(1, (digits + kPerLine - 1) / kPerLine) *
+                kPerLine),
+        dg_(static_cast<std::size_t>(blocks) * stride_, 0) {}
+
+  /// Block b's digits: line-aligned, and on no line another block uses.
+  [[nodiscard]] index_t* block(int b) {
+    return dg_.data() + static_cast<std::size_t>(b) * stride_;
+  }
+
+ private:
+  static constexpr std::size_t kPerLine = kDefaultAlignment / sizeof(index_t);
+  std::size_t stride_ = 0;
+  std::vector<index_t, AlignedAllocator<index_t>> dg_;
+};
+
 /// Rows [r0, r1) of the KRP of packed transposed factor panels (each
 /// packed[z] is a C x extents[z] column-major panel whose column l is row l
 /// of factor z), written as columns of Kt (ld = ldkt). Algorithm 1 with
 /// reuse of the Z-2 partial Hadamard products. Caller-owned scratch: `P`
 /// holds the partials (C elements each, (Z-2) of them when Z >= 3), `dg`
-/// the Z mixed-radix digits. Nothing is allocated.
+/// the Z mixed-radix digits, written on every row: a planned block passes
+/// its BlockDigits::block so no other block's writes share its line.
+/// Nothing is allocated.
 template <typename T>
 inline void krp_rows_ws(std::span<const T* const> packed,
                         std::span<const index_t> extents, index_t C,
@@ -122,21 +155,22 @@ inline void pack_factor_transposed(const MatrixT<T>& F, index_t C, T* P) {
 /// into Kt (C x rows, ld = C), strided by the actual team size so a
 /// smaller-than-planned OpenMP team (nested parallelism, thread limits)
 /// still produces every block with its planned scratch slot: block b uses
-/// P_base + b * p_stride partial-Hadamard elements and dg_base +
-/// b * dg_stride digits. Shared by MttkrpPlan and DimTreeT.
+/// P_base + b * p_stride partial-Hadamard elements (p_stride line-rounded)
+/// and digits.block(b), which holds at least extents.size() digits for
+/// each of the `planned` blocks. Shared by MttkrpPlan and DimTreeT.
 template <typename T>
 inline void krp_transposed_blocks(std::span<const T* const> packed,
                                   std::span<const index_t> extents, index_t C,
                                   index_t rows, int planned, T* Kt,
                                   T* P_base, std::size_t p_stride,
-                                  index_t* dg_base, std::size_t dg_stride) {
+                                  BlockDigits& digits) {
   parallel_region(planned, [&](int t, int nteam) {
     for (int b = t; b < planned; b += nteam) {
       const std::size_t sb = static_cast<std::size_t>(b);
       const Range r = block_range(rows, planned, b);
       if (r.empty()) continue;
       krp_rows_ws<T>(packed, extents, C, r.begin, r.end, Kt + r.begin * C, C,
-                     P_base + sb * p_stride, dg_base + sb * dg_stride);
+                     P_base + sb * p_stride, digits.block(b));
     }
   });
 }

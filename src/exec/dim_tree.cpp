@@ -61,8 +61,7 @@ DimTreeT<T>::DimTreeT(const ExecContext& ctx, std::span<const index_t> dims,
 
   fl_.reserve(static_cast<std::size_t>(N));
   packed_.reserve(static_cast<std::size_t>(N));
-  digits_stride_ = static_cast<std::size_t>(N);
-  digits_.assign(static_cast<std::size_t>(nt_) * digits_stride_, 0);
+  digits_ = detail::BlockDigits(nt_, static_cast<std::size_t>(N));
   batch_a_.resize(static_cast<std::size_t>(rank_));
   batch_b_.resize(static_cast<std::size_t>(rank_));
   batch_c_.resize(static_cast<std::size_t>(rank_));
@@ -233,7 +232,7 @@ const T* DimTreeT<T>::form_trim_krp(const Node& nd,
   T* Kt = scratch + trim.off_krp;
   detail::krp_transposed_blocks<T>(packed_, trim.extents, C, trim.rows, nt_,
                                    Kt, scratch + nd.off_p, nd.stride_p,
-                                   digits_.data(), digits_stride_);
+                                   digits_);
   return Kt;
 }
 

@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "core/krp.hpp"
+#include "core/krp_detail.hpp"
 #include "core/matrix.hpp"
 #include "core/tensor.hpp"
 #include "exec/exec_context.hpp"
@@ -170,8 +171,7 @@ class DimTreeT {
   // Preallocated small scratch so evaluations never allocate.
   FactorListT<T> fl_;
   std::vector<const T*> packed_;
-  std::vector<index_t> digits_;
-  std::size_t digits_stride_ = 0;
+  detail::BlockDigits digits_;  // nt blocks of N mixed-radix digits
   std::vector<const T*> batch_a_;
   std::vector<const T*> batch_b_;
   std::vector<T*> batch_c_;

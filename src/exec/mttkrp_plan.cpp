@@ -103,8 +103,7 @@ MttkrpPlanT<T>::MttkrpPlanT(const ExecContext& ctx,
   packed_full_.resize(full_.extents.size());
   packed_left_.resize(left_.extents.size());
   packed_right_.resize(right_.extents.size());
-  digits_stride_ = static_cast<std::size_t>(N);
-  digits_.assign(static_cast<std::size_t>(nt_) * digits_stride_, 0);
+  digits_ = detail::BlockDigits(nt_, static_cast<std::size_t>(N));
   ref_idx_.assign(static_cast<std::size_t>(N), 0);
 
   plan_workspace();
@@ -273,8 +272,7 @@ void MttkrpPlanT<T>::krp_transposed_ws(const KrpLayout& lay,
                                        T* base, std::size_t off) {
   detail::krp_transposed_blocks<T>(packed, lay.extents, rank_, lay.rows,
                                    nt_, base + off, base + off_thread_p_,
-                                   stride_thread_p_, digits_.data(),
-                                   digits_stride_);
+                                   stride_thread_p_, digits_);
 }
 
 template <typename T>
@@ -428,7 +426,7 @@ void MttkrpPlanT<T>::exec_onestep_internal(const TensorT<T>& X,
       std::fill(Mt, Mt + In_ * C, T{0});
       if (r.empty()) continue;
       T* krrow = base + off_thread_row_ + sb * stride_thread_row_;
-      index_t* dg = digits_.data() + sb * digits_stride_;
+      index_t* dg = digits_.block(b);
       for (index_t j = r.begin; j < r.end; ++j) {
         T* Ktile = Kt + j * ILn_ * C;
         krp_row_ws(fl_right_, right_.extents, j, C, krrow, dg);

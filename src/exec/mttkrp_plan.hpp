@@ -63,6 +63,7 @@
 #include <vector>
 
 #include "core/krp.hpp"
+#include "core/krp_detail.hpp"
 #include "core/matrix.hpp"
 #include "core/mttkrp.hpp"
 #include "core/tensor.hpp"
@@ -208,8 +209,7 @@ class MttkrpPlanT {
   std::vector<const T*> batch_a_;  // internal-mode batched-GEMM items:
   std::vector<const T*> batch_b_;  // X(n) block / KRP tile / partial
   std::vector<T*> batch_c_;        // per item (size I_Rn)
-  std::vector<index_t> digits_;      // nt * max-list-size mixed-radix digits
-  std::size_t digits_stride_ = 0;
+  detail::BlockDigits digits_;       // nt blocks of N mixed-radix digits
   std::vector<index_t> ref_idx_;     // Reference-method multi-index
 };
 

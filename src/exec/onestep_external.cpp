@@ -111,8 +111,7 @@ OneStepExternalT<T>::OneStepExternalT(const ExecContext& ctx,
 
   fl_.resize(Z);
   packed_.resize(Z);
-  digits_stride_ = Z;
-  digits_.assign(snt * digits_stride_, 0);
+  digits_ = detail::BlockDigits(nt_, Z);
 }
 
 template <typename T>
@@ -147,7 +146,7 @@ void OneStepExternalT<T>::run(const TensorT<T>& X,
       }
       T* Kt = base + off_kt_ + sb * stride_kt_;
       T* P = base + off_p_ + sb * stride_p_;
-      index_t* dg = digits_.data() + sb * digits_stride_;
+      index_t* dg = digits_.block(b);
       const blas::GemmWorkspace gws = blas::typed_workspace(
           base + off_gemm_ws_ + sb * stride_gemm_ws_, stride_gemm_ws_);
       for (index_t p0 = r.begin; p0 < r.end;) {

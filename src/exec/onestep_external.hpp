@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "core/krp.hpp"
+#include "core/krp_detail.hpp"
 #include "core/matrix.hpp"
 #include "core/tensor.hpp"
 #include "exec/exec_context.hpp"
@@ -89,8 +90,7 @@ class OneStepExternalT {
   // Small preallocated scratch so run() never allocates.
   FactorListT<T> fl_;
   std::vector<const T*> packed_;
-  std::vector<index_t> digits_;  // nt * Z mixed-radix digits
-  std::size_t digits_stride_ = 0;
+  detail::BlockDigits digits_;  // nt blocks of Z mixed-radix digits
 };
 
 extern template class OneStepExternalT<double>;

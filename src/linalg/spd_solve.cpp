@@ -12,7 +12,8 @@ namespace dmtk::linalg {
 
 template <typename T>
 SpdSolveInfo spd_solve_right(index_t n, T* H, index_t ldh, index_t m,
-                             T* M, index_t ldm, int threads) {
+                             T* M, index_t ldm, int threads,
+                             std::span<double> hcopy) {
   DMTK_CHECK(n >= 0 && m >= 0, "spd_solve_right: negative dims");
   SpdSolveInfo info;
   if (n == 0 || m == 0) return info;
@@ -22,10 +23,16 @@ SpdSolveInfo spd_solve_right(index_t n, T* H, index_t ldh, index_t m,
   // promotes here (the fallback is the rare rank-deficient path — its cost
   // is dwarfed by the sweep, and extra precision only helps a truncated
   // pseudo-inverse).
-  std::vector<double> Hcopy(static_cast<std::size_t>(n * n));
+  const std::size_t nn = static_cast<std::size_t>(n * n);
+  std::vector<double> own;
+  if (hcopy.empty()) {
+    own.resize(nn);
+    hcopy = own;
+  }
+  DMTK_CHECK(hcopy.size() >= nn, "spd_solve_right: hcopy too small");
   for (index_t j = 0; j < n; ++j) {
     for (index_t i = 0; i < n; ++i) {
-      Hcopy[static_cast<std::size_t>(i + j * n)] =
+      hcopy[static_cast<std::size_t>(i + j * n)] =
           static_cast<double>(H[i + j * ldh]);
     }
   }
@@ -39,7 +46,7 @@ SpdSolveInfo spd_solve_right(index_t n, T* H, index_t ldh, index_t m,
 
   // Pseudo-inverse fallback: H^dagger = V diag(1/w_i for w_i > cutoff) V^T.
   info.used_cholesky = false;
-  const SymmetricEig eig = jacobi_eig(n, Hcopy.data(), n);
+  const SymmetricEig eig = jacobi_eig(n, hcopy.data(), n);
   double wmax = 0.0;
   for (double w : eig.eigenvalues) wmax = std::max(wmax, std::abs(w));
   const double cutoff = wmax * static_cast<double>(n) * 1e-14;
@@ -89,8 +96,10 @@ SpdSolveInfo spd_solve_right(index_t n, T* H, index_t ldh, index_t m,
 }
 
 template SpdSolveInfo spd_solve_right<double>(index_t, double*, index_t,
-                                              index_t, double*, index_t, int);
+                                              index_t, double*, index_t, int,
+                                              std::span<double>);
 template SpdSolveInfo spd_solve_right<float>(index_t, float*, index_t,
-                                             index_t, float*, index_t, int);
+                                             index_t, float*, index_t, int,
+                                             std::span<double>);
 
 }  // namespace dmtk::linalg

@@ -8,6 +8,8 @@
 /// Templated on the scalar type; the fp32 instantiation promotes to double
 /// for the (rare) eigen fallback, whose Jacobi sweeps stay double-only.
 
+#include <span>
+
 #include "util/common.hpp"
 
 namespace dmtk::linalg {
@@ -20,16 +22,21 @@ struct SpdSolveInfo {
 
 /// M <- M * H^dagger, where H is a column-major symmetric PSD n x n matrix
 /// and M is column-major m x n. H is destroyed (used as factorization
-/// workspace). Returns diagnostics.
+/// workspace). `hcopy` is caller-owned scratch of at least n * n doubles
+/// for the pristine copy of H the fallback needs; when it is empty the
+/// solve allocates its own. With it, the Cholesky path allocates nothing
+/// (the rare pseudo-inverse fallback still does). Returns diagnostics.
 template <typename T>
 SpdSolveInfo spd_solve_right(index_t n, T* H, index_t ldh, index_t m,
-                             T* M, index_t ldm, int threads = 0);
+                             T* M, index_t ldm, int threads = 0,
+                             std::span<double> hcopy = {});
 
 extern template SpdSolveInfo spd_solve_right<double>(index_t, double*,
                                                      index_t, index_t,
-                                                     double*, index_t, int);
+                                                     double*, index_t, int,
+                                                     std::span<double>);
 extern template SpdSolveInfo spd_solve_right<float>(index_t, float*, index_t,
                                                     index_t, float*, index_t,
-                                                    int);
+                                                    int, std::span<double>);
 
 }  // namespace dmtk::linalg

@@ -195,7 +195,6 @@ CpAlsResultT<T> cp_als(const SparseTensorT<T>& X,
   std::optional<ExecContext> own_ctx;
   const ExecContext& ctx =
       opts.exec != nullptr ? *opts.exec : own_ctx.emplace(opts.threads);
-  const int nt = ctx.threads();
 
   // One sweep plan for the whole factorization: CSF construction (sort +
   // additive duplicate merge + fiber compression) or the COO workspace
@@ -204,16 +203,9 @@ CpAlsResultT<T> cp_als(const SparseTensorT<T>& X,
 
   CpAlsResultT<T> result;
   detail::init_model(X, opts, "sparse cp_als", result.model);
-  KtensorT<T>& model = result.model;
-
   detail::run_als_sweeps(
       X, opts, ctx, sweep, result,
-      [&](index_t n, MatrixT<T>& H, MatrixT<T>& M, int iter) {
-        detail::factor_solve(H, M, nt);
-        MatrixT<T>& U = model.factors[static_cast<std::size_t>(n)];
-        std::swap(U, M);
-        detail::normalize_update(U, model.lambda, iter == 0);
-      });
+      detail::exact_solve_update(result.model, ctx.threads()));
   return result;
 }
 

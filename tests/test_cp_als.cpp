@@ -1,16 +1,51 @@
 // CP-ALS behaviour: exact recovery of low-rank tensors, fit monotonicity,
 // convergence flags, method invariance, warm starts, the Gram/Hadamard
-// helper, and the two squared norms the fit takes from elsewhere: ‖X‖²
-// carried from the tensor read, ‖Y‖² from the sweep loop's Grams.
+// helper, the two squared norms the fit takes from elsewhere (‖X‖²
+// carried from the tensor read, ‖Y‖² from the sweep loop's Grams), and
+// the heap-free sweep loop, counted through the global operator new.
 
 #include <gtest/gtest.h>
 
+#include <stdlib.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <filesystem>
+#include <new>
 #include <string>
+
+// Counting replacements of the global allocation functions. The array and
+// nothrow forms call these by default, so every C++ allocation in the
+// process passes through one of the two counters' increments.
+namespace {
+std::atomic<long> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+
+void* operator new(std::size_t n, std::align_val_t al) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  const std::size_t a =
+      std::max(static_cast<std::size_t>(al), sizeof(void*));
+  void* p = nullptr;
+  if (posix_memalign(&p, a, n == 0 ? 1 : n) == 0) return p;
+  throw std::bad_alloc();
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 #include "core/cp_als.hpp"
 #include "core/cp_als_detail.hpp"
@@ -252,6 +287,41 @@ TEST(CpAls, FourWayTensorWorks) {
   opts.tol = 1e-10;
   const CpAlsResult r = cp_als(X, opts);
   EXPECT_GT(r.final_fit, 0.999);
+}
+
+/// Allocations one cp_als call makes, all sweeps run (tol 0, fit on).
+long allocations_of_cp_als(const Tensor& X, SweepScheme scheme, int threads,
+                           int max_iters) {
+  CpAlsOptions opts;
+  opts.rank = 5;
+  opts.max_iters = max_iters;
+  opts.tol = 0.0;
+  opts.compute_fit = true;
+  opts.sweep_scheme = scheme;
+  opts.threads = threads;
+  const long before = g_allocations.load();
+  const CpAlsResult r = cp_als(X, opts);
+  const long made = g_allocations.load() - before;
+  EXPECT_EQ(r.iterations, max_iters);
+  return made;
+}
+
+TEST(CpAls, SweepsAfterTheFirstTouchNoHeap) {
+  // Plan construction, the first sweep and the result may allocate; every
+  // further sweep, its factor solves and its iteration record may not.
+  Rng rng(31);
+  const Tensor X = Tensor::random_uniform({14, 12, 10}, rng);
+  for (SweepScheme scheme : {SweepScheme::DimTree, SweepScheme::PerMode}) {
+    for (int threads : {1, 4}) {
+      // A first call grows whatever per-thread state outlives a call.
+      allocations_of_cp_als(X, scheme, threads, 2);
+      const long two = allocations_of_cp_als(X, scheme, threads, 2);
+      const long twelve = allocations_of_cp_als(X, scheme, threads, 12);
+      EXPECT_GT(two, 0);
+      EXPECT_EQ(twelve, two)
+          << to_string(scheme) << " at " << threads << " threads";
+    }
+  }
 }
 
 TEST(HadamardOfGrams, SkipsRequestedMode) {

@@ -1,13 +1,19 @@
 // Khatri-Rao product algorithms: the row-wise definition, equality of the
-// naive / reuse / parallel / column-wise variants, partial-KRP helpers, and
-// the flop-saving reuse property.
+// naive / reuse / parallel / column-wise variants, partial-KRP helpers, the
+// flop-saving reuse property, and the planned-block kernels the MTTKRP
+// plans run (krp_transposed_blocks with its per-block digit lines).
 
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <array>
+#include <bit>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "core/krp.hpp"
+#include "core/krp_detail.hpp"
 #include "core/multi_index.hpp"
 #include "test_helpers.hpp"
 
@@ -223,6 +229,111 @@ TEST(KrpLayout, OutputColumnsAreContiguousRows) {
   fs.push_back(Matrix::random_uniform(3, 3, rng));
   Matrix Kt = krp_transposed(ptrs(fs));
   EXPECT_EQ(Kt.ld(), 3);  // = C: consecutive rows of K are C apart
+}
+
+std::uintptr_t address(const void* p) { return std::bit_cast<std::uintptr_t>(p); }
+
+TEST(KrpBlockDigits, EachBlockOnLinesOfItsOwn) {
+  constexpr std::uintptr_t kLine = 64;
+  for (int blocks = 1; blocks <= 8; ++blocks) {
+    for (std::size_t digits = 1; digits <= 9; ++digits) {
+      detail::BlockDigits dg(blocks, digits);
+      const std::uintptr_t span_lines =
+          (digits * sizeof(index_t) + kLine - 1) / kLine;
+      std::uintptr_t prev_last = 0;
+      for (int b = 0; b < blocks; ++b) {
+        index_t* d = dg.block(b);
+        ASSERT_EQ(address(d) % kLine, 0u) << blocks << " x " << digits;
+        const std::uintptr_t first = address(d) / kLine;
+        const std::uintptr_t last = address(d + digits - 1) / kLine;
+        EXPECT_EQ(last - first + 1, span_lines);
+        if (b > 0) {
+          EXPECT_GT(first, prev_last) << "blocks " << b - 1 << " and " << b
+                                      << " share a line";
+        }
+        prev_last = last;
+        for (std::size_t z = 0; z < digits; ++z) {
+          d[z] = static_cast<index_t>(b);
+        }
+      }
+      for (int b = 0; b < blocks; ++b) {
+        for (std::size_t z = 0; z < digits; ++z) {
+          EXPECT_EQ(dg.block(b)[z], b);  // no block wrote over another
+        }
+      }
+    }
+  }
+}
+
+/// The team parallel_region(planned, ...) gets: all `planned` threads, or
+/// one when `one` holds every region inactive (max-active-levels 0).
+template <typename F>
+int on_team(bool one, int planned, F&& fn) {
+  const int saved = omp_get_max_active_levels();
+  if (one) omp_set_max_active_levels(0);
+  int team = 0;
+  parallel_region(planned, [&](int t, int nteam) {
+    if (t == 0) team = nteam;
+  });
+  fn();
+  omp_set_max_active_levels(saved);
+  return team;
+}
+
+template <typename T>
+class KrpPlannedBlocks : public ::testing::Test {};
+using KrpScalars = ::testing::Types<double, float>;
+TYPED_TEST_SUITE(KrpPlannedBlocks, KrpScalars);
+
+TYPED_TEST(KrpPlannedBlocks, BitwiseEqualToKrpTransposed) {
+  using T = TypeParam;
+  const std::array<index_t, 4> rows{5, 3, 4, 2};  // 5 rows at Z = 1
+  const index_t C = 6;
+  Rng rng(17);
+  for (std::size_t Z = 1; Z <= 4; ++Z) {
+    std::vector<MatrixT<T>> fs;
+    for (std::size_t z = 0; z < Z; ++z) {
+      fs.push_back(MatrixT<T>::random_uniform(rows[z], C, rng));
+    }
+    FactorListT<T> fl;
+    for (const MatrixT<T>& m : fs) fl.push_back(&m);
+    const MatrixT<T> want = krp_transposed(fl, KrpVariant::Reuse, 1);
+    const index_t J = want.cols();
+
+    std::vector<std::vector<T>> panels(Z);
+    std::vector<const T*> packed(Z);
+    std::vector<index_t> extents(Z);
+    for (std::size_t z = 0; z < Z; ++z) {
+      panels[z].resize(static_cast<std::size_t>(rows[z] * C));
+      detail::pack_factor_transposed(fs[z], C, panels[z].data());
+      packed[z] = panels[z].data();
+      extents[z] = rows[z];
+    }
+    // Partial-Hadamard slots a whole number of lines apart.
+    const std::size_t line = 64 / sizeof(T);
+    const std::size_t p_elems =
+        Z >= 3 ? static_cast<std::size_t>(C) * (Z - 2) : 0;
+    const std::size_t p_stride = (p_elems + line - 1) / line * line;
+
+    for (int planned : {1, 3, 4, 7}) {
+      for (bool one : {true, false}) {
+        std::vector<T, AlignedAllocator<T>> P(
+            static_cast<std::size_t>(planned) * p_stride + 1);
+        std::vector<T> got(static_cast<std::size_t>(C * J), T{-1});
+        detail::BlockDigits digits(planned, Z);
+        const int team = on_team(one, planned, [&] {
+          detail::krp_transposed_blocks<T>(packed, extents, C, J, planned,
+                                           got.data(), P.data(), p_stride,
+                                           digits);
+        });
+        EXPECT_EQ(team, one ? 1 : planned);
+        EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(T)),
+                  0)
+            << "Z " << Z << ", " << planned << " blocks on a team of "
+            << team;
+      }
+    }
+  }
 }
 
 }  // namespace
