@@ -89,7 +89,9 @@ inline const char* to_string(CpAlsStatus s) {
   }
 }
 
-/// Per-sweep diagnostics.
+/// Per-sweep diagnostics. On a 3-way DimTree run, `seconds` alternates
+/// after the first sweep: odd sweeps make two full-tensor passes, even
+/// sweeps one (exec/dim_tree.hpp, the multi-sweep rotation).
 struct CpAlsIterStats {
   double seconds = 0.0;  ///< whole-sweep wall time
   double fit = 0.0;      ///< model fit after the sweep (if computed)

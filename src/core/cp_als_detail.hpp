@@ -259,10 +259,14 @@ void run_als_sweeps(const XT& X, const CpAlsOptionsT<T>& opts,
   result.iters.reserve(
       static_cast<std::size_t>(std::max(0, opts.max_iters - start_iter)));
 
+  // One run of the plan: sweep `iter` may take an intermediate from sweep
+  // iter - 1 (a 3-way tree's T_1), and the run's arena frame closes
+  // however the loop ends.
+  typename CpAlsSweepPlanT<T>::Run run(sweep);
   for (int iter = start_iter; iter < opts.max_iters; ++iter) {
     CpAlsIterStats stats;
     WallTimer sweep_timer;
-    sweep.begin_sweep(X);
+    sweep.begin_sweep(X, iter);
 
     for (index_t n = 0; n < N; ++n) {
       MatrixT<T>& M = Ms[static_cast<std::size_t>(n)];

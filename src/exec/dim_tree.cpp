@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "blas/blas.hpp"
 #include "core/krp_detail.hpp"
@@ -51,6 +52,7 @@ DimTreeT<T>::DimTreeT(const ExecContext& ctx, std::span<const index_t> dims,
     }
     std::reverse(path.begin(), path.end());
   }
+  if (N == 3) plan_rotation();
 
   plan_node_layout();
 
@@ -62,9 +64,12 @@ DimTreeT<T>::DimTreeT(const ExecContext& ctx, std::span<const index_t> dims,
   fl_.reserve(static_cast<std::size_t>(N));
   packed_.reserve(static_cast<std::size_t>(N));
   digits_ = detail::BlockDigits(nt_, static_cast<std::size_t>(N));
-  batch_a_.resize(static_cast<std::size_t>(rank_));
-  batch_b_.resize(static_cast<std::size_t>(rank_));
-  batch_c_.resize(static_cast<std::size_t>(rank_));
+  // One pointer per component, or per mode-2 slab for T_1.
+  const std::size_t batch = static_cast<std::size_t>(
+      t1_ >= 0 ? std::max(rank_, dims_[2]) : rank_);
+  batch_a_.resize(batch);
+  batch_b_.resize(batch);
+  batch_c_.resize(batch);
 }
 
 template <typename T>
@@ -79,40 +84,90 @@ bool DimTreeT<T>::contracts_left(index_t n) const {
 }
 
 template <typename T>
-void DimTreeT<T>::build_tree(index_t a, index_t b, int depth, int parent) {
-  const int id = static_cast<int>(nodes_.size());
-  nodes_.push_back({});
-  {
-    Node& nd = nodes_[static_cast<std::size_t>(id)];
-    nd.a = a;
-    nd.b = b;
-    nd.depth = depth;
-    nd.parent = parent;
-    nd.out_rows = 1;
-    for (index_t k = a; k < b; ++k) {
-      nd.out_rows *= dims_[static_cast<std::size_t>(k)];
-    }
-    nd.leaf = (b - a == 1);
-    // The sibling interval: what remains of the parent's after [a, b),
-    // which is always the parent's prefix or suffix.
-    const index_t pa =
-        parent < 0 ? 0 : nodes_[static_cast<std::size_t>(parent)].a;
-    const index_t pb = parent < 0 ? static_cast<index_t>(dims_.size())
-                                  : nodes_[static_cast<std::size_t>(parent)].b;
-    nd.trim_left = a > pa;
-    TrimSpec& t = nd.trim;
-    t.u = nd.trim_left ? pa : b;
-    t.v = nd.trim_left ? a : pb;
-    for (index_t k = t.v; k-- > t.u;) {
-      t.extents.push_back(dims_[static_cast<std::size_t>(k)]);
-      t.rows *= dims_[static_cast<std::size_t>(k)];
-    }
+int DimTreeT<T>::add_node(index_t a, index_t b, int depth, int parent,
+                          index_t u, index_t v, bool trim_left,
+                          index_t out_rows) {
+  Node nd;
+  nd.a = a;
+  nd.b = b;
+  nd.depth = depth;
+  nd.parent = parent;
+  nd.out_rows = out_rows;
+  nd.leaf = (b - a == 1);
+  nd.trim_left = trim_left;
+  TrimSpec& t = nd.trim;
+  t.u = u;
+  t.v = v;
+  for (index_t k = v; k-- > u;) {
+    t.extents.push_back(dims_[static_cast<std::size_t>(k)]);
+    t.rows *= dims_[static_cast<std::size_t>(k)];
   }
+  nodes_.push_back(std::move(nd));
+  return static_cast<int>(nodes_.size()) - 1;
+}
+
+template <typename T>
+int DimTreeT<T>::build_tree(index_t a, index_t b, int depth, int parent) {
+  index_t out_rows = 1;
+  for (index_t k = a; k < b; ++k) {
+    out_rows *= dims_[static_cast<std::size_t>(k)];
+  }
+  // The sibling interval: what remains of the parent's after [a, b),
+  // which is always the parent's prefix or suffix.
+  const index_t pa =
+      parent < 0 ? 0 : nodes_[static_cast<std::size_t>(parent)].a;
+  const index_t pb = parent < 0 ? static_cast<index_t>(dims_.size())
+                                : nodes_[static_cast<std::size_t>(parent)].b;
+  const bool trim_left = a > pa;
+  const int id = add_node(a, b, depth, parent, trim_left ? pa : b,
+                          trim_left ? a : pb, trim_left, out_rows);
   if (b - a >= 2) {
     const index_t s = sweep_balanced_split(dims_, a, b);
     build_tree(a, s, depth + 1, id);
     build_tree(s, b, depth + 1, id);
   }
+  return id;
+}
+
+template <typename T>
+int DimTreeT<T>::root_child(index_t a, index_t b) {
+  for (std::size_t id = 0; id < nodes_.size(); ++id) {
+    const Node& nd = nodes_[id];
+    if (nd.parent < 0 && nd.a == a && nd.b == b) return static_cast<int>(id);
+  }
+  return build_tree(a, b, 0, -1);
+}
+
+template <typename T>
+int DimTreeT<T>::leaf_below(int parent, index_t n) const {
+  for (std::size_t id = 0; id < nodes_.size(); ++id) {
+    const Node& nd = nodes_[id];
+    if (nd.parent == parent && nd.leaf && nd.a == n) {
+      return static_cast<int>(id);
+    }
+  }
+  DMTK_CHECK(false, "dimension tree: no such leaf");
+  return -1;
+}
+
+template <typename T>
+void DimTreeT<T>::plan_rotation() {
+  // T_2 and T_0 are the {0, 1} and {1, 2} root children; the tree holds
+  // one of them already. T_1 over the cyclic {2, 0} has component c an
+  // I0 x I2 column-major block: leaf 2 contracts its rows against A(0)
+  // (as a right child does), leaf 0 its columns against A(2).
+  const int t2 = root_child(0, 2);
+  const int t0 = root_child(1, 3);
+  t1_ = add_node(2, 1, 0, -1, 1, 2, false, dims_[0] * dims_[2]);
+  nodes_[static_cast<std::size_t>(t1_)].slabs = true;
+  const int t1_leaf2 = add_node(2, 3, 1, t1_, 0, 1, true, dims_[2]);
+  const int t1_leaf0 = add_node(0, 1, 1, t1_, 2, 3, false, dims_[0]);
+  rot_path_[0] = {{t2, leaf_below(t2, 0)},
+                  {t2, leaf_below(t2, 1)},
+                  {t1_, t1_leaf2}};
+  rot_path_[1] = {{t1_, t1_leaf0},
+                  {t0, leaf_below(t0, 1)},
+                  {t0, leaf_below(t0, 2)}};
 }
 
 template <typename T>
@@ -185,7 +240,9 @@ void DimTreeT<T>::plan_node_layout() {
       nd.off_p = take(snt * nd.stride_p);
     }
     nd.gws_elems =
-        nd.parent < 0
+        nd.slabs ? blas::gemm_batched_workspace_elems<T>(
+                       blas::Trans::Trans, dims_[0], C, t.rows, nt_)
+        : nd.parent < 0
             ? blas::gemm_workspace_elems<T>(blas::Trans::Trans, nd.out_rows,
                                             C, t.rows, nt_)
             : blas::gemm_batched_workspace_elems<T>(
@@ -197,15 +254,23 @@ void DimTreeT<T>::plan_node_layout() {
 }
 
 template <typename T>
-void DimTreeT<T>::begin(T* base) {
+void DimTreeT<T>::begin(T* base, int sweep, bool carried) {
+  phase_ = t1_ < 0 || sweep == 0 ? 0 : 2 - sweep % 2;
   for (Node& nd : nodes_) nd.fresh = false;
+  // An odd sweep evaluates T_1 last, so its slot still holds it.
+  if (phase_ == 2 && carried) {
+    nodes_[static_cast<std::size_t>(t1_)].fresh = true;
+  }
   base_ = base;
 }
 
 template <typename T>
 void DimTreeT<T>::mttkrp(index_t n, const TensorT<T>& X,
                          std::span<const MatrixT<T>> factors, MatrixT<T>& M) {
-  for (int id : leaf_path_[static_cast<std::size_t>(n)]) {
+  const std::vector<std::vector<int>>& paths =
+      phase_ == 0 ? leaf_path_
+                  : rot_path_[static_cast<std::size_t>(phase_ - 1)];
+  for (int id : paths[static_cast<std::size_t>(n)]) {
     Node& nd = nodes_[static_cast<std::size_t>(id)];
     if (!nd.fresh) eval_node(id, X, factors, nd.leaf ? &M : nullptr);
   }
@@ -249,6 +314,24 @@ void DimTreeT<T>::eval_node(int id, const TensorT<T>& X,
     // A depth-0 leaf: the external mode's 1-step MTTKRP, a full-tensor pass.
     onestep_[static_cast<std::size_t>(nd.onestep)].run(X, factors, *M,
                                                         base_ + nd.off_scratch);
+  } else if (nd.slabs) {
+    // T_1, a full-tensor pass: mode-2 slab k of X (I0 x I1, column-major)
+    // times A(1) is rows [k·I0, (k+1)·I0) of every component.
+    const index_t I0 = dims_[0];
+    const index_t I2 = dims_[2];
+    const T* krp = form_trim_krp(nd, factors);
+    for (index_t k = 0; k < I2; ++k) {
+      const std::size_t sk = static_cast<std::size_t>(k);
+      batch_a_[sk] = X.data() + k * I0 * trim.rows;
+      batch_b_[sk] = krp;
+      batch_c_[sk] = out + k * I0;
+    }
+    const blas::GemmWorkspace gws = blas::typed_workspace(
+        base_ + nd.off_scratch + nd.off_gws, nd.gws_elems);
+    blas::gemm_batched(blas::Layout::ColMajor, blas::Trans::NoTrans,
+                       blas::Trans::Trans, I0, C, trim.rows, T{1},
+                       batch_a_.data(), I0, batch_b_.data(), C, T{0},
+                       batch_c_.data(), nd.out_rows, I2, nt_, gws);
   } else if (nd.parent < 0) {
     // An internal child of the root: a full-tensor pass, as one plain GEMM
     // of X (viewed as its multi-mode matricization) against the sibling

@@ -104,41 +104,70 @@ const SparseMttkrpPlanT<T>& CpAlsSweepPlanT<T>::sparse_plan() const {
 }
 
 template <typename T>
-void CpAlsSweepPlanT<T>::begin_sweep(const TensorT<T>& X) {
-  const index_t N = static_cast<index_t>(dims_.size());
-  DMTK_CHECK(!is_sparse(),
-             "sweep plan: dense begin_sweep on a sparse-scheme plan");
-  DMTK_CHECK(X.order() == N, "sweep plan: tensor order mismatch");
-  for (index_t n = 0; n < N; ++n) {
-    DMTK_CHECK(X.dim(n) == dims_[static_cast<std::size_t>(n)],
-               "sweep plan: tensor extents differ from the planned shape");
-  }
-  next_mode_ = 0;
-  sweep_active_ = true;
-  if (tree_) {
-    frame_.reset();  // tolerate an abandoned previous sweep
-    frame_.emplace(ctx_->arena());
-    const std::size_t elems = tree_->workspace_elems();
-    tree_->begin(elems > 0 ? frame_->template alloc<T>(elems) : nullptr);
-  }
+void CpAlsSweepPlanT<T>::open_frame() {
+  frame_.reset();  // tolerate an abandoned sweep outside a run
+  if (!tree_) return;
+  frame_.emplace(ctx_->arena());
+  const std::size_t elems = tree_->workspace_elems();
+  base_ = elems > 0 ? frame_->template alloc<T>(elems) : nullptr;
 }
 
 template <typename T>
-void CpAlsSweepPlanT<T>::begin_sweep(const sparse::SparseTensorT<T>& X) {
+void CpAlsSweepPlanT<T>::begin_run() {
+  DMTK_CHECK(!run_open_, "sweep plan: runs do not nest");
+  open_frame();
+  run_open_ = true;
+  sweep_active_ = false;
+  done_ = -1;
+}
+
+template <typename T>
+void CpAlsSweepPlanT<T>::end_run() {
+  run_open_ = false;
+  sweep_active_ = false;
+  done_ = -1;
+  frame_.reset();
+}
+
+template <typename T>
+void CpAlsSweepPlanT<T>::start_sweep(index_t order,
+                                     std::span<const index_t> dims,
+                                     int sweep) {
   const index_t N = static_cast<index_t>(dims_.size());
-  DMTK_CHECK(is_sparse(),
-             "sweep plan: sparse begin_sweep on a dense-scheme plan");
-  DMTK_CHECK(X.order() == N, "sweep plan: tensor order mismatch");
-  for (index_t n = 0; n < N; ++n) {
-    DMTK_CHECK(X.dim(n) == dims_[static_cast<std::size_t>(n)],
+  DMTK_CHECK(order == N, "sweep plan: tensor order mismatch");
+  for (std::size_t n = 0; n < dims_.size(); ++n) {
+    DMTK_CHECK(dims[n] == dims_[n],
                "sweep plan: tensor extents differ from the planned shape");
   }
+  DMTK_CHECK(sweep >= 0, "sweep plan: negative sweep index");
+  if (!run_open_) open_frame();  // a run of its own, ending with this sweep
+  done_ = -1;
+  sweep_ = sweep;
+  next_mode_ = 0;
+  sweep_active_ = true;
+}
+
+template <typename T>
+void CpAlsSweepPlanT<T>::begin_sweep(const TensorT<T>& X, int sweep) {
+  DMTK_CHECK(!is_sparse(),
+             "sweep plan: dense begin_sweep on a sparse-scheme plan");
+  const bool carried = run_open_ && sweep > 0 && done_ == sweep - 1 &&
+                       swept_ == X.data();
+  start_sweep(X.order(), X.dims(), sweep);
+  swept_ = X.data();
+  if (tree_) tree_->begin(base_, sweep, carried);
+}
+
+template <typename T>
+void CpAlsSweepPlanT<T>::begin_sweep(const sparse::SparseTensorT<T>& X,
+                                     int sweep) {
+  DMTK_CHECK(is_sparse(),
+             "sweep plan: sparse begin_sweep on a dense-scheme plan");
   // The sparse plan bound its tensor at construction; a different nonzero
   // count here means the caller swapped tensors under the plan.
   DMTK_CHECK(X.nnz() == sparse_plan_->nnz(),
              "sweep plan: sparse tensor differs from the one planned for");
-  next_mode_ = 0;
-  sweep_active_ = true;
+  start_sweep(X.order(), X.dims(), sweep);
 }
 
 template <typename T>
@@ -166,7 +195,8 @@ void CpAlsSweepPlanT<T>::finish_mode() {
   ++next_mode_;
   if (next_mode_ == static_cast<index_t>(dims_.size())) {
     sweep_active_ = false;
-    frame_.reset();
+    done_ = sweep_;
+    if (!run_open_) frame_.reset();
   }
 }
 

@@ -20,23 +20,33 @@
 ///
 ///  - DimTree: the dense dimension tree of exec/dim_tree.hpp, driven
 ///    lazily under the in-order mode discipline (enforced), which is what
-///    makes its shared intermediates exact ALS. The tree touches all I
-///    tensor entries twice per sweep instead of N times. README, "Sweep
-///    schemes", has the measured sweep times against PerMode.
+///    makes its shared intermediates exact ALS. A sweep touches all I
+///    tensor entries twice instead of N times; on a 3-way tensor the
+///    multi-sweep rotation (exec/dim_tree.hpp) makes that three times per
+///    two sweeps after a run's first. README, "Sweep schemes", has the
+///    measured sweep times against PerMode.
 ///
 /// Sweep protocol (drivers in core/ follow it through
 /// detail::run_als_sweeps):
 ///
-///   plan.begin_sweep(X);
-///   for (n = 0; n < N; ++n) {
-///     plan.mode_mttkrp(n, X, model.factors, M);   // in order, exactly once
-///     ...update factor n in place...
+///   CpAlsSweepPlan::Run run(plan);     // one factorization
+///   for (s = s0; s < S; ++s) {         // s0 > 0 when resuming
+///     plan.begin_sweep(X, s);
+///     for (n = 0; n < N; ++n) {
+///       plan.mode_mttkrp(n, X, model.factors, M);  // in order, once each
+///       ...update factor n in place...
+///     }
 ///   }
 ///
-/// The arena frame backing the tree's intermediates opens in begin_sweep()
-/// and closes after mode N-1 is served, so the arena reads as empty
-/// between sweeps. Do not construct other plans against the same context
-/// in the middle of a sweep (reserve() would invalidate the frame).
+/// Within a run a sweep may take an intermediate from the sweep before it
+/// (a 3-way tree's T_1), so between sweeps the factors must change only
+/// through those updates. The arena frame backing the tree's intermediates
+/// opens with the run and closes when the Run ends, however it ends, so
+/// the arena reads as empty between runs. A begin_sweep with no Run open
+/// is a run of its own that ends with its mode N-1; begin_sweep(X) is
+/// sweep 0, the plain tree, whatever the factors. Do not construct other
+/// plans against the same context during a run (reserve() would
+/// invalidate the frame).
 ///
 /// Templated on the scalar type like MttkrpPlan (`CpAlsSweepPlan` = the
 /// double instantiation). The sparse schemes follow the scalar too: a
@@ -129,13 +139,27 @@ class CpAlsSweepPlanT {
 
   ~CpAlsSweepPlanT();
 
-  /// Start a sweep: marks every tree intermediate stale and opens the
-  /// arena frame. X must have the planned extents.
-  void begin_sweep(const TensorT<T>& X);
+  /// The scope of one run: the sweeps of one factorization over one
+  /// tensor. Holds the arena frame of the tree's intermediates from
+  /// construction to destruction; runs do not nest.
+  class Run {
+   public:
+    explicit Run(CpAlsSweepPlanT& plan) : plan_(plan) { plan_.begin_run(); }
+    ~Run() { plan_.end_run(); }
+    Run(const Run&) = delete;
+    Run& operator=(const Run&) = delete;
+
+   private:
+    CpAlsSweepPlanT& plan_;
+  };
+
+  /// Start sweep `sweep` (the run's global sweep index) over X, which must
+  /// have the planned extents.
+  void begin_sweep(const TensorT<T>& X, int sweep = 0);
 
   /// Start a sweep over the bound sparse tensor; X must match the planned
   /// shape and nonzero count (sparse schemes only).
-  void begin_sweep(const sparse::SparseTensorT<T>& X);
+  void begin_sweep(const sparse::SparseTensorT<T>& X, int sweep = 0);
 
   /// Produce the mode-`n` MTTKRP into M (resized to I_n x C on mismatch).
   /// Modes must be requested in order 0..N-1, each exactly once per sweep
@@ -187,6 +211,11 @@ class CpAlsSweepPlanT {
   SweepScheme requested_ = SweepScheme::Auto;
   SweepScheme scheme_ = SweepScheme::PerMode;
 
+  void open_frame();
+  void begin_run();
+  void end_run();
+  /// Shared begin_sweep protocol: shape checks and sweep bookkeeping.
+  void start_sweep(index_t order, std::span<const index_t> dims, int sweep);
   /// Shared mode_mttkrp protocol: in-order discipline + factor checks;
   /// resizes M. Returns once the request is valid.
   void check_mode_request(index_t n, std::span<const MatrixT<T>> factors,
@@ -201,13 +230,18 @@ class CpAlsSweepPlanT {
   std::unique_ptr<SparseMttkrpPlanT<T>> sparse_plan_;
   std::size_t sparse_ws_bytes_ = 0;
 
-  // DimTree state: the tree and the arena frame of the current sweep.
+  // DimTree state: the tree and the arena frame of the current run.
   std::optional<DimTreeT<T>> tree_;
   std::optional<WorkspaceArena::Frame> frame_;
+  T* base_ = nullptr;
 
-  // Sweep protocol state.
+  // Run and sweep protocol state.
+  bool run_open_ = false;
   bool sweep_active_ = false;
   index_t next_mode_ = 0;
+  int sweep_ = 0;             ///< index of the current sweep
+  int done_ = -1;             ///< last sweep of this run that completed
+  const void* swept_ = nullptr;  ///< the tensor that sweep ran over
 
   // PerMode and sparse node counts (one leaf per mode).
   std::vector<SweepNode> node_counts_;

@@ -19,6 +19,7 @@
 #include "core/cp_als.hpp"
 #include "core/cp_als_detail.hpp"
 #include "core/tensor.hpp"
+#include "exec/sweep_plan.hpp"
 #include "io/checkpoint.hpp"
 #include "io/tensor_io.hpp"
 #include "util/rng.hpp"
@@ -103,6 +104,38 @@ TEST_F(CheckpointTest, ResumeReplaysTheUninterruptedRunBitwise) {
   rest.resume = true;
   const CpAlsResult tail = cp_als(X, rest);
   EXPECT_EQ(tail.resumed_sweeps, 5);
+  EXPECT_EQ(tail.iterations, 12);
+  EXPECT_EQ(tail.final_fit, full.final_fit);
+  expect_models_bitwise_equal(tail.model, full.model);
+}
+
+TEST_F(CheckpointTest, ResumeAtAnEvenSweepRebuildsTheCarriedIntermediate) {
+  // The tensor is 3-way, so its tree rotates: the uninterrupted run's
+  // even sweeps take T_1 = X x_1 A(1) from the odd sweep before them. A
+  // resume at sweep 6 has no such sweep in its run; it must rebuild T_1
+  // from X and the checkpoint's A(1), to the same bits. All three runs
+  // share one plan, as a served batch does, and the uninterrupted one
+  // runs between the head and the resume, so the slot the resume starts
+  // from holds that run's sweep-11 T_1, not the head's sweep-5 one.
+  const Tensor X = test_tensor();
+  const ExecContext ctx;
+  CpAlsSweepPlan plan(ctx, X.dims(), base_options().rank);
+
+  CpAlsOptions part = base_options();
+  part.max_iters = 6;
+  part.checkpoint_path = path("even.dckp");
+  const CpAlsResult head = cp_als(X, part, plan);
+  EXPECT_EQ(head.iterations, 6);
+
+  CpAlsOptions golden = base_options();
+  golden.max_iters = 12;
+  const CpAlsResult full = cp_als(X, golden, plan);
+
+  CpAlsOptions rest = part;
+  rest.max_iters = 12;
+  rest.resume = true;
+  const CpAlsResult tail = cp_als(X, rest, plan);
+  EXPECT_EQ(tail.resumed_sweeps, 6);
   EXPECT_EQ(tail.iterations, 12);
   EXPECT_EQ(tail.final_fit, full.final_fit);
   expect_models_bitwise_equal(tail.model, full.model);

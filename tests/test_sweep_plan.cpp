@@ -5,19 +5,23 @@
 // protocol, the zero-allocation contract (arena instrumentation +
 // blas::gemm_internal_allocs) over full dimension-tree sweeps, and the
 // DimTree driver end to end (recovery, convergence, thread invariance,
-// warm start, full-tensor passes vs PerMode, bad rank), and the depth-0
-// leaves' one-kernel and arena-peak guarantees.
+// warm start, full-tensor passes vs PerMode, bad rank), the depth-0
+// leaves' one-kernel and arena-peak guarantees, and the 3-way multi-sweep
+// rotation (exact updates, repeatable bits, the run's arena frame).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "blas/gemm_workspace.hpp"
 #include "core/cp_als.hpp"
+#include "core/cp_als_detail.hpp"
 #include "core/cp_nn.hpp"
 #include "core/mttkrp.hpp"
 #include "exec/exec_context.hpp"
@@ -136,8 +140,12 @@ TEST(SweepPlanDimTree, TreeShapeMetadata) {
   CpAlsSweepPlan auto3(ctx, {std::vector<index_t>{4, 5, 6}}, 2,
                        SweepScheme::Auto);
   EXPECT_EQ(auto3.scheme(), SweepScheme::DimTree);
-  // {0, 1} | {2}, then {0} | {1}.
-  EXPECT_EQ(tree_shape(auto3), "0:2@0 0:1@1L 1:2@1L 2:3@0L");
+  // {0, 1} | {2}, then {0} | {1}; then the multi-sweep rotation's other
+  // depth-0 nodes and their leaves: T_0 over {1, 2} and T_1 over the
+  // cyclic {2, 0}.
+  EXPECT_EQ(tree_shape(auto3),
+            "0:2@0 0:1@1L 1:2@1L 2:3@0L "
+            "1:3@0 1:2@1L 2:3@1L 2:1@0 2:3@1L 0:1@1L");
   // An explicit per-mode kernel pins PerMode under Auto — the tree would
   // silently discard the requested method otherwise.
   CpAlsSweepPlan pinned(ctx, dims, 2, SweepScheme::Auto,
@@ -368,11 +376,12 @@ TEST(DimTreeDriver, WarmStartSupported) {
 
 TEST(DimTreeDriver, FewerFullTensorPassesPerSweep) {
   // The tree's saving is a count, not a timing: a depth-0 node contracts
-  // the full tensor, so over S sweeps the tree pays 2·S full passes where
-  // PerMode pays N·S (one per mode plan). Checked on a 4-way tensor and on
-  // a 3-way one, whose tree is {0} | {1, 2}: its mode-0 leaf is one of the
-  // two passes. Auto resolves to the tree on both; PerMode is pinned.
-  constexpr int kSweeps = 3;
+  // the full tensor. In one run of S sweeps PerMode pays N·S passes (one
+  // per mode plan) and a 4-way tree 2·S. A 3-way tree, {0, 1} | {2} with
+  // the mode-2 1-step leaf on a cube, pays 2 in sweep 0, then rotates:
+  // 2 in each odd sweep (T_2, T_1) and 1 in each even one (T_0, with T_1
+  // carried), 2 + 2⌈(S−1)/2⌉ + ⌊(S−1)/2⌋ in all: 5 at S = 3, 16 at
+  // S = 10. Auto resolves to the tree on both orders; PerMode is pinned.
   ExecContext ctx(2);
   for (const std::vector<index_t>& dims :
        {std::vector<index_t>{40, 40, 40, 10},
@@ -381,21 +390,29 @@ TEST(DimTreeDriver, FewerFullTensorPassesPerSweep) {
     Tensor X = Tensor::random_uniform(dims, rng);
     const std::vector<Matrix> fs = random_factors(dims, 8, rng);
     const index_t N = X.order();
-    for (SweepScheme scheme : {SweepScheme::Auto, SweepScheme::PerMode}) {
-      CpAlsSweepPlan plan(ctx, X.dims(), 8, scheme);
-      Matrix M;
-      for (int s = 0; s < kSweeps; ++s) {
-        plan.begin_sweep(X);
-        for (index_t n = 0; n < N; ++n) plan.mode_mttkrp(n, X, fs, M);
+    for (const int sweeps : {3, 10}) {
+      for (SweepScheme scheme : {SweepScheme::Auto, SweepScheme::PerMode}) {
+        CpAlsSweepPlan plan(ctx, X.dims(), 8, scheme);
+        Matrix M;
+        {
+          CpAlsSweepPlan::Run run(plan);
+          for (int s = 0; s < sweeps; ++s) {
+            plan.begin_sweep(X, s);
+            for (index_t n = 0; n < N; ++n) plan.mode_mttkrp(n, X, fs, M);
+          }
+        }
+        std::int64_t full_passes = 0;
+        for (const SweepNode& nd : plan.nodes()) {
+          if (nd.depth == 0) full_passes += nd.evals;
+        }
+        SCOPED_TRACE(std::string(to_string(plan.scheme())) + " N=" +
+                     std::to_string(N) + " S=" + std::to_string(sweeps));
+        const std::int64_t expected =
+            plan.scheme() == SweepScheme::PerMode ? N * sweeps
+            : N == 3 ? (sweeps == 3 ? 5 : 16)
+                     : 2 * sweeps;
+        EXPECT_EQ(full_passes, expected);
       }
-      std::int64_t full_passes = 0;
-      for (const SweepNode& nd : plan.nodes()) {
-        if (nd.depth == 0) full_passes += nd.evals;
-      }
-      SCOPED_TRACE(std::string(to_string(plan.scheme())) + " N=" +
-                   std::to_string(N));
-      EXPECT_EQ(full_passes,
-                (plan.scheme() == SweepScheme::DimTree ? 2 : N) * kSweeps);
     }
   }
 }
@@ -532,6 +549,152 @@ TEST(SweepPlanDimTree, SweepIsAllocationFreeAfterConstruction) {
   EXPECT_LE(ctx.arena().high_water(), capacity);
   EXPECT_EQ(blas::gemm_internal_allocs(), blas_allocs)
       << "a tree contraction fell back to the internal packing arena";
+}
+
+// ---------------------------------------------------------------------------
+// The 3-way multi-sweep rotation: exact ALS MTTKRPs, the same bits run after
+// run, and an arena that a run leaves empty however it ends.
+// ---------------------------------------------------------------------------
+
+/// One run of `sweeps` sweeps through the run protocol that replaces factor
+/// n after each mode_mttkrp(n), as an ALS update does: every output must
+/// be the plain MTTKRP against the factors of that moment. Returns the
+/// outputs in order.
+template <typename T>
+std::vector<MatrixT<T>> rotation_run(const std::vector<index_t>& dims,
+                                     index_t rank, int threads, int sweeps,
+                                     double tol) {
+  Rng rng(700 + static_cast<std::uint64_t>(dims[0] + rank));
+  const TensorT<T> X = TensorT<T>::random_uniform(dims, rng);
+  std::vector<MatrixT<T>> fs = random_factors<T>(dims, rank, rng);
+  ExecContext ctx(threads);
+  CpAlsSweepPlanT<T> plan(ctx, dims, rank);
+  std::vector<MatrixT<T>> outs;
+  {
+    typename CpAlsSweepPlanT<T>::Run run(plan);
+    for (int s = 0; s < sweeps; ++s) {
+      plan.begin_sweep(X, s);
+      for (index_t n = 0; n < 3; ++n) {
+        const std::size_t sn = static_cast<std::size_t>(n);
+        MatrixT<T> M;
+        plan.mode_mttkrp(n, X, fs, M);
+        SCOPED_TRACE("dims[0]=" + std::to_string(dims[0]) + " rank=" +
+                     std::to_string(rank) + " threads=" +
+                     std::to_string(threads) + " sweep=" + std::to_string(s) +
+                     " mode=" + std::to_string(n));
+        expect_matrix_near(M, mttkrp(X, fs, n, MttkrpMethod::Reference), tol);
+        outs.push_back(std::move(M));
+        fs[sn] = MatrixT<T>::random_uniform(dims[sn], rank, rng);
+      }
+    }
+  }
+  EXPECT_EQ(ctx.arena().in_use(), 0u);
+  return outs;
+}
+
+template <typename T>
+void expect_bitwise(const std::vector<MatrixT<T>>& a,
+                    const std::vector<MatrixT<T>>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].max_abs_diff(b[i]), 0.0) << "output " << i;
+  }
+}
+
+TEST(SweepPlanRotation, EveryUpdateIsExact) {
+  struct Case {
+    std::vector<index_t> dims;
+    index_t rank;
+  };
+  const std::vector<Case> cases = {
+      {{30, 30, 30}, 6},  // a cube: {0, 1} | {2}
+      {{37, 29, 31}, 5},  // {0} | {1, 2}: T_2 is a rotation-only node
+      {{12, 10, 8}, 4},   // I1 < 4R: T_1's slab GEMMs take the BLIS path
+      {{13, 11, 9}, 70},  // rank above kRankPanelMaxN: BLIS everywhere
+  };
+  for (const Case& c : cases) {
+    for (int threads : {1, 4}) {
+      const auto first = rotation_run<double>(c.dims, c.rank, threads, 7,
+                                              1e-12);
+      expect_bitwise(first, rotation_run<double>(c.dims, c.rank, threads, 7,
+                                                 1e-12));
+      const auto first_f = rotation_run<float>(c.dims, c.rank, threads, 7,
+                                               1e-5);
+      expect_bitwise(first_f, rotation_run<float>(c.dims, c.rank, threads, 7,
+                                                  1e-5));
+    }
+  }
+}
+
+TEST(SweepPlanRotation, RunsLeaveTheArenaEmptyAndTouchNoHeap) {
+  // The 3-way form of SweepIsAllocationFreeAfterConstruction, through the
+  // run protocol: the run's frame holds the carried T_1 from sweep to
+  // sweep, and closes when the run ends on an odd sweep, on an even one,
+  // or with a throw mid-sweep; a reserve() on the context works after.
+  Rng rng(63);
+  const std::vector<index_t> dims{9, 8, 7};
+  const index_t C = 5;
+  const Tensor X = Tensor::random_uniform(dims, rng);
+  const auto run_sweeps = [&](CpAlsSweepPlan& plan, int sweeps,
+                              int throw_at) {
+    std::vector<Matrix> fs = random_factors(dims, C, rng);
+    Matrix M;
+    CpAlsSweepPlan::Run run(plan);
+    for (int s = 0; s < sweeps; ++s) {
+      plan.begin_sweep(X, s);
+      for (index_t n = 0; n < 3; ++n) {
+        if (s == throw_at && n == 1) throw std::runtime_error("mid-sweep");
+        plan.mode_mttkrp(n, X, fs, M);
+        fs[static_cast<std::size_t>(n)] =
+            random_factors(dims, C, rng)[static_cast<std::size_t>(n)];
+      }
+    }
+  };
+  for (const int end : {0, 1, 2}) {  // odd end, even end, throw
+    ExecContext ctx(3);
+    CpAlsSweepPlan plan(ctx, dims, C);
+    const std::size_t grows = ctx.arena().grow_count();
+    const std::size_t capacity = ctx.arena().capacity();
+    const std::size_t blas_allocs = blas::gemm_internal_allocs();
+    for (int round = 0; round < 2; ++round) {
+      if (end == 2) {
+        EXPECT_THROW(run_sweeps(plan, 6, 4), std::runtime_error);
+      } else {
+        run_sweeps(plan, end == 0 ? 6 : 7, -1);
+      }
+      SCOPED_TRACE("end " + std::to_string(end));
+      EXPECT_EQ(ctx.arena().in_use(), 0u);
+      EXPECT_EQ(ctx.arena().grow_count(), grows);
+      EXPECT_EQ(ctx.arena().capacity(), capacity);
+      EXPECT_EQ(blas::gemm_internal_allocs(), blas_allocs)
+          << "a rotation contraction fell back to the internal arena";
+    }
+    EXPECT_NO_THROW(ctx.arena().reserve_bytes(capacity + 4096));
+    EXPECT_EQ(ctx.arena().grow_count(), grows + 1);
+  }
+
+  // The same through the ALS driver, whose scope object ends the run when
+  // a factor update throws.
+  ExecContext ctx(2);
+  CpAlsSweepPlan plan(ctx, dims, C);
+  CpAlsOptions opts;
+  opts.rank = C;
+  opts.max_iters = 6;
+  opts.tol = 0.0;
+  CpAlsResult result;
+  detail::init_model(X, opts, "test", result.model);
+  auto update = detail::exact_solve_update(result.model, ctx.threads());
+  EXPECT_THROW(detail::run_als_sweeps(
+                   X, opts, ctx, plan, result,
+                   [&](index_t n, Matrix& H, Matrix& M, int iter) {
+                     if (iter == 3 && n == 1) {
+                       throw std::runtime_error("update failed");
+                     }
+                     update(n, H, M, iter);
+                   }),
+               std::runtime_error);
+  EXPECT_EQ(ctx.arena().in_use(), 0u);
+  EXPECT_NO_THROW(ctx.arena().reserve_bytes(ctx.arena().capacity() + 4096));
 }
 
 // ---------------------------------------------------------------------------
